@@ -18,7 +18,8 @@ at the first inconsistency:
   least-recently-faulted one (monotonicity is tracked in
   :mod:`repro.core.eviction` under the same switch),
 * prefetch only targets non-resident pages of the backed VABlock being
-  serviced.
+  serviced, ascending and disjoint from the bin's ascending demand
+  pages (the service stage merges the two lists without a set union).
 
 When the switch is off (the default), the hooks reduce to one ``None``
 check per call site - no arrays are touched and no state is kept, so
@@ -133,9 +134,18 @@ class UvmSanitizer:
 
     # -- prefetch (Section IV-A) -------------------------------------------
     def check_prefetch(
-        self, residency: "ResidencyState", vablock_id: int, prefetch_pages: np.ndarray
+        self,
+        residency: "ResidencyState",
+        vablock_id: int,
+        prefetch_pages: np.ndarray,
+        demand_pages: Optional[np.ndarray] = None,
     ) -> None:
-        """Prefetch targets live in the serviced, backed VABlock only."""
+        """Prefetch targets live in the serviced, backed VABlock only.
+
+        Given the bin's ``demand_pages``, also checks what the service
+        stage's merge relies on: both lists strictly ascending, and
+        disjoint from each other.
+        """
         self.checks_run += 1
         if prefetch_pages.size == 0:
             return
@@ -151,6 +161,15 @@ class UvmSanitizer:
             )
         if residency.resident[prefetch_pages].any():
             raise self._fail("prefetch", "prefetch of already-resident pages")
+        if demand_pages is not None and (
+            (np.diff(demand_pages) <= 0).any()
+            or (np.diff(prefetch_pages) <= 0).any()
+            or np.isin(prefetch_pages, demand_pages).any()
+        ):
+            raise self._fail(
+                "prefetch",
+                "demand and prefetch pages must be strictly ascending and disjoint",
+            )
 
 
 def make_sanitizer() -> Optional[UvmSanitizer]:

@@ -111,54 +111,54 @@ class TreePrefetcher:
             raise ConfigurationError(
                 f"resident mask must have shape ({ppv},), got {resident_leaves.shape}"
             )
-        faulted_offsets = np.asarray(faulted_offsets, dtype=np.int64)
-        if faulted_offsets.size == 0:
+        faults = sorted(np.asarray(faulted_offsets, dtype=np.int64).tolist())
+        if not faults:
             return PrefetchDecision(prefetch_offsets=np.empty(0, dtype=np.int64))
-        if faulted_offsets.min() < 0 or faulted_offsets.max() >= ppv:
+        if faults[0] < 0 or faults[-1] >= ppv:
             raise ConfigurationError("faulted offsets outside VABlock")
 
-        demand = np.zeros(ppv, dtype=bool)
-        demand[faulted_offsets] = True
-        # Occupancy evolves as regions are chosen ("set to max").
-        occ = resident_leaves | demand
-        pending = np.zeros(ppv, dtype=bool)  # pages flagged for prefetch
-
-        decision = PrefetchDecision(prefetch_offsets=np.empty(0, dtype=np.int64))
+        # Leaf sets are Python-int bitsets (bit i is leaf i), so a
+        # region's occupancy is one mask and popcount.
+        occ = _bits_of(resident_leaves)
+        for leaf in faults:
+            occ |= 1 << leaf
+        # Occupancy evolves as regions are chosen ("set to max"); the
+        # leaves it gains over ``present`` are the ones flagged for
+        # prefetch, never resident or demand-faulted.
+        present = occ
 
         # Stage one: upgrade every faulted page's 64 KB big page.
-        groups = np.unique(faulted_offsets // ppb)
-        for g in groups:
-            lo, hi = int(g) * ppb, (int(g) + 1) * ppb
-            newly = ~occ[lo:hi]
-            pending[lo:hi] |= newly
-            occ[lo:hi] = True
-        decision.upgraded = int(pending.sum())
+        big_page = (1 << ppb) - 1
+        for leaf in faults:
+            occ |= big_page << (leaf - leaf % ppb)
+        upgraded = (occ ^ present).bit_count()
 
         # Stage two: grow a region upward from each faulted leaf.
-        for leaf in np.sort(faulted_offsets):
-            base = (int(leaf) // ppb) * ppb
+        region_sizes = []
+        for leaf in faults:
+            base = leaf - leaf % ppb
             size = ppb
             while size < ppv:
                 parent_size = size * 2
-                parent_base = (base // parent_size) * parent_size
-                count = int(occ[parent_base : parent_base + parent_size].sum())
-                if count * 100 > self.threshold * parent_size:
+                parent_base = base - base % parent_size
+                region = ((1 << parent_size) - 1) << parent_base
+                if (occ & region).bit_count() * 100 > self.threshold * parent_size:
                     base, size = parent_base, parent_size
-                    newly = ~occ[base : base + size]
-                    pending[base : base + size] |= newly
-                    occ[base : base + size] = True  # set region to max
+                    occ |= region  # set region to max
                 else:
                     break
-            decision.region_sizes.append(size)
-            decision.max_region = max(decision.max_region, size)
+            region_sizes.append(size)
 
-        prefetch_mask = pending & ~demand & ~resident_leaves
-        decision.prefetch_offsets = np.flatnonzero(prefetch_mask).astype(np.int64)
-        # Stage-one pending leaves were recorded before stage two grew
-        # regions and are already demand/resident-disjoint, so the tree's
-        # contribution is simply the remainder.
-        decision.tree_added = decision.count - decision.upgraded
-        return decision
+        prefetch_offsets = _leaves_of(occ ^ present, ppv)
+        # Stage-one leaves were counted before stage two grew regions,
+        # so the tree's contribution is simply the remainder.
+        return PrefetchDecision(
+            prefetch_offsets=prefetch_offsets,
+            upgraded=upgraded,
+            tree_added=int(prefetch_offsets.size) - upgraded,
+            max_region=max(region_sizes),
+            region_sizes=region_sizes,
+        )
 
     def prefetch_pages(self, residency, vbin) -> np.ndarray:
         """Generic interface: global pages to prefetch for one fault bin."""
@@ -199,3 +199,16 @@ class TreePrefetcher:
             size *= 2
             level += 1
         return lines
+
+
+def _bits_of(mask: np.ndarray) -> int:
+    """A boolean leaf mask as a Python-int bitset (bit i is ``mask[i]``)."""
+    return int.from_bytes(np.packbits(mask, bitorder="little"), "little")
+
+
+def _leaves_of(bits: int, n_leaves: int) -> np.ndarray:
+    """Ascending indices of the set bits of ``bits`` (below ``n_leaves``)."""
+    if not bits:
+        return np.empty(0, dtype=np.int64)
+    raw = np.frombuffer(bits.to_bytes((n_leaves + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").nonzero()[0].astype(np.int64)

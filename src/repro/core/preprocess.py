@@ -86,20 +86,22 @@ def preprocess_batch(
     # fault on a resident-but-read-only duplicated page is NOT stale -
     # it is a permission-upgrade the service stage must handle).
     stale = np.where(writes, residency.write_ok[pages], residency.read_ok[pages])
-    n_stale = int(stale.sum())
     keep_idx = np.flatnonzero(~stale)
+    n_stale = int(pages.size - keep_idx.size)
     pages, writes = pages[keep_idx], writes[keep_idx]
     streams, sms = streams[keep_idx], sms[keep_idx]
 
-    # Intra-batch duplicates: keep one service per page, OR the write
-    # intent (an upgrade to write permission must still happen).
-    uniq_pages, first_idx, inverse = np.unique(
-        pages, return_index=True, return_inverse=True
-    )
-    uniq_writes = np.zeros(uniq_pages.shape, dtype=bool)
-    np.logical_or.at(uniq_writes, inverse, writes)
-    uniq_streams = streams[first_idx]
-    uniq_sms = sms[first_idx]
+    # Intra-batch duplicates: keep one service per page (its first
+    # entry's stream and SM), OR the write intent (an upgrade to write
+    # permission must still happen).
+    order = np.argsort(pages, kind="stable")
+    sorted_pages = pages[order]
+    is_first = np.empty(sorted_pages.shape, dtype=bool)
+    is_first[:1] = True
+    np.not_equal(sorted_pages[1:], sorted_pages[:-1], out=is_first[1:])
+    starts = np.flatnonzero(is_first)
+    first_idx = order[starts]
+    uniq_pages = sorted_pages[starts]
     n_intra = int(pages.size - uniq_pages.size)
     out.n_duplicate = n_stale + n_intra
 
@@ -111,25 +113,23 @@ def preprocess_batch(
 
     if uniq_pages.size == 0:
         return out
+    uniq_writes = np.logical_or.reduceat(writes[order], starts)
+    uniq_streams = streams[first_idx]
+    uniq_sms = sms[first_idx]
 
     ppv = residency.pages_per_vablock
     vbs = uniq_pages // ppv
-    # uniq_pages is sorted, hence vbs is sorted: split on boundaries.
-    boundaries = np.flatnonzero(np.diff(vbs)) + 1
-    for chunk_pages, chunk_writes, chunk_streams, chunk_sms, chunk_vbs in zip(
-        np.split(uniq_pages, boundaries),
-        np.split(uniq_writes, boundaries),
-        np.split(uniq_streams, boundaries),
-        np.split(uniq_sms, boundaries),
-        np.split(vbs, boundaries),
-    ):
+    # uniq_pages is sorted, hence vbs is sorted: cut on boundaries.
+    cuts = (np.flatnonzero(vbs[1:] != vbs[:-1]) + 1).tolist()
+    los = [0, *cuts]
+    for vb, lo, hi in zip(vbs[los].tolist(), los, [*cuts, int(uniq_pages.size)]):
         out.bins.append(
             VABlockBin(
-                vablock_id=int(chunk_vbs[0]),
-                pages=chunk_pages,
-                writes=chunk_writes,
-                stream_ids=chunk_streams,
-                sm_ids=chunk_sms,
+                vablock_id=vb,
+                pages=uniq_pages[lo:hi],
+                writes=uniq_writes[lo:hi],
+                stream_ids=uniq_streams[lo:hi],
+                sm_ids=uniq_sms[lo:hi],
             )
         )
     return out

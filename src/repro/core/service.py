@@ -29,6 +29,7 @@ from repro.core.preprocess import VABlockBin
 from repro.core.prefetch import TreePrefetcher
 from repro.errors import SimulationError
 from repro.gpu.dma import DmaEngine
+from repro.mem.advise import MemAdvise
 from repro.mem.page_table import PageTable
 from repro.mem.residency import ResidencyState
 from repro.sim.clock import SimClock
@@ -93,7 +94,8 @@ class FaultServicer:
         self.clock.advance(duration_ns)
 
     def _effective_ptes(self, pages: np.ndarray) -> int:
-        """PTE writes needed for ``pages`` with big-page promotion.
+        """PTE writes needed for ascending, unique ``pages`` with big-page
+        promotion.
 
         A fully populated 64 KB-aligned group is installed as one big
         PTE (the Power9-emulation big pages of Section IV-A); leftover
@@ -101,13 +103,18 @@ class FaultServicer:
         pay ~1/16th the mapping cost of scattered ones - part of why
         aggressive prefetching approaches explicit-transfer efficiency.
         """
-        if pages.size == 0:
-            return 0
         ppb = self.space.pages_per_big_page
-        groups, counts = np.unique(pages // ppb, return_counts=True)
-        full = int((counts == ppb).sum())
-        singles = int(counts[counts != ppb].sum())
-        return full + singles
+        n = int(pages.size)
+        if n < ppb:
+            return n  # too few pages to fill a group
+        # In an ascending unique list a group is full exactly when a
+        # group-aligned page is followed ppb - 1 places later by the
+        # group's last page.
+        heads = pages[: n - ppb + 1]
+        full = int(
+            np.count_nonzero((heads % ppb == 0) & (pages[ppb - 1 :] - heads == ppb - 1))
+        )
+        return n - full * (ppb - 1)
 
     # -- eviction path --------------------------------------------------------------
     def _evict_one(self, exclude_vablock: int) -> None:
@@ -289,8 +296,6 @@ class FaultServicer:
     # -- main entry ---------------------------------------------------------------
     def service_bin(self, vbin: VABlockBin) -> ServiceOutcome:
         """Service all faults of one VABlock bin (plus prefetch)."""
-        from repro.mem.advise import MemAdvise
-
         vb = vbin.vablock_id
         advise = self.space.advise_of_vablock(vb)
         if advise is MemAdvise.PINNED_HOST:
@@ -313,22 +318,21 @@ class FaultServicer:
         # Split permission upgrades (resident read-only duplicates hit
         # by writes) from true demand misses.
         resident_mask = self.residency.resident[vbin.pages]
-        upgrade_pages = vbin.pages[resident_mask]
-        demand_pages = vbin.pages[~resident_mask]
-        demand_writes = vbin.writes[~resident_mask]
-        if upgrade_pages.size:
-            self._upgrade_permissions(vb, upgrade_pages)
-            if demand_pages.size == 0:
+        if resident_mask.any():
+            self._upgrade_permissions(vb, vbin.pages[resident_mask])
+            missing = ~resident_mask
+            if not missing.any():
                 self.lru.touch(vb)
                 self.recorder.record_service(self.clock.now, vb, 0, 0)
                 return outcome
-        vbin = VABlockBin(
-            vablock_id=vb,
-            pages=demand_pages,
-            writes=demand_writes,
-            stream_ids=vbin.stream_ids[~resident_mask],
-            sm_ids=vbin.sm_ids[~resident_mask],
-        )
+            vbin = VABlockBin(
+                vablock_id=vb,
+                pages=vbin.pages[missing],
+                writes=vbin.writes[missing],
+                stream_ids=vbin.stream_ids[missing],
+                sm_ids=vbin.sm_ids[missing],
+            )
+        demand_pages = vbin.pages
         outcome.n_evictions = self._ensure_backed(vb)
 
         start, stop = self.space.page_span_of_vablock(vb)
@@ -347,9 +351,21 @@ class FaultServicer:
                     # only for the block being serviced.
                     raise SimulationError("prefetcher escaped the serviced VABlock")
             if self.sanitizer is not None:
-                self.sanitizer.check_prefetch(self.residency, vb, prefetch_pages)
+                self.sanitizer.check_prefetch(
+                    self.residency, vb, prefetch_pages, demand_pages
+                )
 
-        all_pages = np.union1d(demand_pages, prefetch_pages)
+        # Demand pages are ascending and unique (a bin) and prefetch
+        # pages ascending and disjoint from them (the prefetcher
+        # contract), so their union is a sorted concatenation.
+        if prefetch_pages.size:
+            all_pages = np.concatenate((demand_pages, prefetch_pages))
+            all_pages.sort()
+            # write intent aligned with the union page list
+            writing = np.zeros(all_pages.size, dtype=bool)
+            writing[np.searchsorted(all_pages, demand_pages)] = vbin.writes
+        else:
+            all_pages, writing = demand_pages, vbin.writes
         n_all = int(all_pages.size)
         if n_all == 0:
             return outcome
@@ -360,10 +376,6 @@ class FaultServicer:
         # same staging chunks with just their per-page costs - that gap
         # is why aggressive prefetching approaches explicit-transfer
         # efficiency (Section IV-C).
-        # write intent aligned with the union page list
-        writing = np.zeros(n_all, dtype=bool)
-        writing[np.searchsorted(all_pages, demand_pages)] = vbin.writes
-
         n_ptes = self._effective_ptes(all_pages)
         migrate_ns = n_all * self.cost.stage_page_ns + n_ptes * self.cost.zero_page_ns
         migrate_ns += int(demand_pages.size) * self.cost.service_per_fault_ns

@@ -22,6 +22,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.errors import AddressError, AllocationError
+from repro.mem.advise import MemAdvise
 from repro.mem.layout import align_up_pages, check_geometry
 from repro.units import (
     BIG_PAGE_SIZE,
@@ -190,8 +191,6 @@ class AddressSpace:
         allows runtime changes, but mid-run re-advising is out of scope
         here and the driver snapshot would go stale.
         """
-        from repro.mem.advise import MemAdvise
-
         if isinstance(rng, str):
             matches = [r for r in self.ranges if r.name == rng]
             if not matches:
@@ -202,8 +201,6 @@ class AddressSpace:
         self._advise[rng.index] = advise
 
     def advise_of_range(self, range_index: int) -> "MemAdvise":
-        from repro.mem.advise import MemAdvise
-
         return self._advise.get(range_index, MemAdvise.MIGRATE)
 
     def advise_of_vablock(self, vablock_id: int) -> "MemAdvise":

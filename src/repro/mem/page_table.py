@@ -62,10 +62,10 @@ class PageTable:
         if pages.size == 0:
             return 0
         self.space.validate_pages(pages)
-        new = ~self.mapped[pages]
-        self.mapped[pages[new]] = True
+        was_mapped = self.mapped[pages]
+        self.mapped[pages] = True
         self.stats.pages_mapped += int(pages.size)
-        return int(new.sum())
+        return int(pages.size - np.count_nonzero(was_mapped))
 
     def unmap_pages(self, pages: np.ndarray) -> int:
         """Remove PTEs for ``pages``; returns the number actually unmapped.

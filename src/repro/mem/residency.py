@@ -119,45 +119,69 @@ class ResidencyState:
         pages = np.asarray(pages, dtype=np.int64)
         if pages.size == 0:
             return 0
-        vbs = pages // self.pages_per_vablock
-        if not self.backed[vbs].all():
-            missing = np.unique(vbs[~self.backed[vbs]])
-            raise SimulationError(
-                f"making pages resident in unbacked VABlocks {missing[:8].tolist()}"
-            )
+        ppv = self.pages_per_vablock
+        first_vb = int(pages.min()) // ppv
+        one_vablock = first_vb == int(pages.max()) // ppv  # the service path
+        if one_vablock:
+            if not self.backed[first_vb]:
+                raise SimulationError(
+                    f"making pages resident in unbacked VABlocks {[first_vb]}"
+                )
+        else:
+            vbs = pages // ppv
+            if not self.backed[vbs].all():
+                missing = np.unique(vbs[~self.backed[vbs]])
+                raise SimulationError(
+                    f"making pages resident in unbacked VABlocks {missing[:8].tolist()}"
+                )
         if self.remote_mapped[pages].any():
             raise SimulationError("migrating pages that are remote-mapped")
 
-        def as_mask(value) -> np.ndarray:
-            if np.ndim(value) == 0:
-                return np.full(pages.shape, bool(value))
+        # Each flag stays a plain bool when given as a scalar, so the
+        # common all-pages-alike cases touch no full-size mask.
+        def as_flag(value):
+            if isinstance(value, (bool, np.bool_)) or np.ndim(value) == 0:
+                return bool(value)
             mask = np.asarray(value, dtype=bool)
             if mask.shape != pages.shape:
                 raise AddressError("mask shape mismatch")
             return mask
 
-        writing_m = as_mask(writing)
-        writable_m = as_mask(writable)
-        duplicated_m = as_mask(duplicated)
-        if (writing_m & ~writable_m).any():
+        writing_m = as_flag(writing)
+        writable_m = as_flag(writable)
+        duplicated_m = as_flag(duplicated)
+        if _any_both(writing_m, _negate(writable_m)):
             raise SimulationError("writing through a read-only mapping")
-        if (duplicated_m & writable_m).any():
+        if _any_both(duplicated_m, writable_m):
             raise SimulationError("a duplicated copy cannot be writable")
 
-        newly = ~self.resident[pages]
-        new_pages = pages[newly]
+        was_resident = self.resident[pages]
+        n_new = int(pages.size - np.count_nonzero(was_resident))
         self.resident[pages] = True
-        self.writable[pages] |= writable_m
-        self.duplicated[pages] = duplicated_m & ~self.writable[pages]
-        self.dirty[pages[writing_m]] = True
-        if new_pages.size:
-            np.add.at(
-                self.resident_count,
-                new_pages // self.pages_per_vablock,
-                1,
-            )
-        self._refresh_masks(pages)
-        return int(new_pages.size)
+        if writable_m is True:
+            self.writable[pages] = True
+        elif writable_m is not False:
+            self.writable[pages] |= writable_m
+        if duplicated_m is False:
+            self.duplicated[pages] = False
+        else:
+            self.duplicated[pages] = duplicated_m & ~self.writable[pages]
+        if writing_m is True:
+            self.dirty[pages] = True
+        elif writing_m is not False:
+            self.dirty[pages[writing_m]] = True
+        if one_vablock:
+            self.resident_count[first_vb] += n_new
+        elif n_new:
+            np.add.at(self.resident_count, pages[~was_resident] // ppv, 1)
+        # the pages are now resident and (checked above) not remote-
+        # mapped, so read_ok is set and write_ok follows writable
+        self.read_ok[pages] = True
+        if writable_m is True:
+            self.write_ok[pages] = True
+        else:
+            self.write_ok[pages] = self.writable[pages]
+        return n_new
 
     def mark_dirty(self, pages: np.ndarray) -> None:
         """Record GPU writes to already-resident writable pages."""
@@ -335,3 +359,19 @@ class ResidencyState:
             f"ResidencyState(resident={self.total_resident_pages()},"
             f" backed={int(self.backed.sum())}/{len(self.backed)})"
         )
+
+
+def _negate(flag):
+    """Logical not of a bool or a per-page mask."""
+    return (not flag) if isinstance(flag, bool) else ~flag
+
+
+def _any_both(a, b) -> bool:
+    """Whether some page has both flags (each a bool or a per-page mask)."""
+    if a is False or b is False:
+        return False
+    if a is True:
+        return bool(np.any(b))
+    if b is True:
+        return bool(a.any())
+    return bool((a & b).any())

@@ -56,21 +56,22 @@ class SgemmWorkload(Workload):
     def _band_pages(
         self,
         rng_range: ManagedRange,
-        rows: np.ndarray,
-        col_lo: int,
-        col_hi: int,
+        row_band: int,
+        col_band: int,
         page_size: int,
     ) -> np.ndarray:
-        """Pages touched by a ``rows x [col_lo, col_hi)`` tile.
+        """Pages touched, row by row, by tile ``(row_band, col_band)``.
 
-        A tile row segment spans at most a few pages; sampling its first
-        and last element and deduplicating captures every page touched.
+        Each tile row is one contiguous segment of ``tile`` elements.
+        Sampling it every ``page_size`` bytes plus its last element
+        names every page from the segment's first to its last, however
+        many that is; consecutive repeats collapse to one touch.
         """
-        first = rows * self.n + col_lo
-        last = rows * self.n + (col_hi - 1)
-        elems = np.empty(rows.size * 2, dtype=np.int64)
-        elems[0::2] = first
-        elems[1::2] = last
+        tile = self.tile
+        step = max(page_size // _F32, 1)
+        offsets = np.append(np.arange(0, tile - 1, step), tile - 1)
+        rows = np.arange(row_band * tile, (row_band + 1) * tile, dtype=np.int64)
+        elems = (rows[:, None] * self.n + (col_band * tile + offsets)).ravel()
         return self.pages_of_elements(rng_range, elems, _F32, page_size)
 
     def build(self, space: AddressSpace, rng: SimRng) -> WorkloadBuild:
@@ -82,25 +83,32 @@ class SgemmWorkload(Workload):
         page_size = space.page_size
 
         grid = n // tile
+
+        def bands(matrix: ManagedRange) -> list[list[np.ndarray]]:
+            return [
+                [self._band_pages(matrix, r, k, page_size) for k in range(grid)]
+                for r in range(grid)
+            ]
+
+        # Every block of a grid row re-reads the same A bands and every
+        # block of a grid column the same B bands, so each distinct band
+        # is computed once and shared.
+        a_bands, b_bands, c_bands = bands(a), bands(b), bands(c)
+        block_flops = 2 * tile * tile * n  # tile^2 outputs, n-MACs each
         streams: list[WarpStream] = []
-        sid = 0
-        k_steps = range(0, n, tile)
         for bi in range(grid):
-            a_rows = np.arange(bi * tile, (bi + 1) * tile, dtype=np.int64)
+            a_row = a_bands[bi]
             for bj in range(grid):
-                parts: list[np.ndarray] = []
-                for kk in k_steps:
-                    b_rows = np.arange(kk, kk + tile, dtype=np.int64)
-                    parts.append(self._band_pages(a, a_rows, kk, kk + tile, page_size))
-                    parts.append(
-                        self._band_pages(b, b_rows, bj * tile, (bj + 1) * tile, page_size)
-                    )
-                c_pages = self._band_pages(c, a_rows, bj * tile, (bj + 1) * tile, page_size)
-                read_pages = np.concatenate(parts) if parts else np.empty(0, np.int64)
-                pages = np.concatenate([read_pages, c_pages])
+                # step kk reads A band (bi, kk) then B band (kk, bj)
+                parts = [
+                    band for kk in range(grid) for band in (a_row[kk], b_bands[kk][bj])
+                ]
+                c_pages = c_bands[bi][bj]
+                parts.append(c_pages)
+                pages = np.concatenate(parts)
                 writes = np.zeros(pages.shape, dtype=bool)
-                writes[read_pages.size :] = True
-                block_flops = 2 * tile * tile * n  # tile^2 outputs, n-MACs each
-                streams.append(self.make_stream(sid, pages, writes, flops=block_flops))
-                sid += 1
+                writes[pages.size - c_pages.size :] = True
+                streams.append(
+                    self.make_stream(len(streams), pages, writes, flops=block_flops)
+                )
         return WorkloadBuild(streams=streams, ranges={"A": a, "B": b, "C": c})

@@ -222,6 +222,21 @@ def test_check_prefetch_rejects_resident_and_unbacked():
     san.check_prefetch(res, 0, np.array([2, 3], dtype=np.int64))
 
 
+def test_check_prefetch_rejects_unmergeable_demand_and_prefetch():
+    san = UvmSanitizer()
+    _, res = _residency_pair()
+    res.back_vablock(0)
+    demand = np.array([4, 9], dtype=np.int64)
+    san.check_prefetch(res, 0, np.array([2, 5], dtype=np.int64), demand)
+    for prefetch, bad_demand in (
+        (np.array([2, 9], dtype=np.int64), demand),  # overlaps demand
+        (np.array([5, 2], dtype=np.int64), demand),  # descending
+        (np.array([2, 5], dtype=np.int64), np.array([9, 4], dtype=np.int64)),
+    ):
+        with pytest.raises(SanitizerError, match="ascending and disjoint"):
+            san.check_prefetch(res, 0, prefetch, bad_demand)
+
+
 def test_check_state_flags_lru_membership_drift(san_on):
     san = UvmSanitizer()
     space, res = _residency_pair()

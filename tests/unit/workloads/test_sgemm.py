@@ -1,5 +1,8 @@
 """Unit tests for the tiled SGEMM workload."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,17 @@ class TestStructure:
         shared = set.intersection(*a_pages)
         assert shared, "grid-row blocks must share A band pages"
 
+    def test_wide_tile_rows_touch_every_page(self):
+        """A 4096-float tile row spans four 4 KiB pages; every one of
+        them is touched, not only the first and last."""
+        wl = SgemmWorkload(n=4096, tile=4096)
+        b = wl.build(AddressSpace(), SimRng(0))
+        pages = np.concatenate([s.pages for s in b.streams])
+        for name in ("A", "B", "C"):
+            rng = b.ranges[name]
+            expected = np.arange(rng.start_page, rng.start_page + rng.npages)
+            assert np.array_equal(np.intersect1d(pages, expected), expected), name
+
     def test_flops(self):
         wl = SgemmWorkload(n=256, tile=128)
         assert wl.flops == 2 * 256**3
@@ -72,6 +86,34 @@ class TestStructure:
 
     def test_required_bytes(self):
         assert SgemmWorkload(n=512).required_bytes() == 3 * 512 * 512 * 4
+
+
+def build_digest(n: int, tile: int) -> str:
+    """sha256 over every stream's id, pages, write mask and per-access FLOPs."""
+    built = SgemmWorkload(n=n, tile=tile).build(AddressSpace(), SimRng(0))
+    digest = hashlib.sha256()
+    for stream in built.streams:
+        digest.update(struct.pack("<q", stream.stream_id))
+        digest.update(np.ascontiguousarray(stream.pages, dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(stream.writes, dtype=bool).tobytes())
+        digest.update(struct.pack("<d", stream.flops_per_access))
+    return digest.hexdigest()
+
+
+#: digests of the streams the per-call ``_band_pages`` build produced,
+#: recorded before the build was restructured to compute each band once.
+GOLDEN_BUILD_DIGESTS = {
+    (512, 128): "620c348538094b2d714a3f1f83ed3ebd41df6f3e5d19e3027f223eaa994c6bc3",
+    # 16 MiB: the serve-mix size
+    (1152, 128): "ba8e08c5617d1e336bd472e619d094e9e45c9e93dd5b23c08d0d1f29e8a00445",
+    # 96 MiB: the perf-smoke size
+    (2816, 128): "9d5608a371e98ee551e9be7cd995e72226ad49b712638b16a17233bfe278c3ac",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_BUILD_DIGESTS))
+def test_build_matches_golden_digest(shape):
+    assert build_digest(*shape) == GOLDEN_BUILD_DIGESTS[shape]
 
 
 class TestValidation:
