@@ -193,9 +193,8 @@ class GpuDevice:
         order = self.rng.jitter_order(
             len(runnable),
             window=max(4.0, self.config.phase_jitter * self.config.max_active_streams),
+            limit=budget,
         )
-        if len(order) > budget:
-            order = order[:budget]
         for idx in order:
             stream = runnable[int(idx)]
             if stream.state is not StreamState.RUNNABLE:
@@ -262,23 +261,21 @@ class GpuDevice:
         order = self.rng.jitter_order(
             int(run_ids.size),
             window=max(4.0, self.config.phase_jitter * self.config.max_active_streams),
+            limit=budget,
         )
-        if order.size > budget:
-            order = order[:budget]
         sel = run_ids[order]
         soa = sched.soa
         pos0, pos1, miss = advance_batch(soa, sel, read_ok, write_ok)
         retired = pos1 - pos0
         result.accesses_retired = int(retired.sum())
-        nz = np.flatnonzero(soa.flops[sel])
+        flops = soa.flops[sel]
+        nz = np.flatnonzero(flops)
         if nz.size:
             # accumulate in visit order, skipping zero-FLOP streams, so
             # the float sum is bitwise-identical to the scalar loop
-            contrib = retired[nz] * soa.flops[sel[nz]]
-            acc = 0.0
-            for v in contrib.tolist():  # Python floats: same values, no
-                acc += v  # per-element numpy scalar boxing
-            result.flops_retired = acc
+            # (add.accumulate adds strictly left to right, unlike sum)
+            contrib = retired[nz] * flops[nz]
+            result.flops_retired = float(np.add.accumulate(contrib)[-1])
         if result.accesses_retired and (
             self.access_counters is not None or remote is not None
         ):
@@ -302,7 +299,8 @@ class GpuDevice:
             f_pages = miss[f_rows]
             sched.mark_stalled(f_ids, f_pages)
             utlb = self.utlb
-            f_gpcs = (soa.sm_id[f_ids] // utlb.sms_per_gpc) % utlb.n_gpcs
+            f_sms = soa.sm_id[f_ids]
+            f_gpcs = (f_sms // utlb.sms_per_gpc) % utlb.n_gpcs
             buf = self.fault_buffer
             # One vectorized pass replaces the per-entry
             # should_raise_gpc / push_fields / forget_gpc loop; drops
@@ -325,7 +323,7 @@ class GpuDevice:
                     p_gpcs,
                     p_gpcs,
                     soa.stream_ids[f_ids[p_rows]],
-                    soa.sm_id[f_ids[p_rows]],
+                    f_sms[p_rows],
                 )
                 result.faults_enqueued += int(p_rows.size)
         sched.refill()

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import SimulationError
 from repro.gpu.warp import WarpStream
@@ -45,17 +46,24 @@ DONE = 3
 #: hops stay cheap while long resident runs advance at full numpy speed.
 START_WINDOW = 64
 MAX_WINDOW = 8192  # lint: allow(units-magic-literal) scan-window entries, not bytes
+#: accesses converted from int64 to int32 at a time when the flat arrays
+#: are filled (bounds the int64 temporary; a longer stream is one chunk)
+CONVERT_CHUNK = 1 << 20
+#: page ids are stored as int32
+PAGE_ID_LIMIT = 1 << 31
 
 
 class SoaStreams:
     """All warp-stream state as flat arrays.
 
-    Per-stream page sequences are concatenated into ``pages_flat`` /
-    ``writes_flat``; ``start``/``end`` delimit each stream's span and
+    Per-stream page sequences are concatenated into ``pages_flat`` (int32)
+    / ``writes_flat``; ``start``/``end`` delimit each stream's span and
     ``pos`` is the absolute cursor of its next access.  Streams without a
     writes mask get an all-False span, which makes the permission check
     ``where(writes, write_ok, read_ok)`` degenerate to ``read_ok`` -
-    byte-identical to the scalar ``check_writes`` guard.
+    byte-identical to the scalar ``check_writes`` guard.  Both arrays
+    carry ``MAX_WINDOW`` entries of padding past the last access so every
+    scan window is a full row of :meth:`windows`.
     """
 
     def __init__(self, streams: Sequence[WarpStream]) -> None:
@@ -65,19 +73,12 @@ class SoaStreams:
         start = np.zeros(n, dtype=np.int64)
         if n > 1:
             np.cumsum(lengths[:-1], out=start[1:])
-        total = int(lengths.sum()) if n else 0
+        self.total = int(lengths.sum()) if n else 0
         self.start = start
         self.end = start + lengths
-        if n:
-            self.pages_flat = np.concatenate(
-                [s.pages for s in streams] or [np.empty(0, dtype=np.int64)]
-            )
-        else:
-            self.pages_flat = np.empty(0, dtype=np.int64)
-        self.writes_flat = np.zeros(total, dtype=bool)
-        for i, s in enumerate(streams):
-            if s.writes is not None:
-                self.writes_flat[start[i] : self.end[i]] = s.writes
+        self._pages = np.zeros(self.total + MAX_WINDOW, dtype=np.int32)
+        self._writes = np.zeros(self.total + MAX_WINDOW, dtype=bool)
+        self._fill(streams, int(lengths.max()) if n else 0)
         self.pos = start.copy()
         self.state = np.full(n, PENDING, dtype=np.int8)
         self.stalled_on = np.full(n, -1, dtype=np.int64)
@@ -89,31 +90,68 @@ class SoaStreams:
             (s.flops_per_access for s in streams), dtype=np.float64, count=n
         )
         self.faults_raised = np.zeros(n, dtype=np.int64)
-        #: reusable per-window scan scratch (see :func:`advance_batch`);
-        #: keyed by window width, rows grown to the high-water mark.
-        self._scratch: dict[int, dict[str, np.ndarray]] = {}
+        #: sliding-window views by width (see :meth:`windows`)
+        self._windows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def scan_scratch(self, k: int, width: int) -> dict[str, np.ndarray]:
-        """Preallocated ``k x width`` scan buffers for one gallop round.
+    def _fill(self, streams: Sequence[WarpStream], longest: int) -> None:
+        """Copy every stream's pages and writes mask into the flat arrays.
 
-        The hot loop in :func:`advance_batch` previously allocated five
-        fresh ``k x W`` arrays per round; reusing high-water-sized
-        buffers removes that churn (the returned views alias scratch -
-        valid until the next call with the same ``width``).
+        Streams are taken a run at a time, about ``CONVERT_CHUNK``
+        accesses per run: one concatenation, a range check (an id
+        outside ``[0, 2**31)`` would wrap silently in int32) and one
+        cast per run, so there is neither a full-size int64 temporary
+        nor a numpy call per stream.
         """
-        bufs = self._scratch.get(width)
-        if bufs is None or bufs["idx"].shape[0] < k:
-            bufs = {
-                "idx": np.empty((k, width), dtype=np.int64),
-                "pg": np.empty((k, width), dtype=np.int64),
-                "ok": np.empty((k, width), dtype=bool),
-                "wr": np.empty((k, width), dtype=bool),
-                "wok": np.empty((k, width), dtype=bool),
-                "valid": np.empty((k, width), dtype=bool),
-                "arange": np.arange(width, dtype=np.int64),
-            }
-            self._scratch[width] = bufs
-        return bufs
+        pages = [s.pages for s in streams]
+        blank = np.zeros(longest, dtype=bool)
+        writes = [blank[: len(s.pages)] if s.writes is None else s.writes for s in streams]
+        i, n = 0, len(streams)
+        while i < n:
+            reach = self.start[i] + CONVERT_CHUNK
+            j = max(i + 1, int(np.searchsorted(self.end, reach, side="right")))
+            lo, hi = int(self.start[i]), int(self.end[j - 1])
+            if hi > lo:
+                run = np.concatenate(pages[i:j])
+                if run.min() < 0 or run.max() >= PAGE_ID_LIMIT:
+                    raise SimulationError(
+                        f"stream page ids must lie in [0, 2**31); streams {i}..{j - 1}"
+                        f" hold [{run.min()}, {run.max()}]"
+                    )
+                self._pages[lo:hi] = run
+                np.concatenate(writes[i:j], out=self._writes[lo:hi])
+            i = j
+
+    @property
+    def pages_flat(self) -> np.ndarray:
+        """Every stream's page ids, concatenated (int32)."""
+        return self._pages[: self.total]
+
+    @property
+    def writes_flat(self) -> np.ndarray:
+        """Every stream's writes mask, concatenated."""
+        return self._writes[: self.total]
+
+    def windows(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(pages, writes)`` sliding-window views ``width`` entries wide.
+
+        Row ``p`` holds the ``width`` accesses from flat position ``p``
+        on, so one fancy index gathers every stream's scan window; the
+        padding keeps each row in bounds.  The views are cached per
+        width and left out of pickles.
+        """
+        views = self._windows.get(width)
+        if views is None:
+            views = (
+                sliding_window_view(self._pages, width),
+                sliding_window_view(self._writes, width),
+            )
+            self._windows[width] = views
+        return views
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_windows"] = {}
+        return state
 
 
 def advance_batch(
@@ -130,63 +168,45 @@ def advance_batch(
     state transitions are the caller's job (they depend on emission).
 
     The scan gallops: each round gathers a ``k x W`` window of upcoming
-    accesses for the still-unresolved streams, tests the access masks in
-    one shot, and finds each stream's first miss with a single
-    ``argmin`` + gather (no separate ``.all()`` pass).  ``W`` grows
-    geometrically so streams that stall quickly never pay for a wide
-    window while long resident runs sweep at full numpy speed.
+    accesses for the still-unresolved streams (one fancy index into
+    :meth:`SoaStreams.windows`), tests the access masks in one shot, and
+    finds each stream's first miss with a single ``argmin``.  A window
+    may run past its stream's end into the next stream (or the
+    padding); no mask hides that tail, because a first miss at or past
+    the end is simply not a miss.  ``W`` grows geometrically so streams
+    that stall quickly never pay for a wide window while long resident
+    runs sweep at full numpy speed.
     """
-    k = int(sel.size)
-    pos0 = soa.pos[sel].copy()
+    pos0 = soa.pos[sel]
     cur = pos0.copy()
     end = soa.end[sel]
-    miss = np.full(k, -1, dtype=np.int64)
-    pages = soa.pages_flat
-    writes = soa.writes_flat
-    check_writes = write_ok is not None and writes.size > 0
+    check_writes = write_ok is not None and soa.total > 0
     live = np.flatnonzero(cur < end)
     width = START_WINDOW
     while live.size:
-        n_live = int(live.size)
         c = cur[live]
         e = end[live]
-        bufs = soa.scan_scratch(n_live, width)
-        idx = bufs["idx"][:n_live]
-        np.add(c[:, None], bufs["arange"], out=idx)
-        valid = bufs["valid"][:n_live]
-        np.less(idx, e[:, None], out=valid)
-        # mode="clip" clamps to pages.size - 1, replacing the explicit
-        # np.minimum pass (idx is always >= 0)
-        pg = bufs["pg"][:n_live]
-        np.take(pages, idx, out=pg, mode="clip")
-        ok = bufs["ok"][:n_live]
-        np.take(read_ok, pg, out=ok)
+        page_rows, write_rows = soa.windows(width)
+        pg = page_rows[c]
+        ok = np.take(read_ok, pg)
         if check_writes:
-            wr = bufs["wr"][:n_live]
-            np.take(writes, idx, out=wr, mode="clip")
-            wok = bufs["wok"][:n_live]
-            np.take(write_ok, pg, out=wok)
-            np.copyto(ok, wok, where=wr)
-        np.logical_not(valid, out=valid)
-        np.logical_or(ok, valid, out=ok)
+            np.copyto(ok, np.take(write_ok, pg), where=write_rows[c])
+        # argmin is the first False, or 0 when the row is all True
         first = ok.argmin(axis=1)
-        missed = ~ok[np.arange(n_live), first]
-        if missed.any():
-            rows = live[missed]
-            mpos = c[missed] + first[missed]
-            cur[rows] = mpos
-            miss[rows] = pages[mpos]
-        swept = ~missed
-        if swept.any():
-            rows = live[swept]
-            new_c = np.minimum(c[swept] + width, e[swept])
-            cur[rows] = new_c
-            live = rows[new_c < e[swept]]
-        else:
-            live = live[:0]
+        clear = ok[np.arange(live.size), first]
+        # a clear window moves the cursor on by its width; any other
+        # stops it at the first False, a miss only before the end
+        nxt = np.where(clear, c + width, c + first)
+        np.minimum(nxt, e, out=nxt)
+        cur[live] = nxt
+        live = live[clear & (nxt < e)]
         if width < MAX_WINDOW:
             width = min(width * 4, MAX_WINDOW)
     soa.pos[sel] = cur
+    # a stream that stopped short of its end stopped on a miss
+    miss = np.full(sel.size, -1, dtype=np.int64)
+    stalled = np.flatnonzero(cur < end)
+    miss[stalled] = soa.pages_flat[cur[stalled]]
     return pos0, cur, miss
 
 

@@ -11,12 +11,16 @@ The pending set of a uTLB is cleared by a replay notification: after a
 replay, an unsatisfied access walks the table and faults again, which is
 exactly how duplicate faults reach the driver across replays.
 
-The pending filters are stored as one boolean matrix (GPC x page,
-lazily sized to the highest page seen) so the SoA engine can test and
-update a whole phase's fault batch with vectorized gathers instead of a
-Python set probe per access (:meth:`UTlbArray.raise_batch`).  The
-scalar methods (:meth:`should_raise` / :meth:`forget`) operate on the
-same matrix, so both engines observe identical coalescing state.
+The pending filters are stored as one flat boolean array with a cell
+per (page, GPC) pair, ``page * n_gpcs + gpc``, lazily sized to the
+highest page seen.  The SoA engine tests and updates a whole phase's
+fault batch with vectorized gathers on that array instead of a Python
+set probe per access (:meth:`UTlbArray.raise_batch`).  The scalar
+methods (:meth:`should_raise` / :meth:`forget`) operate on the same
+array, so both engines observe identical coalescing state.  Growing
+the page range appends cells, so a cell index stays valid, and every
+raise records the cells it sets: a replay clears just those instead
+of the whole array.
 """
 
 from __future__ import annotations
@@ -34,22 +38,23 @@ class UTlbArray:
             raise ConfigurationError("n_gpcs and sms_per_gpc must be positive")
         self.n_gpcs = n_gpcs
         self.sms_per_gpc = sms_per_gpc
-        #: (n_gpcs, n_pages) pending matrix, grown on demand; starts
-        #: empty because the page-space extent is unknown at build time.
-        self._pending = np.zeros((n_gpcs, 0), dtype=bool)
+        #: flat pending cells (``page * n_gpcs + gpc``), grown on demand;
+        #: starts empty because the page-space extent is unknown at build time.
+        self._pending = np.zeros(0, dtype=bool)
         self._pending_count = 0
+        #: arrays of the cells set since the last replay
+        self._set_cells: list[np.ndarray] = []
         self.coalesced = 0  # same-GPC duplicate accesses absorbed
         self.raised = 0  # fault entries actually emitted
 
     def _ensure_pages(self, max_page: int) -> None:
-        """Grow the pending matrix to cover ``max_page`` (geometric)."""
-        width = self._pending.shape[1]
+        """Grow the pending cells to cover ``max_page`` (geometric)."""
+        width = self._pending.size // self.n_gpcs
         if max_page < width:
             return
         new_width = max(max_page + 1, width * 2, 1024)
-        grown = np.zeros((self.n_gpcs, new_width), dtype=bool)
-        if width:
-            grown[:, :width] = self._pending
+        grown = np.zeros(new_width * self.n_gpcs, dtype=bool)
+        grown[: self._pending.size] = self._pending
         self._pending = grown
 
     def gpc_of_sm(self, sm_id: int) -> int:
@@ -70,10 +75,12 @@ class UTlbArray:
         """Like :meth:`should_raise` with the GPC already resolved (the
         SoA engine precomputes GPC ids for a whole phase in one shot)."""
         self._ensure_pages(page)
-        if self._pending[gpc, page]:
+        cell = page * self.n_gpcs + gpc
+        if self._pending[cell]:
             self.coalesced += 1
             return False
-        self._pending[gpc, page] = True
+        self._pending[cell] = True
+        self._set_cells.append(np.array([cell], dtype=np.int64))
         self._pending_count += 1
         self.raised += 1
         return True
@@ -104,30 +111,33 @@ class UTlbArray:
         if m == 0:
             return np.zeros(0, dtype=bool), 0, 0
         self._ensure_pages(int(pages.max()))
-        width = self._pending.shape[1]
-        already = self._pending[gpcs, pages]
-        combined = gpcs * np.int64(width) + pages
-        _, first_idx, inverse = np.unique(
-            combined, return_index=True, return_inverse=True
-        )
-        is_first = np.zeros(m, dtype=bool)
-        is_first[first_idx] = True
-        new = is_first & ~already
-        push_mask = np.zeros(m, dtype=bool)
-        new_rows = np.flatnonzero(new)
+        pending = self._pending
+        cells = pages * self.n_gpcs + gpcs
+        already = pending[cells]
+        # a stable sort keeps equal cells in visit order, so an entry is
+        # its cell's first occurrence iff it differs from its sorted
+        # predecessor
+        order = np.argsort(cells, kind="stable")
+        ordered = cells[order]
+        first_sorted = np.empty(m, dtype=bool)
+        first_sorted[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first_sorted[1:])
+        is_first = np.empty(m, dtype=bool)
+        is_first[order] = first_sorted
+        new_rows = np.flatnonzero(is_first & ~already)
         n_push = min(int(new_rows.size), max(0, int(budget)))
+        push_mask = np.zeros(m, dtype=bool)
         if n_push:
             push_rows = new_rows[:n_push]
             push_mask[push_rows] = True
-            self._pending[gpcs[push_rows], pages[push_rows]] = True
+            pushed = cells[push_rows]
+            pending[pushed] = True
+            self._set_cells.append(pushed)
             self._pending_count += n_push
-        # coalesced: non-pushed entries whose pair is pending - either
-        # pre-batch pending or raised by a pushed entry earlier on.
-        pushed_key = np.zeros(first_idx.size, dtype=bool)
-        if n_push:
-            pushed_key[inverse[push_mask]] = True
-        coalesce = ~push_mask & (already | pushed_key[inverse])
-        n_coalesced = int(coalesce.sum())
+        # an unpushed entry coalesces exactly when its cell is pending
+        # now (before the batch, or pushed by an earlier entry), and
+        # every pushed entry's cell is pending
+        n_coalesced = int(np.count_nonzero(pending[cells])) - n_push
         n_dropped = m - n_push - n_coalesced
         self.coalesced += n_coalesced
         self.raised += n_push
@@ -143,8 +153,9 @@ class UTlbArray:
         self.forget_gpc(self.gpc_of_sm(sm_id), page)
 
     def forget_gpc(self, gpc: int, page: int) -> None:
-        if page < self._pending.shape[1] and self._pending[gpc, page]:
-            self._pending[gpc, page] = False
+        cell = page * self.n_gpcs + gpc
+        if cell < self._pending.size and self._pending[cell]:
+            self._pending[cell] = False
             self._pending_count -= 1
         self.raised -= 1
 
@@ -154,9 +165,10 @@ class UTlbArray:
         Unsatisfied accesses will re-walk and re-raise, creating the
         duplicate faults the batch-flush policy exists to suppress.
         """
-        if self._pending_count:
-            self._pending[:] = False
-            self._pending_count = 0
+        if self._set_cells:
+            self._pending[np.concatenate(self._set_cells)] = False
+            self._set_cells.clear()
+        self._pending_count = 0
 
     def pending_total(self) -> int:
         return self._pending_count

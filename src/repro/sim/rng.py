@@ -58,7 +58,11 @@ class SimRng:
         return self._gen.uniform(low, high, size=size)
 
     def jitter_order(
-        self, n: int, strength: float = 0.15, window: float | None = None
+        self,
+        n: int,
+        strength: float = 0.15,
+        window: float | None = None,
+        limit: int | None = None,
     ) -> np.ndarray:
         """Indices ``0..n-1`` in *mostly* ascending order with local jitter.
 
@@ -68,15 +72,30 @@ class SimRng:
         ``n``; pass ``window`` to use an *absolute* jitter amplitude
         instead (physical reorder windows - e.g. SM occupancy - do not
         grow with grid size).  0 gives the identity order.
+
+        ``limit`` keeps only the first ``limit`` entries of that order.
+        The same ``n`` normals are drawn either way, so later draws do
+        not depend on it; a partition finds the cut (ties at the cut go
+        to the lower index, as in the stable order) and only the
+        survivors are sorted.
         """
         if n <= 0:
             return np.empty(0, dtype=np.int64)
+        k = n if limit is None else max(0, min(int(limit), n))
         sigma = float(window) if window is not None else strength * n
         if sigma <= 0:
-            return np.arange(n, dtype=np.int64)
+            return np.arange(k, dtype=np.int64)
         keys = np.arange(n, dtype=np.float64)
         keys += self._gen.normal(0.0, max(sigma, 1e-9), size=n)
-        return np.argsort(keys, kind="stable").astype(np.int64)
+        if k == n:
+            return np.argsort(keys, kind="stable").astype(np.int64, copy=False)
+        if k == 0:
+            return np.empty(0, dtype=np.int64)
+        cut = np.partition(keys, k - 1)[k - 1]
+        # every key below the cut plus every tie at it, ascending by index
+        cand = np.flatnonzero(keys <= cut)
+        top = np.argsort(keys[cand], kind="stable")[:k]
+        return cand[top].astype(np.int64, copy=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimRng(seed={self.seed:#010x}, name={self.name!r})"

@@ -1,10 +1,14 @@
 """Integration: driver knobs exercised end to end."""
 
+import re
+
 import pytest
 
+from repro.core import counters as C
 from repro.core.replay import ReplayPolicyKind
-from repro.experiments.runner import ExperimentSetup, simulate
+from repro.experiments.runner import ExperimentSetup, build_driver, simulate
 from repro.units import MiB
+from repro.workloads.registry import make_workload
 from repro.workloads.synthetic import RandomAccess, RegularAccess
 
 
@@ -25,6 +29,44 @@ class TestReplayPolicies:
         replays = {k: r.counters["replays.issued"] for k, r in results.items()}
         assert replays[ReplayPolicyKind.BLOCK] == max(replays.values())
         assert replays[ReplayPolicyKind.ONCE] == min(replays.values())
+
+    def test_block_policy_runs_one_arrival_phase_per_batch(self):
+        """``block`` delivers a replay after every VABlock bin, but no
+        GPU phase runs between bins: the next phase is the batch's one
+        arrival step, after all of its bins (none when the step took no
+        time)."""
+        setup = ExperimentSetup().with_gpu(memory_bytes=8 * MiB).with_driver(
+            replay_policy=ReplayPolicyKind.BLOCK
+        )
+        driver = build_driver(make_workload("random", 16 * MiB), setup)
+        events: list[str] = []
+
+        def record(owner, attr, before, after=None):
+            inner = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                events.append(before)
+                out = inner(*args, **kwargs)
+                if after:
+                    events.append(after)
+                return out
+
+            setattr(owner, attr, wrapper)
+
+        record(driver, "_driver_pass", "pass", "end")
+        record(driver, "_gpu_arrivals", "arrivals")
+        record(driver.servicer, "service_bin", "bin")
+        record(driver.device, "deliver_replay", "replay")
+        record(driver.device, "run_phase", "phase")
+        driver.run()
+
+        passes = re.findall(r"pass (.*?)end", " ".join(events))
+        assert len(passes) == 1
+        batch = r"(?:bin replay )*arrivals (?:phase )?"
+        assert re.fullmatch(f"(?:{batch})+", passes[0])
+        assert passes[0].count("arrivals") == driver.counters[C.BATCHES] == 11
+        assert driver.counters[C.VABLOCK_BINS] == driver.counters[C.REPLAYS_ISSUED] == 24
+        assert driver.counters[C.GPU_PHASES] == 7
 
     def test_flush_eliminates_duplicates_batch_does_not(self, setup):
         flush = simulate(

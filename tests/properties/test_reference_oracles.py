@@ -1,14 +1,20 @@
-"""Reference oracles for the per-bin service helpers.
+"""Reference oracles for the per-bin and per-phase hot paths.
 
-The density prefetcher and the PTE count run on every VABlock bin, so
-they are written for low per-call cost (Python-int bitsets, run checks
-on sorted pages).  The straightforward forms they replaced live here as
+The density prefetcher and the PTE count run on every VABlock bin, and
+the wavefront selection, uTLB raise and stream scan run on every GPU
+phase, so they are written for low per-call cost (Python-int bitsets,
+run checks on sorted pages, a partition instead of a full sort, window
+views).  The straightforward forms they replaced live here as
 executable specifications, and every field of every result must match:
 
 * :func:`reference_compute` is the slice-sum density-tree walk over
   numpy masks (Section IV-A),
 * :func:`reference_effective_ptes` counts pages per 64 KB group with
-  ``np.unique``.
+  ``np.unique``,
+* ``jitter_order(..., limit=k)`` is the full stable order cut at ``k``,
+* :func:`reference_raise` is the per-entry raise / push / forget loop,
+* :meth:`WarpStream.advance` is the per-stream scan,
+* the FLOP total is Python's left-to-right float sum.
 
 Geometries span the flexible-granularity range: 16-512 leaves per
 VABlock with big pages of 1-16 leaves.
@@ -22,7 +28,11 @@ from hypothesis import strategies as st
 
 from repro.core.driver import UvmDriver
 from repro.core.prefetch import PrefetchDecision, TreePrefetcher
+from repro.gpu.soa import SoaStreams, advance_batch
+from repro.gpu.tlb import UTlbArray
+from repro.gpu.warp import WarpStream
 from repro.mem.address_space import AddressSpace
+from repro.sim.rng import SimRng
 from repro.units import MiB, PAGE_SIZE
 
 
@@ -158,3 +168,242 @@ def test_effective_ptes_matches_unique_count(case):
     ppb, pages = case
     got = _servicer(ppb)._effective_ptes(pages)
     assert got == reference_effective_ptes(pages, ppb)
+
+
+# -- GPU phase: wavefront selection ------------------------------------------
+
+
+@given(
+    n=st.integers(min_value=0, max_value=4096),
+    extra=st.integers(min_value=0, max_value=4104),
+    window=st.sampled_from([0.0, 4.0, 204.8, 1e6]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_jitter_order_limit_is_a_prefix_of_the_full_order(n, extra, window, seed):
+    limit = extra % (n + 9)  # 0 .. n + 8
+    cut, full = SimRng(seed), SimRng(seed)
+    got = cut.jitter_order(n, window=window, limit=limit)
+    want = full.jitter_order(n, window=window)[:limit]
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    # the same n normals were drawn either way
+    assert cut.generator.random() == full.generator.random()
+
+
+class _FixedNormals:
+    """Generator stand-in whose normal draws are given integers."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def normal(self, loc, scale, size):
+        assert size == self.values.size
+        return self.values.copy()
+
+
+@given(
+    noise=st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=64),
+    extra=st.integers(min_value=0, max_value=72),
+)
+@settings(max_examples=300, deadline=None)
+def test_jitter_order_limit_breaks_ties_by_lower_index(noise, extra):
+    """Integer-valued keys tie often; a tie at the cut keeps the lower index."""
+    n = len(noise)
+    limit = extra % (n + 9)
+    rng = SimRng(0)
+    rng._gen = _FixedNormals(noise)
+    got = rng.jitter_order(n, window=4.0, limit=limit)
+    keys = np.arange(n, dtype=np.float64) + np.asarray(noise, dtype=np.float64)
+    ranked = sorted(range(n), key=lambda i: (keys[i], i))
+    assert got.tolist() == ranked[:limit]
+
+
+# -- GPU phase: uTLB raise ---------------------------------------------------
+
+
+def reference_raise(tlb: UTlbArray, gpcs, pages, budget: int):
+    """The per-entry loop ``raise_batch`` replaces, in visit order."""
+    push = np.zeros(len(pages), dtype=bool)
+    coalesced = dropped = 0
+    for i, (gpc, page) in enumerate(zip(gpcs, pages)):
+        if not tlb.should_raise_gpc(gpc, page):
+            coalesced += 1
+        elif budget > 0:
+            push[i] = True
+            budget -= 1
+        else:
+            tlb.forget_gpc(gpc, page)
+            dropped += 1
+    return push, coalesced, dropped
+
+
+def _same_tlb_state(a: UTlbArray, b: UTlbArray) -> None:
+    # the arrays may be grown to different lengths; the pending cells match
+    assert np.array_equal(np.flatnonzero(a._pending), np.flatnonzero(b._pending))
+    assert a.pending_total() == b.pending_total() == int(a._pending.sum())
+    assert (a.raised, a.coalesced) == (b.raised, b.coalesced)
+
+
+N_GPCS = 3
+
+
+@st.composite
+def raise_sequence(draw):
+    """A few batches; repeated pairs, pre-pending pairs, growth mid-way."""
+    pre = draw(
+        st.lists(st.tuples(st.integers(0, N_GPCS - 1), st.integers(0, 40)), max_size=12)
+    )
+    batches = []
+    for b in range(draw(st.integers(min_value=1, max_value=3))):
+        # later batches may reach past the pending array's first extent
+        hi = draw(st.sampled_from([40, 40, 3000, 9000])) if b else 40
+        pairs = draw(
+            st.lists(
+                st.tuples(st.integers(0, N_GPCS - 1), st.integers(0, hi)), max_size=40
+            )
+        )
+        pairs += draw(st.lists(st.sampled_from(pairs or pre or [(0, 0)]), max_size=10))
+        pairs = draw(st.permutations(pairs))
+        budget = draw(st.integers(min_value=0, max_value=len(pairs) + 1))
+        batches.append((pairs, budget))
+    return pre, batches
+
+
+@given(raise_sequence())
+@settings(max_examples=300, deadline=None)
+def test_raise_batch_matches_per_entry_loop(case):
+    pre, batches = case
+    batched, looped = UTlbArray(N_GPCS, 2), UTlbArray(N_GPCS, 2)
+    for gpc, page in pre:
+        assert batched.should_raise_gpc(gpc, page) == looped.should_raise_gpc(gpc, page)
+    for pairs, budget in batches:
+        gpcs = np.array([g for g, _ in pairs], dtype=np.int64)
+        pages = np.array([p for _, p in pairs], dtype=np.int64)
+        got = batched.raise_batch(gpcs, pages, budget)
+        want = reference_raise(looped, gpcs.tolist(), pages.tolist(), budget)
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        _same_tlb_state(batched, looped)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["batch", "scalar", "forget", "replay"]),
+            st.lists(st.tuples(st.integers(0, N_GPCS - 1), st.integers(0, 5000)), max_size=20),
+            st.integers(min_value=0, max_value=20),
+        ),
+        max_size=12,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_replay_clears_every_pending_cell(ops):
+    tlb = UTlbArray(N_GPCS, 2)
+    for kind, pairs, budget in ops:
+        if kind == "batch":
+            tlb.raise_batch(
+                np.array([g for g, _ in pairs], dtype=np.int64),
+                np.array([p for _, p in pairs], dtype=np.int64),
+                budget,
+            )
+        elif kind == "replay":
+            tlb.on_replay()
+        else:
+            for gpc, page in pairs:
+                if kind == "scalar":
+                    tlb.should_raise_gpc(gpc, page)
+                else:
+                    tlb.forget_gpc(gpc, page)
+    tlb.on_replay()
+    assert not tlb._pending.any()
+    assert tlb.pending_total() == 0
+
+
+# -- GPU phase: stream scan --------------------------------------------------
+
+#: stream lengths at the scan-window edges (first window 64, x4 growth,
+#: capped at 8192)
+EDGE_LENGTHS = [0, 1, 63, 64, 65, 255, 256, 257, 8191, 8192, 8193]
+N_PAGES = 32
+#: page 0 is also the padding past the last stream, so a window running
+#: off a stream's end always meets a miss that is not the stream's own
+MISSING_PAGE, READ_ONLY_PAGE = 0, 31
+
+
+@st.composite
+def scan_case(draw):
+    streams = []
+    for sid in range(draw(st.integers(min_value=1, max_value=5))):
+        length = draw(st.sampled_from(EDGE_LENGTHS))
+        # resident pages only; long streams come from a seeded generator
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+        if length <= 64:
+            pages = np.array(
+                draw(st.lists(st.integers(1, 30), min_size=length, max_size=length)),
+                dtype=np.int64,
+            )
+        else:
+            pages = rng.integers(1, 31, length)
+        # at most one miss, near a window edge or at the last access
+        if length and draw(st.booleans()):
+            at = draw(st.sampled_from([0, 62, 63, 64, 65, 319, 320, 321, length - 1]))
+            pages[min(at, length - 1)] = draw(st.sampled_from([MISSING_PAGE, READ_ONLY_PAGE]))
+        writes = rng.random(length) < 0.5 if draw(st.booleans()) else None
+        streams.append(WarpStream(sid, pages, writes))
+    return streams, draw(st.booleans())
+
+
+@given(scan_case())
+@settings(max_examples=200, deadline=None)
+def test_advance_batch_matches_per_stream_advance(case):
+    streams, check_writes = case
+    read_ok = np.ones(N_PAGES, dtype=bool)
+    read_ok[MISSING_PAGE] = False
+    write_ok = read_ok.copy()
+    write_ok[READ_ONLY_PAGE] = False
+    soa = SoaStreams(streams)
+    assert soa.pages_flat.dtype == np.int32
+    live = [i for i, s in enumerate(streams) if len(s)]
+    for _ in range(2):  # the second pass resumes mid-stream after service
+        sel = np.array([i for i in live if soa.pos[i] < soa.end[i]], dtype=np.int64)
+        if not sel.size:
+            break
+        pos0, pos1, miss = advance_batch(
+            soa, sel, read_ok, write_ok if check_writes else None
+        )
+        for row, i in enumerate(sel.tolist()):
+            stream = streams[i]
+            assert pos0[row] == soa.start[i] + stream.pos
+            page = stream.advance(read_ok, write_ok if check_writes else None)
+            assert miss[row] == (-1 if page is None else page)
+            assert pos1[row] == soa.start[i] + stream.pos
+            if page is not None:
+                stream.wake()
+        # the driver services the misses: pages become resident and writable
+        read_ok[:] = True
+        write_ok[:] = True
+
+
+# -- GPU phase: FLOP total ---------------------------------------------------
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=10**6),
+            st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=600,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_flop_accumulate_is_the_left_to_right_sum(terms):
+    retired = np.array([r for r, _ in terms], dtype=np.int64)
+    flops = np.array([f for _, f in terms], dtype=np.float64)
+    acc = 0.0
+    for r, f in terms:
+        acc += r * f
+    got = float(np.add.accumulate(retired * flops)[-1])
+    assert got.hex() == acc.hex()

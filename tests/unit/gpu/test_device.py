@@ -84,6 +84,23 @@ class TestPhases:
         result = device.run_phase(resident, SimClock())
         assert result.flops_retired == 20.0
 
+    def test_flops_sum_matches_scalar_engine_bitwise(self):
+        """Awkward per-access FLOPs: any sum but the scalar engine's
+        left-to-right one (pairwise, reordered) rounds differently."""
+
+        def streams():
+            flops = np.random.default_rng(3).random(300) * 1e3
+            return [
+                WarpStream(i, np.arange(1 + i % 7), flops_per_access=float(f))
+                for i, f in enumerate(flops)
+            ]
+
+        resident = np.ones(16, dtype=bool)
+        soa = make_device(streams()).run_phase(resident, SimClock())
+        scalar = make_device(streams(), engine="scalar").run_phase(resident, SimClock())
+        assert soa.streams_completed == scalar.streams_completed == 300
+        assert soa.flops_retired.hex() == scalar.flops_retired.hex()
+
 
 class TestReplayDelivery:
     def test_replay_wakes_and_clears_tlb(self):

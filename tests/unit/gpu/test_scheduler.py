@@ -1,10 +1,13 @@
 """Unit tests for the block scheduler."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.gpu.scheduler import BlockScheduler
+from repro.gpu.soa import CONVERT_CHUNK, SoaBlockScheduler, advance_batch
 from repro.gpu.warp import StreamState, WarpStream
 from repro.sim.rng import SimRng
 
@@ -86,3 +89,48 @@ class TestLifecycle:
         sched.refill()
         streams[0].state = StreamState.DONE
         assert sched.progress() == (1, 5)
+
+
+class TestSoaStorage:
+    """The SoA engine stores page ids as int32: out-of-range ids must be
+    rejected when the scheduler is built, never wrapped."""
+
+    @pytest.mark.parametrize("bad", [2**31, 2**40, -1])
+    def test_out_of_range_page_rejected(self, rng, bad):
+        streams = make_streams(3, pages_each=4)
+        streams.append(WarpStream(3, np.array([5, bad, 6], dtype=np.int64)))
+        with pytest.raises(SimulationError, match=r"\[0, 2\*\*31\)"):
+            SoaBlockScheduler(streams, rng)
+
+    def test_bad_page_in_a_later_chunk_rejected(self, rng):
+        # a run of conversion chunks; the bad id is in the last one
+        long = np.zeros(CONVERT_CHUNK, dtype=np.int64)
+        streams = [WarpStream(0, long), WarpStream(1, long), WarpStream(2, np.array([-7]))]
+        with pytest.raises(SimulationError):
+            SoaBlockScheduler(streams, rng)
+
+    def test_largest_int32_page_kept(self, rng):
+        top = 2**31 - 1
+        streams = [WarpStream(0, np.array([0, top], dtype=np.int64), np.array([False, True]))]
+        soa = SoaBlockScheduler(streams, rng).soa
+        assert soa.pages_flat.dtype == np.int32
+        assert soa.pages_flat.tolist() == [0, top]
+        assert soa.writes_flat.tolist() == [False, True]
+
+    def test_pickle_leaves_out_scan_windows(self, rng):
+        """A checkpoint must not serialize the scan's sliding-window
+        views: each would be copied out as a (accesses x width) array."""
+        streams = [WarpStream(i, np.arange(5000) % 50) for i in range(4)]
+        soa = SoaBlockScheduler(streams, rng).soa
+        resident = np.ones(50, dtype=bool)
+        resident[49] = False
+        sel = np.arange(4)
+        advance_batch(soa, sel, resident)  # fills the window cache
+        blob = pickle.dumps(soa)
+        assert len(blob) < 4 * soa.pages_flat.nbytes
+        copy = pickle.loads(blob)
+        resident[49] = True
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(advance_batch(soa, sel, resident), advance_batch(copy, sel, resident))
+        )
