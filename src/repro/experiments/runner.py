@@ -9,9 +9,10 @@ here changes every exhibit consistently.
 :func:`run_sweep` is the fleet version: every figure/table is a grid of
 independent ``simulate`` points, so the sweep fans them out over a
 process pool (the work is pure Python/numpy - threads would serialize on
-the GIL) and memoizes each point on disk keyed by (workload spec,
-setup, code version).  Re-rendering a figure after an unrelated edit
-costs one cache read per point.
+the GIL) and memoizes each point in a checksummed
+:class:`~repro.serve.store.ResultStore` keyed by (workload spec, setup,
+code version), the job service's format and key.  Re-rendering an
+unchanged figure costs one store read per point.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import dataclasses
 import enum
 import hashlib
 import os
-import pickle
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence, Union
@@ -30,7 +29,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.driver import DriverConfig, RunResult, UvmDriver
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, CorruptResultError
 from repro.gpu.device import GpuDeviceConfig
 from repro.mem.address_space import AddressSpace
 from repro.sim.costmodel import CostModel
@@ -248,10 +247,12 @@ def sweep_cache_key(
 
 
 def _resolve_cache_dir(cache: bool, cache_dir: Optional[str]) -> Optional[str]:
+    """The memo directory: ``cache_dir`` (``""`` = off), else
+    ``REPRO_SWEEP_CACHE``, else ``~/.cache/repro-uvm``; None = off."""
     if not cache:
         return None
     if cache_dir is not None:
-        return cache_dir
+        return cache_dir or None
     env = os.environ.get("REPRO_SWEEP_CACHE")
     if env is not None:
         if env.strip().lower() in ("", "0", "off", "none", "disabled"):
@@ -260,24 +261,39 @@ def _resolve_cache_dir(cache: bool, cache_dir: Optional[str]) -> Optional[str]:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro-uvm")
 
 
-def _cache_load(directory: str, key: str) -> Optional[RunResult]:
-    path = os.path.join(directory, f"{key}.pkl")
+def _open_store(directory: Optional[str]):
+    """The memo store at ``directory``; None when off or unusable (say, a
+    regular file): a broken memo only means the point is computed.  No
+    tmp sweep: a serve worker or another sweep may share the root, and
+    their in-flight tempfiles must survive.  Lazy import:
+    :mod:`repro.serve` imports this module."""
+    if directory is None:
+        return None
+    from repro.serve.store import ResultStore
+
     try:
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        return ResultStore(directory, sweep_tmp=False)
+    except OSError:
         return None
 
 
-def _cache_store(directory: str, key: str, result: RunResult) -> None:
+def _load_point(
+    store, key: str, setup: ExperimentSetup, record_trace: bool
+) -> Optional[RunResult]:
+    """A stored point, or None on a miss.  Torn and corrupt entries are
+    misses too: the store quarantines them, and the caller recomputes."""
+    from repro.serve.results import result_from_doc
+
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, os.path.join(directory, f"{key}.pkl"))
-    except OSError:
-        pass  # a cold cache is never an error
+        doc = store.load(key)
+        if doc is None:
+            return None
+        trace = store.load_result_trace(key) if record_trace else None
+    except (CorruptResultError, OSError):
+        return None
+    if record_trace and trace is None:
+        return None
+    return result_from_doc(doc, setup, trace)
 
 
 #: default checkpoint cadence for sweep/serve runs (simulation phases
@@ -305,9 +321,9 @@ def execute_job(
 
     This is the single job-execution code path shared by
     :func:`run_sweep` and the :mod:`repro.serve` worker pool: probe the
-    code-version-keyed on-disk cache (when ``cache_dir`` is given), fall
-    back to simulating, and persist the fresh result for the next
-    caller.  Returns ``(result, cache_hit)``.
+    memo store in ``cache_dir`` (when given; an unusable one is never an
+    error), fall back to simulating, and persist the fresh result for
+    the next caller.  Returns ``(result, cache_hit)``.
 
     ``checkpointer`` (a
     :class:`~repro.sim.engine.SimulationCheckpointer`) adds
@@ -317,10 +333,10 @@ def execute_job(
     ``checkpointer.resumed``.  Results are bit-identical either way.
     """
     setup = setup or ExperimentSetup()
-    key: Optional[str] = None
-    if cache_dir is not None:
+    store = _open_store(cache_dir)
+    if store is not None:
         key = sweep_cache_key(workload, setup, record_trace)
-        cached = _cache_load(cache_dir, key)
+        cached = _load_point(store, key, setup, record_trace)
         if cached is not None:
             if checkpointer is not None:
                 checkpointer.clear()
@@ -334,39 +350,24 @@ def execute_job(
     result = driver.run(checkpointer)
     if checkpointer is not None:
         checkpointer.clear()
-    if cache_dir is not None and key is not None:
-        _cache_store(cache_dir, key, result)
+    if store is not None:
+        from repro.serve.results import result_to_doc
+
+        try:
+            store.store(
+                key, result_to_doc(result), trace=result.trace if record_trace else None
+            )
+        except OSError:
+            pass  # a failed memo write is never an error
     return result, False
 
 
-def _run_point(args) -> RunResult:
-    """Module-level worker so pool submissions pickle cleanly."""
-    workload, setup, record_trace = args[:3]
-    directory = args[3] if len(args) > 3 else None
-    checkpointer = None
-    if directory is not None:
-        from repro.sim.engine import SimulationCheckpointer
-
-        key = sweep_cache_key(workload, setup, record_trace)
-        checkpointer = SimulationCheckpointer(
-            checkpoint_path(directory, key),
-            every_phases=DEFAULT_CHECKPOINT_PHASES,
-        )
-    return execute_job(
-        workload,
-        setup,
-        record_trace,
-        cache_dir=directory,
-        checkpointer=checkpointer,
-    )[0]
-
-
 def _run_batch(args) -> list[RunResult]:
-    """Module-level batch worker: run same-signature points on one warm
-    build (``warm=True`` memoizes the first member's build; the rest
-    deep-copy it instead of rebuilding).  Results are bit-identical to
-    solo :func:`_run_point` runs - the build is deterministic and the
-    memo hands out pristine copies."""
+    """Module-level batch worker (pool submissions pickle cleanly): run
+    same-signature points on one warm build (``warm=True`` memoizes the
+    first member's build; the rest deep-copy it instead of rebuilding).
+    Results are bit-identical to solo :func:`simulate` runs - the build
+    is deterministic and the memo hands out pristine copies."""
     batch, directory = args
     out: list[RunResult] = []
     for workload, setup, record_trace in batch:
@@ -405,28 +406,6 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return max(1, int(workers))
 
 
-#: process-wide in-memory RunResult tier over the pickle cache; rebuilt
-#: (never shrunk mid-entry) when a sweep asks for a different budget.
-_result_mem_cache = None
-
-
-def _mem_cache(mem_cache_mb: int):
-    """The shared in-memory result tier (None when disabled).
-
-    Lazy import: :mod:`repro.serve` imports this module, so the cache
-    class cannot be imported at module scope without a cycle.
-    """
-    global _result_mem_cache
-    if mem_cache_mb <= 0:
-        return None
-    from repro.serve.cache import LruCache
-
-    budget = int(mem_cache_mb) * 1024 * 1024
-    if _result_mem_cache is None or _result_mem_cache.max_bytes != budget:
-        _result_mem_cache = LruCache(budget)
-    return _result_mem_cache
-
-
 def run_sweep(
     points: Iterable[SweepPoint],
     setup: Optional[ExperimentSetup] = None,
@@ -434,7 +413,6 @@ def run_sweep(
     cache: bool = True,
     cache_dir: Optional[str] = None,
     record_trace: bool = False,
-    mem_cache_mb: int = 64,
     batch_max: int = 8,
 ) -> list[RunResult]:
     """Simulate independent sweep points, in parallel and memoized.
@@ -443,13 +421,13 @@ def run_sweep(
     pairs; bare workloads run under ``setup`` (default:
     ``ExperimentSetup()``).  Results come back in input order.
 
-    Result reads are tiered: a process-wide in-memory LRU
-    (``mem_cache_mb`` MiB; 0 disables) answers first, then the on-disk
-    pickle cache in ``cache_dir`` (default ``~/.cache/repro-uvm``,
-    overridable via the ``REPRO_SWEEP_CACHE`` env var; set it to
-    ``0``/``off`` to disable) keyed by :func:`sweep_cache_key`, so
-    re-running a sweep only simulates points whose workload, setup, or
-    simulator code changed.
+    Each point is memoized as a checksummed
+    :class:`~repro.serve.store.ResultStore` document (plus its ``.npz``
+    trace) in ``cache_dir`` (default ``~/.cache/repro-uvm``, overridable
+    via the ``REPRO_SWEEP_CACHE`` env var; set it to ``0``/``off`` to
+    disable) keyed by :func:`sweep_cache_key`, so re-running a sweep
+    only simulates points whose workload, setup, or simulator code
+    changed.  A torn or corrupt entry is quarantined and recomputed.
 
     Uncached points are grouped by build signature (workload spec, seed,
     granule) and dispatched in batches of up to ``batch_max``; each
@@ -458,8 +436,6 @@ def run_sweep(
     ``multiprocessing`` pool of ``workers`` processes (default:
     ``REPRO_SWEEP_WORKERS`` or the CPU count; pass 1 to force serial).
     """
-    if mem_cache_mb < 0:
-        raise ConfigurationError("mem_cache_mb must be >= 0")
     if batch_max < 1:
         raise ConfigurationError("batch_max must be >= 1")
     default_setup = setup or ExperimentSetup()
@@ -471,32 +447,19 @@ def run_sweep(
         else:
             jobs.append((point, default_setup, record_trace))
 
-    directory = _resolve_cache_dir(cache, cache_dir)
-    mem = _mem_cache(mem_cache_mb)
+    store = _open_store(_resolve_cache_dir(cache, cache_dir))
+    directory = None if store is None else os.fspath(store.root)
     results: list[Optional[RunResult]] = [None] * len(jobs)
-    keys: list[Optional[str]] = [None] * len(jobs)
     misses: list[int] = []
-    for i, job in enumerate(jobs):
-        if directory is not None or mem is not None:
-            keys[i] = sweep_cache_key(job[0], job[1], job[2])
-        if mem is not None and keys[i] is not None:
-            results[i] = mem.get(keys[i])
-            if results[i] is not None and directory is not None and not os.path.exists(
-                os.path.join(directory, f"{keys[i]}.pkl")
-            ):
-                # write-through: the process-wide memory tier outlives
-                # any one cache directory, so a mem hit must still
-                # populate the on-disk memo this sweep maintains.
-                _cache_store(directory, keys[i], results[i])
-        if results[i] is None and directory is not None and keys[i] is not None:
-            results[i] = _cache_load(directory, keys[i])
-            if results[i] is not None and mem is not None:
-                mem.put(keys[i], results[i])
+    for i, (workload, point_setup, _) in enumerate(jobs):
+        if store is not None:
+            key = sweep_cache_key(workload, point_setup, record_trace)
+            results[i] = _load_point(store, key, point_setup, record_trace)
         if results[i] is None:
             misses.append(i)
 
     # Group misses by build signature so each batch shares one warmed
-    # build, then chunk to batch_max.  Batches carry the cache directory
+    # build, then chunk to batch_max.  Batches carry the memo directory
     # so each worker checkpoints its points (under
     # <directory>/checkpoints/) and stores its own results; a sweep
     # killed mid-run resumes from those snapshots on re-run.
@@ -519,10 +482,6 @@ def run_sweep(
     for chunk, outs in zip(batches, computed):
         for i, result in zip(chunk, outs):
             results[i] = result
-            if directory is not None and keys[i] is not None:
-                _cache_store(directory, keys[i], result)
-            if mem is not None and keys[i] is not None:
-                mem.put(keys[i], result)
     return results  # type: ignore[return-value]
 
 

@@ -1,26 +1,25 @@
 """Thread-safe, size-bounded in-memory LRU result cache (the hot tier).
 
-The serve layer stores results in two durable-but-slow places: the
+The serve layer stores results in a durable-but-slow place: the
 content-addressed :class:`~repro.serve.store.ResultStore` (JSON +
-checksum verification per read) and ``run_sweep``'s pickle memo
-directory.  Repeat-heavy sweeps and dashboard polling re-read the same
-handful of keys constantly, so this module adds a tier above both: a
-byte-bounded LRU mapping content keys to already-validated values.
+checksum verification per read).  Repeat submissions and dashboard
+polling re-read the same handful of keys constantly, so the service
+puts this tier above it: a byte-bounded LRU mapping content keys to
+already-validated values.
 
 Design points:
 
 * **Thread-safe** - one lock around the ordered map; the HTTP handler
-  threads, the service supervisor, and ``run_sweep`` callers share one
-  instance safely.
+  threads and the service supervisor share one instance safely.
 * **Size-bounded** - entries are charged their (estimated) payload
   bytes; inserting past ``max_bytes`` evicts least-recently-used
   entries first.  A single value larger than the whole budget is
   rejected outright (counted in ``stats().rejected``) rather than
   wiping the cache.
 * **Negative-entry protection** - ``None`` is not a cacheable value, by
-  construction: callers memoize only *validated* results (a document
-  that passed its checksum, a deserialized ``RunResult``), so a
-  corrupt/quarantined store entry can never be served from memory.
+  construction: callers memoize only *validated* results (documents
+  that passed their checksum), so a corrupt/quarantined store entry can
+  never be served from memory.
   :meth:`LruCache.put` raises on ``None`` to keep that invariant
   obvious at the call site.
 * **Copy-out for documents** - plain dict values are shallow-copied on

@@ -20,7 +20,8 @@ timeouts, retries, and death recovery exactly as it did for solo jobs.
 Workers execute jobs through
 :func:`repro.experiments.runner.execute_job` - the same cache-aware code
 path ``run_sweep`` uses - so the service and the sweep executor share
-one simulation path and one on-disk memo cache.
+one simulation path and one memo format (a checksummed
+:class:`~repro.serve.store.ResultStore`).
 """
 
 from __future__ import annotations
@@ -116,9 +117,8 @@ def _run_member(
     from repro.serve.jobs import JobSpec
     from repro.serve.results import result_to_doc
     from repro.sim.engine import SimulationCheckpointer
-    from repro.experiments.runner import execute_job, simulate
+    from repro.experiments.runner import checkpoint_path, execute_job, simulate
 
-    store_dir = os.fspath(store.root)
     job_id, attempt, spec_dict, key = member
     result_queue.put((MSG_STARTED, worker_id, job_id, attempt, {}))
     trial = attempt - 1
@@ -148,7 +148,7 @@ def _run_member(
         checkpointer = None
         if checkpoint_every > 0:
             checkpointer = SimulationCheckpointer(
-                os.path.join(store_dir, "checkpoints", f"{key}.ckpt"),
+                checkpoint_path(os.fspath(store.root), key),
                 every_phases=checkpoint_every,
                 on_save=None
                 if plan is None

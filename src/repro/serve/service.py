@@ -110,8 +110,8 @@ class ServiceConfig:
     retry_backoff_s: float = 0.25
     #: supervisor tick; also bounds shutdown latency.
     poll_interval_s: float = 0.02
-    #: ``run_sweep``-compatible memo cache directory for workers
-    #: (None = the sweep executor's default resolution; "" disables).
+    #: ``run_sweep``'s memo store directory for workers (None = the
+    #: sweep executor's default resolution; "" disables).
     sweep_cache_dir: Optional[str] = None
     #: simulation phases between worker-side checkpoints (0 disables);
     #: a respawned attempt resumes from the last snapshot, so a crash
@@ -182,16 +182,10 @@ class SimulationService:
             )
             if hook is not None:
                 self.journal.on_append = hook
-        if self.config.sweep_cache_dir == "":
-            cache_dir: Optional[str] = None
-        elif self.config.sweep_cache_dir is not None:
-            cache_dir = self.config.sweep_cache_dir
-        else:
-            cache_dir = _resolve_cache_dir(True, None)
         self.pool = WorkerPool(
             self.config.n_workers,
             store_dir,
-            cache_dir,
+            _resolve_cache_dir(True, self.config.sweep_cache_dir),
             checkpoint_every=self.config.checkpoint_every_phases,
         )
         self._jobs: dict[str, JobRecord] = {}

@@ -155,16 +155,16 @@ class ResultStore:
         if not isinstance(doc, dict):
             self._quarantine(key, f"non-object document: {type(doc).__name__}")
             raise CorruptResultError(f"result {key[:12]}.. is not a JSON object")
+        # every writer stamps a checksum, so a missing one is corruption
         stored = doc.pop(CHECKSUM_FIELD, None)
-        if stored is not None:
-            actual = doc_checksum(doc)
-            if actual != stored:
-                self._quarantine(
-                    key, f"checksum mismatch: stored {stored}, actual {actual}"
-                )
-                raise CorruptResultError(
-                    f"result {key[:12]}.. failed checksum verification"
-                )
+        actual = doc_checksum(doc)
+        if actual != stored:
+            self._quarantine(
+                key, f"checksum mismatch: stored {stored}, actual {actual}"
+            )
+            raise CorruptResultError(
+                f"result {key[:12]}.. failed checksum verification"
+            )
         return doc
 
     def load(self, key: str) -> Optional[dict[str, Any]]:

@@ -69,6 +69,10 @@ class CategoryTimer:
         """Copy of the raw leaf charges."""
         return dict(self._ns)
 
+    def counts_as_dict(self) -> dict[str, int]:
+        """Copy of the raw leaf operation counts."""
+        return {k: int(v) for k, v in self._counts.items()}
+
     def merge(self, other: "CategoryTimer") -> None:
         """Fold another timer's charges into this one."""
         for k, v in other._ns.items():

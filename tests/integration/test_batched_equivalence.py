@@ -91,7 +91,6 @@ class TestBatchedSweepEquivalence:
             points,
             workers=1,
             cache_dir=str(tmp_path / "cache"),
-            mem_cache_mb=16,
             batch_max=4,
         )
         solo = [simulate(w, s) for w, s in points]

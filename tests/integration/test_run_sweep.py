@@ -1,5 +1,6 @@
-"""Integration: the parallel sweep executor and its on-disk cache."""
+"""Integration: the parallel sweep executor and its result-store memo."""
 
+import json
 import os
 import time
 
@@ -12,6 +13,8 @@ from repro.experiments.runner import (
     simulate,
     sweep_cache_key,
 )
+from repro.serve.results import result_to_doc
+from repro.serve.store import ResultStore
 from repro.units import MiB
 from repro.workloads.registry import make_workload
 
@@ -67,7 +70,7 @@ class TestSweepCache:
     def test_second_invocation_hits_cache(self, tmp_path):
         setup = small_setup()
         first = run_sweep(points(), setup=setup, workers=1, cache_dir=str(tmp_path))
-        assert len(os.listdir(tmp_path)) == len(points())
+        assert len(ResultStore(tmp_path)) == len(points())
         t0 = time.perf_counter()
         second = run_sweep(points(), setup=setup, workers=1, cache_dir=str(tmp_path))
         cached_s = time.perf_counter() - t0
@@ -75,7 +78,7 @@ class TestSweepCache:
         assert [r.counters.as_dict() for r in first] == [
             r.counters.as_dict() for r in second
         ]
-        # a cache hit is a pickle read, not a simulation
+        # a cache hit is a store read, not a simulation
         assert cached_s < 1.0
 
     def test_key_depends_on_workload_setup_and_code(self):
@@ -93,16 +96,47 @@ class TestSweepCache:
         assert os.listdir(tmp_path) == []
         monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path))
         run_sweep(points()[:1], setup=small_setup(), workers=1)
-        assert len(os.listdir(tmp_path)) == 1
+        assert len(ResultStore(tmp_path)) == 1
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
+        """A damaged memo document is quarantined, the point recomputed,
+        and a valid document stored in its place."""
         setup = small_setup()
         key = sweep_cache_key(points()[0], setup)
-        (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
-        (result,) = run_sweep(
-            points()[:1], setup=setup, workers=1, cache_dir=str(tmp_path)
-        )
-        assert result.total_time_ns == simulate(points()[0], setup).total_time_ns
+        want = result_to_doc(simulate(points()[0], setup))
+
+        def flip_payload(text):  # edited payload under a stale checksum
+            doc = json.loads(text)
+            doc["total_time_ns"] += 1
+            return json.dumps(doc)
+
+        def tear(text):
+            return text[: len(text) // 2]
+
+        for damage in (flip_payload, tear):
+            root = tmp_path / damage.__name__
+            run_sweep(points()[:1], setup=setup, workers=1, cache_dir=str(root))
+            store = ResultStore(root)
+            path = store.doc_path(key)
+            damaged = damage(path.read_text())
+            path.write_text(damaged)
+            (result,) = run_sweep(
+                points()[:1], setup=setup, workers=1, cache_dir=str(root)
+            )
+            assert result_to_doc(result) == want
+            assert (store.quarantine_dir / path.name).read_text() == damaged
+            assert store.get(key) == want
+
+    def test_unusable_cache_dir_is_not_an_error(self, tmp_path):
+        """A memo path that is a regular file only turns the memo off."""
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        setup = small_setup()
+        results = run_sweep(points(), setup=setup, workers=1, cache_dir=str(blocker))
+        assert [result_to_doc(r) for r in results] == [
+            result_to_doc(simulate(w, setup)) for w in points()
+        ]
+        assert blocker.read_text() == ""
 
 
 @pytest.mark.skipif(

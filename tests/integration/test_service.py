@@ -169,3 +169,29 @@ class TestServiceSemantics:
         final = client.wait(record["job_id"], timeout_s=120.0)
         assert final["state"] == "done"
         assert client.metrics()["counters"].get("cache.hits.sweep", 0) >= 1
+
+    def test_unusable_sweep_cache_dir_is_not_an_error(self, tmp_path):
+        """A sweep_cache_dir that is a regular file only turns the memo off."""
+        from repro.experiments.runner import simulate
+        from repro.serve.jobs import JobSpec, JobState
+        from repro.serve.results import result_to_doc
+
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        spec = JobSpec(
+            workload="stream", data_bytes=3 * MiB, gpu={"memory_bytes": 16 * MiB}
+        )
+        config = ServiceConfig(
+            n_workers=1, job_timeout_s=120.0, sweep_cache_dir=str(blocker)
+        )
+        with SimulationService(str(tmp_path / "store"), config) as svc:
+            record = svc.submit(spec)
+            final = svc.wait(record.job_id, timeout=120.0)
+            assert final.state is JobState.DONE, final.error
+            doc = svc.result_doc(record.job_id)
+            assert svc.metrics()["counters"]["simulations.run"] == 1
+        want = result_to_doc(simulate(*spec.build()))
+        doc.pop("meta")
+        want.pop("meta")
+        assert doc == want
+        assert blocker.read_text() == ""

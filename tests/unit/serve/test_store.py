@@ -114,12 +114,21 @@ class TestChecksums:
         with pytest.raises(KeyError):
             store.get(KEY_A)
 
-    def test_legacy_document_without_checksum_loads(self, tmp_path):
+    def test_document_without_checksum_is_quarantined(self, tmp_path):
+        # every writer stamps a checksum, so an unstamped document is a
+        # damaged one: here the field was renamed and the payload edited.
         store = ResultStore(tmp_path)
+        store.store(KEY_A, {"total_time_ns": 123})
         path = store.doc_path(KEY_A)
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps({"v": 1}))
-        assert store.get(KEY_A) == {"v": 1}
+        raw = json.loads(path.read_text())
+        raw["checksun"] = raw.pop(CHECKSUM_FIELD)
+        raw["total_time_ns"] = 999
+        path.write_text(json.dumps(raw))
+        with pytest.raises(CorruptResultError):
+            store.get(KEY_A)
+        assert store.quarantined == 1
+        assert (store.quarantine_dir / f"{KEY_A}.json").is_file()
+        assert store.load(KEY_A) is None
 
 
 class TestQuarantine:

@@ -100,7 +100,7 @@ class TestJsonOutput:
         )
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["doc_version"] == 1
+        assert doc["doc_version"] == 2
         assert doc["total_time_ns"] > 0
         assert doc["meta"]["workload"] == "regular"
         assert "preprocess" in doc["breakdown"]["rows_ns"]
