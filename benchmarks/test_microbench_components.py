@@ -58,17 +58,17 @@ def test_preprocess_batch_throughput(benchmark, residency):
 
 
 def test_make_resident_throughput(benchmark, residency):
-    for vb in range(32):
-        residency.back_vablock(vb)
-    pages = np.arange(0, 16384, 3, dtype=np.int64)
+    residency.back_vablock(5)
+    leaves = np.zeros(512, dtype=bool)
+    leaves[::3] = True
 
     def op():
         residency.resident[:] = False
         residency.dirty[:] = False
         residency.resident_count[:] = 0
-        return residency.make_resident(pages, writing=True)
+        return residency.make_resident(5, leaves, writing=True)
 
-    assert benchmark(op) == pages.size
+    assert benchmark(op) == int(leaves.sum())
 
 
 def test_warp_stream_advance_throughput(benchmark):
@@ -86,14 +86,15 @@ def test_warp_stream_advance_throughput(benchmark):
 
 
 def test_eviction_scan_throughput(benchmark, residency):
+    every_leaf = np.ones(512, dtype=bool)
     for vb in range(32):
         residency.back_vablock(vb)
-    residency.make_resident(np.arange(16384, dtype=np.int64), writing=True)
+        residency.make_resident(vb, every_leaf, writing=True)
 
     def op():
-        n_res, n_dirty = residency.evict_vablock(5)
+        evicted = residency.evict_vablock(5)
         residency.back_vablock(5)
-        residency.make_resident(np.arange(5 * 512, 6 * 512, dtype=np.int64), writing=True)
-        return n_res
+        residency.make_resident(5, every_leaf, writing=True)
+        return evicted.n_resident
 
     assert benchmark(op) == 512

@@ -142,9 +142,11 @@ class UvmSanitizer:
     ) -> None:
         """Prefetch targets live in the serviced, backed VABlock only.
 
-        Given the bin's ``demand_pages``, also checks what the service
-        stage's merge relies on: both lists strictly ascending, and
-        disjoint from each other.
+        Given the bin's ``demand_pages``, also checks that both lists
+        are page sets (strictly ascending) and disjoint from each other.
+        The servicer works on leaf masks and already rejects an overlap
+        of its demand and prefetch masks itself; this clause re-checks
+        the page arrays it hands the sanitizer, independently of it.
         """
         self.checks_run += 1
         if prefetch_pages.size == 0:

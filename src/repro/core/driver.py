@@ -505,7 +505,7 @@ class UvmDriver:
             return
         groups = np.unique(moving // self.space.pages_per_big_page)
         host_ns = len(groups) * self.cost.host_fault_group_ns
-        host_ns += self.dma.d2h_pages(moving)
+        host_ns += self.dma.d2h_pages(n_moved)
         host_ns += n_moved * (self.cost.unmap_page_ns + self.cost.map_page_ns)
         host_ns += self.cost.tlb_invalidate_ns + self.cost.membar_ns
         self.gpu_table.unmap_pages(moving)

@@ -46,12 +46,12 @@ from repro.units import (
 class PrefetchDecision:
     """Outcome of running the prefetcher over one VABlock's fault bin.
 
-    ``prefetch_offsets`` are leaf indices (page offsets within the
-    VABlock) to fetch *in addition to* the demand-faulted pages; they are
-    guaranteed non-resident and disjoint from the demand set.
+    ``prefetch_mask`` flags the leaves (pages of the VABlock) to fetch
+    *in addition to* the demand-faulted pages; they are guaranteed
+    non-resident and disjoint from the demand set.
     """
 
-    prefetch_offsets: np.ndarray
+    prefetch_mask: np.ndarray
     #: leaves flagged by stage one (big-page upgrade) only.
     upgraded: int = 0
     #: leaves added by stage-two tree regions beyond stage one.
@@ -62,15 +62,20 @@ class PrefetchDecision:
     region_sizes: list[int] = field(default_factory=list)
 
     @property
+    def prefetch_offsets(self) -> np.ndarray:
+        """Ascending leaf indices of :attr:`prefetch_mask`."""
+        return np.flatnonzero(self.prefetch_mask)
+
+    @property
     def count(self) -> int:
-        return int(self.prefetch_offsets.size)
+        return int(np.count_nonzero(self.prefetch_mask))
 
 
 class TreePrefetcher:
     """Stateless per-VABlock prefetch computation.
 
     Also implements the generic prefetcher interface the fault servicer
-    consumes (:meth:`prefetch_pages`); alternative predictors (e.g. the
+    consumes (:meth:`prefetch_leaves`); alternative predictors (e.g. the
     fault-origin stream prefetcher in :mod:`repro.ext.origin_prefetch`)
     provide the same method.
     """
@@ -113,7 +118,7 @@ class TreePrefetcher:
             )
         faults = sorted(np.asarray(faulted_offsets, dtype=np.int64).tolist())
         if not faults:
-            return PrefetchDecision(prefetch_offsets=np.empty(0, dtype=np.int64))
+            return PrefetchDecision(prefetch_mask=np.zeros(ppv, dtype=bool))
         if faults[0] < 0 or faults[-1] >= ppv:
             raise ConfigurationError("faulted offsets outside VABlock")
 
@@ -149,35 +154,35 @@ class TreePrefetcher:
                     break
             region_sizes.append(size)
 
-        prefetch_offsets = _leaves_of(occ ^ present, ppv)
+        flagged = occ ^ present
         # Stage-one leaves were counted before stage two grew regions,
         # so the tree's contribution is simply the remainder.
         return PrefetchDecision(
-            prefetch_offsets=prefetch_offsets,
+            prefetch_mask=_mask_of(flagged, ppv),
             upgraded=upgraded,
-            tree_added=int(prefetch_offsets.size) - upgraded,
+            tree_added=flagged.bit_count() - upgraded,
             max_region=max(region_sizes),
             region_sizes=region_sizes,
         )
 
-    def prefetch_pages(self, residency, vbin) -> np.ndarray:
-        """Generic interface: global pages to prefetch for one fault bin."""
-        start, _stop = residency.space.page_span_of_vablock(vbin.vablock_id)
-        decision = self.compute(
-            residency.vablock_leaf_mask(vbin.vablock_id),
-            vbin.pages - start,
-        )
-        pages = decision.prefetch_offsets + start
-        if uvmsan.enabled() and pages.size:
-            if residency.resident[pages].any():
+    def prefetch_leaves(self, resident_leaves: np.ndarray, start: int, vbin) -> np.ndarray:
+        """Generic interface: the leaves to prefetch for one fault bin.
+
+        ``resident_leaves`` is the residency mask of the bin's VABlock,
+        whose first page is ``start``; the result is a boolean mask of
+        the same shape.
+        """
+        mask = self.compute(resident_leaves, vbin.pages - start).prefetch_mask
+        if uvmsan.enabled():
+            if np.count_nonzero(mask & resident_leaves):
                 raise uvmsan.SanitizerError(
                     "UVMSAN[prefetch]: tree computed prefetch of resident pages"
                 )
-            if np.isin(pages, vbin.pages).any():
+            if np.count_nonzero(mask[vbin.pages - start]):
                 raise uvmsan.SanitizerError(
                     "UVMSAN[prefetch]: tree prefetch overlaps demand faults"
                 )
-        return pages
+        return mask
 
     def describe_tree(
         self, resident_leaves: np.ndarray, faulted_offsets: np.ndarray
@@ -206,9 +211,9 @@ def _bits_of(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little"), "little")
 
 
-def _leaves_of(bits: int, n_leaves: int) -> np.ndarray:
-    """Ascending indices of the set bits of ``bits`` (below ``n_leaves``)."""
+def _mask_of(bits: int, n_leaves: int) -> np.ndarray:
+    """The boolean leaf mask of a Python-int bitset (below ``n_leaves``)."""
     if not bits:
-        return np.empty(0, dtype=np.int64)
+        return np.zeros(n_leaves, dtype=bool)
     raw = np.frombuffer(bits.to_bytes((n_leaves + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little").nonzero()[0].astype(np.int64)
+    return np.unpackbits(raw, count=n_leaves, bitorder="little").view(bool)

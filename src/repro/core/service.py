@@ -93,9 +93,9 @@ class FaultServicer:
         self.timer.charge(category, duration_ns, count=count)
         self.clock.advance(duration_ns)
 
-    def _effective_ptes(self, pages: np.ndarray) -> int:
-        """PTE writes needed for ascending, unique ``pages`` with big-page
-        promotion.
+    def _effective_ptes(self, leaves: np.ndarray, n: int) -> int:
+        """PTE writes needed for the ``n`` set ``leaves`` of one VABlock,
+        with big-page promotion.
 
         A fully populated 64 KB-aligned group is installed as one big
         PTE (the Power9-emulation big pages of Section IV-A); leftover
@@ -104,17 +104,16 @@ class FaultServicer:
         aggressive prefetching approaches explicit-transfer efficiency.
         """
         ppb = self.space.pages_per_big_page
-        n = int(pages.size)
         if n < ppb:
             return n  # too few pages to fill a group
-        # In an ascending unique list a group is full exactly when a
-        # group-aligned page is followed ppb - 1 places later by the
-        # group's last page.
-        heads = pages[: n - ppb + 1]
-        full = int(
-            np.count_nonzero((heads % ppb == 0) & (pages[ppb - 1 :] - heads == ppb - 1))
-        )
+        full = int(np.count_nonzero(leaves.reshape(-1, ppb).all(axis=1)))
         return n - full * (ppb - 1)
+
+    def _leaves(self, offsets: np.ndarray) -> np.ndarray:
+        """The leaf mask of one VABlock with ``offsets`` set."""
+        leaves = np.zeros(self.space.pages_per_vablock, dtype=bool)
+        leaves[offsets] = True
+        return leaves
 
     # -- eviction path --------------------------------------------------------------
     def _evict_one(self, exclude_vablock: int) -> None:
@@ -126,27 +125,26 @@ class FaultServicer:
         """
         victim = self.lru.evict_victim(exclude=(exclude_vablock,))
         start, stop = self.space.page_span_of_vablock(victim)
-        res_mask = self.residency.resident[start:stop]
-        resident_pages = np.flatnonzero(res_mask).astype(np.int64) + start
-        dirty_pages = (
-            np.flatnonzero(res_mask & self.residency.dirty[start:stop]).astype(np.int64)
-            + start
-        )
-        n_res, n_dirty = self.residency.evict_vablock(victim)
-        if n_res != resident_pages.size or n_dirty != dirty_pages.size:
+        # the servicer's own read of the victim span, cross-checked
+        # against what the teardown reports
+        n_seen = np.count_nonzero(self.residency.resident[start:stop])
+        n_dirty_seen = np.count_nonzero(self.residency.dirty[start:stop])
+        evicted = self.residency.evict_vablock(victim)
+        n_res, n_dirty = evicted.n_resident, evicted.n_dirty
+        if n_res != n_seen or n_dirty != n_dirty_seen:
             raise SimulationError("eviction accounting mismatch")
 
         if self.thrashing is not None:
             self.thrashing.record_eviction(victim, self.clock.now)
         evict_ns = self.cost.evict_fixed_ns
-        evict_ns += self.dma.d2h_pages(dirty_pages) if n_dirty else 0
+        evict_ns += self.dma.d2h_pages(n_dirty) if n_dirty else 0
         evict_ns += n_res * self.cost.unmap_page_ns
         evict_ns += self.cost.tlb_invalidate_ns + self.cost.membar_ns
-        self.gpu_table.unmap_pages(resident_pages)
+        self.gpu_table.unmap_span(start, evicted.resident)
         self.gpu_table.invalidate_tlb()
         self.gpu_table.membar()
         # data is host-resident again
-        self.host_table.map_pages(resident_pages)
+        self.host_table.map_span(start, evicted.resident)
         evict_ns += n_res * self.cost.map_page_ns
         self._charge("service.evict", evict_ns, count=1)
 
@@ -199,7 +197,7 @@ class FaultServicer:
         return evictions
 
     # -- memory-advise service paths ------------------------------------------------
-    def _service_remote_bin(self, vbin: VABlockBin) -> ServiceOutcome:
+    def _service_remote_bin(self, vbin: VABlockBin, start: int) -> ServiceOutcome:
         """Remote mapping (Section III-A): map host memory, migrate nothing.
 
         No PMA allocation, no eviction pressure, no data transfer - the
@@ -208,47 +206,50 @@ class FaultServicer:
         """
         vb = vbin.vablock_id
         outcome = ServiceOutcome(vablock_id=vb)
-        pages = vbin.pages
-        if pages.size == 0:
+        n = int(vbin.pages.size)
+        if n == 0:
             return outcome
-        if self.residency.resident[pages].any():
+        leaves = self._leaves(vbin.pages - start)
+        if np.count_nonzero(leaves & self.residency.resident[start : start + leaves.size]):
             raise SimulationError("remote bin contains migrated pages")
-        n_new = self.residency.map_remote(pages)
-        self.gpu_table.map_pages(pages)
+        n_new = self.residency.map_remote(vb, leaves)
+        self.gpu_table.map_span(start, leaves)
         self.gpu_table.invalidate_tlb()
         self.gpu_table.membar()
         map_ns = (
             self.cost.map_vablock_fixed_ns
-            + int(pages.size) * (self.cost.map_page_ns + self.cost.service_per_fault_ns)
+            + n * (self.cost.map_page_ns + self.cost.service_per_fault_ns)
             + self.cost.tlb_invalidate_ns
             + self.cost.membar_ns
         )
-        self._charge("service.map", map_ns, count=int(pages.size))
-        outcome.n_demand = int(pages.size)
+        self._charge("service.map", map_ns, count=n)
+        outcome.n_demand = n
         self.counters.add(C.FAULTS_SERVICED, outcome.n_demand)
         self.counters.add(C.REMOTE_PAGES_MAPPED, n_new)
         self.recorder.record_service(self.clock.now, vb, outcome.n_demand, 0)
         return outcome
 
-    def _upgrade_permissions(self, vb: int, pages: np.ndarray) -> int:
+    def _upgrade_permissions(self, vb: int, start: int, leaves: np.ndarray) -> int:
         """Write faults on duplicated pages: collapse the duplication.
 
         The host copies become stale, so their host mappings are torn
         down and the GPU PTEs upgraded to read-write; no data moves.
         """
-        if not self.residency.duplicated[pages].all():
+        duplicated = self.residency.duplicated[start : start + leaves.size]
+        if np.count_nonzero(np.greater(leaves, duplicated)):
             raise SimulationError("upgrade request on non-duplicated pages")
-        n = self.residency.collapse_duplicates(pages)
-        self.host_table.unmap_pages(pages)
-        self.gpu_table.map_pages(pages)  # PTE permission rewrite
+        n_pages = int(np.count_nonzero(leaves))
+        n = self.residency.collapse_duplicates(vb, leaves)
+        self.host_table.unmap_span(start, leaves)
+        self.gpu_table.map_span(start, leaves)  # PTE permission rewrite
         self.gpu_table.invalidate_tlb()
         self.gpu_table.membar()
         upgrade_ns = (
-            pages.size * (self.cost.map_page_ns + self.cost.unmap_page_ns)
+            n_pages * (self.cost.map_page_ns + self.cost.unmap_page_ns)
             + self.cost.tlb_invalidate_ns
             + self.cost.membar_ns
         )
-        self._charge("service.map", upgrade_ns, count=int(pages.size))
+        self._charge("service.map", upgrade_ns, count=n_pages)
         self.counters.add(C.FAULTS_WRITE_UPGRADE, n)
         self.counters.add(C.FAULTS_SERVICED, n)
         self.counters.add(C.DUP_COLLAPSES, n)
@@ -265,29 +266,26 @@ class FaultServicer:
         Returns the number of pages promoted.
         """
         start, stop = self.space.page_span_of_vablock(vablock_id)
-        pages = (
-            np.flatnonzero(self.residency.remote_mapped[start:stop]).astype(np.int64)
-            + start
-        )
-        if pages.size == 0:
+        leaves = self.residency.remote_mapped[start:stop].copy()
+        n = int(np.count_nonzero(leaves))
+        if n == 0:
             return 0
         self._ensure_backed(vablock_id)
-        self.residency.unmap_remote(pages)
-        n = int(pages.size)
-        n_ptes = self._effective_ptes(pages)
+        self.residency.unmap_remote(vablock_id, leaves)
+        n_ptes = self._effective_ptes(leaves, n)
         promote_ns = (
             n * (self.cost.stage_page_ns + self.cost.unmap_page_ns)
             + n_ptes * (self.cost.zero_page_ns + self.cost.map_page_ns)
-            + self.dma.h2d_pages(pages)
+            + self.dma.h2d_pages(n)
             + self.cost.tlb_invalidate_ns
             + self.cost.membar_ns
         )
-        self.gpu_table.map_pages(pages)  # PTE rewrite sysmem -> local
+        self.gpu_table.map_span(start, leaves)  # PTE rewrite sysmem -> local
         self.gpu_table.invalidate_tlb()
         self.gpu_table.membar()
-        self.host_table.unmap_pages(pages)
+        self.host_table.unmap_span(start, leaves)
         self._charge("service.counter_migration", promote_ns, count=n)
-        self.residency.make_resident(pages)
+        self.residency.make_resident(vablock_id, leaves)
         self.lru.touch(vablock_id)
         self.counters.add(C.COUNTER_MIGRATION_BLOCKS)
         self.counters.add(C.COUNTER_MIGRATION_PAGES, n)
@@ -295,11 +293,18 @@ class FaultServicer:
 
     # -- main entry ---------------------------------------------------------------
     def service_bin(self, vbin: VABlockBin) -> ServiceOutcome:
-        """Service all faults of one VABlock bin (plus prefetch)."""
+        """Service all faults of one VABlock bin (plus prefetch).
+
+        The bin is serviced on its VABlock's span: demand, prefetch and
+        write intent are boolean masks over the block's leaves, and the
+        residency, page-table and DMA updates take those masks or their
+        page counts.
+        """
         vb = vbin.vablock_id
+        start, stop = self.space.page_span_of_vablock(vb)
         advise = self.space.advise_of_vablock(vb)
         if advise is MemAdvise.PINNED_HOST:
-            return self._service_remote_bin(vbin)
+            return self._service_remote_bin(vbin, start)
 
         if self.thrashing is not None and advise is MemAdvise.MIGRATE:
             before = self.thrashing.pinned_blocks
@@ -309,19 +314,23 @@ class FaultServicer:
             if self.thrashing.should_pin(vb):
                 # thrashing remedy: stop migrating this block - service
                 # its faults as remote mappings from here on
-                outcome = self._service_remote_bin(vbin)
+                outcome = self._service_remote_bin(vbin, start)
                 self.counters.add(C.THRASH_PAGES_PINNED, outcome.n_demand)
                 return outcome
 
         outcome = ServiceOutcome(vablock_id=vb)
+        # a live view: it follows the block's residency through the
+        # upgrades, the eviction of other blocks and the prefetch
+        resident = self.residency.resident[start:stop]
+        offsets = vbin.pages - start
 
         # Split permission upgrades (resident read-only duplicates hit
         # by writes) from true demand misses.
-        resident_mask = self.residency.resident[vbin.pages]
-        if resident_mask.any():
-            self._upgrade_permissions(vb, vbin.pages[resident_mask])
-            missing = ~resident_mask
-            if not missing.any():
+        hit = resident[offsets]
+        if np.count_nonzero(hit):
+            self._upgrade_permissions(vb, start, self._leaves(offsets[hit]))
+            missing = ~hit
+            if not np.count_nonzero(missing):
                 self.lru.touch(vb)
                 self.recorder.record_service(self.clock.now, vb, 0, 0)
                 return outcome
@@ -332,41 +341,35 @@ class FaultServicer:
                 stream_ids=vbin.stream_ids[missing],
                 sm_ids=vbin.sm_ids[missing],
             )
-        demand_pages = vbin.pages
+            offsets = offsets[missing]
+        n_demand = int(offsets.size)
+        demand = self._leaves(offsets)
+        # write intent per leaf; a plain False when nothing writes
+        writing = False
+        if np.count_nonzero(vbin.writes):
+            writing = self._leaves(offsets[vbin.writes])
         outcome.n_evictions = self._ensure_backed(vb)
 
-        start, stop = self.space.page_span_of_vablock(vb)
-
         # -- prefetch decision (Section IV-A) ---------------------------------
-        prefetch_pages = np.empty(0, dtype=np.int64)
-        if self.prefetcher is not None and demand_pages.size:
-            prefetch_pages = np.asarray(
-                self.prefetcher.prefetch_pages(self.residency, vbin), dtype=np.int64
-            )
-            if prefetch_pages.size:
-                if self.residency.resident[prefetch_pages].any():
-                    raise SimulationError("prefetcher returned resident pages")
-                if prefetch_pages.min() < start or prefetch_pages.max() >= stop:
-                    # Prefetch is per-VABlock: physical backing exists
-                    # only for the block being serviced.
-                    raise SimulationError("prefetcher escaped the serviced VABlock")
+        leaves, n_prefetch = demand, 0
+        if self.prefetcher is not None and n_demand:
+            prefetch = self.prefetcher.prefetch_leaves(resident, start, vbin)
+            if prefetch.dtype != np.bool_ or prefetch.shape != demand.shape:
+                # Prefetch is per-VABlock: physical backing exists only
+                # for the block being serviced.
+                raise SimulationError("prefetcher escaped the serviced VABlock")
+            if np.count_nonzero(prefetch & resident):
+                raise SimulationError("prefetcher returned resident pages")
+            if np.count_nonzero(prefetch & demand):
+                raise SimulationError("prefetch overlaps the demand faults")
             if self.sanitizer is not None:
                 self.sanitizer.check_prefetch(
-                    self.residency, vb, prefetch_pages, demand_pages
+                    self.residency, vb, np.flatnonzero(prefetch) + start, vbin.pages
                 )
-
-        # Demand pages are ascending and unique (a bin) and prefetch
-        # pages ascending and disjoint from them (the prefetcher
-        # contract), so their union is a sorted concatenation.
-        if prefetch_pages.size:
-            all_pages = np.concatenate((demand_pages, prefetch_pages))
-            all_pages.sort()
-            # write intent aligned with the union page list
-            writing = np.zeros(all_pages.size, dtype=bool)
-            writing[np.searchsorted(all_pages, demand_pages)] = vbin.writes
-        else:
-            all_pages, writing = demand_pages, vbin.writes
-        n_all = int(all_pages.size)
+            n_prefetch = int(np.count_nonzero(prefetch))
+            if n_prefetch:
+                leaves = demand | prefetch
+        n_all = n_demand + n_prefetch
         if n_all == 0:
             return outcome
 
@@ -376,18 +379,21 @@ class FaultServicer:
         # same staging chunks with just their per-page costs - that gap
         # is why aggressive prefetching approaches explicit-transfer
         # efficiency (Section IV-C).
-        n_ptes = self._effective_ptes(all_pages)
+        n_ptes = self._effective_ptes(leaves, n_all)
         migrate_ns = n_all * self.cost.stage_page_ns + n_ptes * self.cost.zero_page_ns
-        migrate_ns += int(demand_pages.size) * self.cost.service_per_fault_ns
-        migrate_ns += self.dma.h2d_pages(all_pages)
+        migrate_ns += n_demand * self.cost.service_per_fault_ns
+        migrate_ns += self.dma.h2d_pages(n_all)
         if advise is MemAdvise.READ_MOSTLY:
             # read-only duplication: host mappings survive for pages that
             # were not written; only written pages become exclusive.
-            unmap_pages = all_pages[writing]
+            unmap, n_unmap = writing, 0
+            if writing is not False:
+                n_unmap = int(np.count_nonzero(writing))
         else:
-            unmap_pages = all_pages  # migration unmaps the source copy
-        migrate_ns += int(unmap_pages.size) * self.cost.unmap_page_ns
-        self.host_table.unmap_pages(unmap_pages)
+            unmap, n_unmap = leaves, n_all  # migration unmaps the source copy
+        migrate_ns += n_unmap * self.cost.unmap_page_ns
+        if n_unmap:
+            self.host_table.unmap_span(start, unmap)
         self._charge("service.migrate", migrate_ns, count=n_all)
 
         # -- map (PTE writes, invalidate, membar) --------------------------------
@@ -397,7 +403,7 @@ class FaultServicer:
             + self.cost.tlb_invalidate_ns
             + self.cost.membar_ns
         )
-        self.gpu_table.map_pages(all_pages)
+        self.gpu_table.map_span(start, leaves)
         self.gpu_table.invalidate_tlb()
         self.gpu_table.membar()
         self._charge("service.map", map_ns, count=n_all)
@@ -407,14 +413,18 @@ class FaultServicer:
             # written pages map exclusive+RW; everything else arrives as
             # a read-only duplicate whose host copy stays valid
             self.residency.make_resident(
-                all_pages, writing=writing, writable=writing, duplicated=~writing
+                vb,
+                leaves,
+                writing=writing,
+                writable=writing,
+                duplicated=True if writing is False else ~writing,
             )
         else:
-            self.residency.make_resident(all_pages, writing=writing)
+            self.residency.make_resident(vb, leaves, writing=writing)
         self.lru.touch(vb)
 
-        outcome.n_demand = int(demand_pages.size)
-        outcome.n_prefetch = int(prefetch_pages.size)
+        outcome.n_demand = n_demand
+        outcome.n_prefetch = n_prefetch
         self.counters.add(C.FAULTS_SERVICED, outcome.n_demand)
         self.counters.add(C.PAGES_DEMAND_H2D, outcome.n_demand)
         self.counters.add(C.PAGES_PREFETCH_H2D, outcome.n_prefetch)

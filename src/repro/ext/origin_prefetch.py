@@ -71,27 +71,31 @@ class OriginStreamPrefetcher:
         state.last_page = page
         return state
 
-    def prefetch_pages(self, residency, vbin) -> np.ndarray:
+    def prefetch_leaves(self, resident_leaves: np.ndarray, start: int, vbin) -> np.ndarray:
         """Predict ahead for each origin with a confirmed stride.
 
         The origin is the faulting SM: the granularity Section VI-B says
         the hardware could plausibly expose ("SM ID, logical thread ID,
         or related information sufficient to pinpoint a specific area of
-        execution").
+        execution").  Returns a leaf mask of the bin's VABlock (first
+        page ``start``, residency ``resident_leaves``), like the tree
+        prefetcher.
         """
-        start, stop = residency.space.page_span_of_vablock(vbin.vablock_id)
+        stop = start + resident_leaves.size
         predicted: set[int] = set()
-        demand = set(int(p) for p in vbin.pages)
-        for page, origin in zip(vbin.pages, vbin.sm_ids):
-            state = self._observe(int(origin), int(page))
+        demand = set(vbin.pages.tolist())
+        for page, origin in zip(vbin.pages.tolist(), vbin.sm_ids.tolist()):
+            state = self._observe(origin, page)
             if state.stride == 0 or state.confirmations < self.min_confirmations:
                 continue
             for k in range(1, self.depth + 1):
-                target = int(page) + k * state.stride
+                target = page + k * state.stride
                 if not start <= target < stop:
                     break  # backing is per-VABlock; stop at the edge
-                if target in demand or residency.resident[target]:
+                if target in demand or resident_leaves[target - start]:
                     continue
                 predicted.add(target)
         self.predictions += len(predicted)
-        return np.array(sorted(predicted), dtype=np.int64)
+        mask = np.zeros(resident_leaves.size, dtype=bool)
+        mask[[target - start for target in predicted]] = True
+        return mask

@@ -19,9 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.errors import ConfigurationError
 from repro.sim.costmodel import CostModel
 
 
@@ -41,21 +38,6 @@ class DmaStats:
     @property
     def total_bytes(self) -> int:
         return self.h2d_bytes + self.d2h_bytes
-
-
-def contiguous_runs(pages: np.ndarray) -> int:
-    """Number of maximal contiguous runs in a sorted page array.
-
-    Each run becomes one DMA transfer; scattered pages each cost a
-    transfer setup, which is the mechanical reason random access patterns
-    pay more per byte (Section III-D insight one).
-    """
-    pages = np.asarray(pages, dtype=np.int64)
-    if pages.size == 0:
-        return 0
-    if pages.size > 1 and (np.diff(pages) <= 0).any():
-        raise ConfigurationError("contiguous_runs expects strictly ascending pages")
-    return int((np.diff(pages) > 1).sum()) + 1
 
 
 class DmaEngine:
@@ -96,21 +78,20 @@ class DmaEngine:
         self.stats.chaos_retries += failures
         return failures * self.cost.dma_transfer_ns(nbytes, transfers=transfers)
 
-    def h2d_pages(self, pages: np.ndarray, staging_chunk_bytes: int = 2 << 20) -> int:
-        """Copy host pages to device; returns simulated ns.
+    def h2d_pages(self, n_pages: int, staging_chunk_bytes: int = 2 << 20) -> int:
+        """Copy ``n_pages`` host pages to the device; returns simulated ns.
 
-        ``pages`` must be sorted ascending.  The driver stages scattered
-        source pages into contiguous staging buffers before the copy, so
-        scattered pages within one service do NOT each pay a transfer
-        setup: one chunked transfer per ``staging_chunk_bytes`` is issued
-        (the per-page staging cost is charged separately by the
-        servicer).  This is the coalescing that makes dense VABlock bins
+        The driver stages scattered source pages into contiguous staging
+        buffers before the copy, so scattered pages within one service do
+        NOT each pay a transfer setup: one chunked transfer per
+        ``staging_chunk_bytes`` is issued (the per-page staging cost is
+        charged separately by the servicer), and only the page count
+        matters.  This is the coalescing that makes dense VABlock bins
         cheap - the per-*bin* setup is what scattered batches multiply.
         """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
+        if n_pages <= 0:
             return 0
-        nbytes = int(pages.size) * self.page_size
+        nbytes = n_pages * self.page_size
         transfers = max(1, -(-nbytes // staging_chunk_bytes))
         self.stats.h2d_bytes += nbytes
         self.stats.h2d_transfers += transfers
@@ -119,28 +100,16 @@ class DmaEngine:
             ns += self._chaos_transfer_ns(nbytes, transfers)
         return ns
 
-    def d2h_pages(self, pages: np.ndarray, staging_chunk_bytes: int = 2 << 20) -> int:
-        """Copy device pages back to host (eviction write-back)."""
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
+    def d2h_pages(self, n_pages: int, staging_chunk_bytes: int = 2 << 20) -> int:
+        """Copy ``n_pages`` device pages back to the host (eviction
+        write-back, CPU faults), staged in chunks like :meth:`h2d_pages`."""
+        if n_pages <= 0:
             return 0
-        nbytes = int(pages.size) * self.page_size
+        nbytes = n_pages * self.page_size
         transfers = max(1, -(-nbytes // staging_chunk_bytes))
         self.stats.d2h_bytes += nbytes
         self.stats.d2h_transfers += transfers
         ns = self.cost.dma_transfer_ns(nbytes, transfers=transfers)
         if self.chaos is not None:
             ns += self._chaos_transfer_ns(nbytes, transfers)
-        return ns
-
-    def d2h_page_count(self, npages: int, runs: int = 1) -> int:
-        """D2H cost for ``npages`` pages already known to be contiguous-ish."""
-        if npages <= 0:
-            return 0
-        nbytes = npages * self.page_size
-        self.stats.d2h_bytes += nbytes
-        self.stats.d2h_transfers += runs
-        ns = self.cost.dma_transfer_ns(nbytes, transfers=runs)
-        if self.chaos is not None:
-            ns += self._chaos_transfer_ns(nbytes, runs)
         return ns

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import AddressError, SimulationError
 from repro.mem.address_space import AddressSpace
 
 
@@ -52,37 +52,57 @@ class PageTable:
         #: the TLB model can discard stale translations.
         self.epoch = 0
 
-    def map_pages(self, pages: np.ndarray) -> int:
-        """Install PTEs for ``pages``; returns the number newly mapped.
+    def map_span(self, start: int, leaves: np.ndarray) -> int:
+        """Install PTEs for the pages ``start + i`` with ``leaves[i]`` set;
+        returns the number newly mapped.
 
         Mapping an already-mapped page is a permission upgrade in the real
         driver; we count it as a PTE write but not a new mapping.
         """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            return 0
-        self.space.validate_pages(pages)
-        was_mapped = self.mapped[pages]
-        self.mapped[pages] = True
-        self.stats.pages_mapped += int(pages.size)
-        return int(pages.size - np.count_nonzero(was_mapped))
+        mapped = self._span(start, leaves)
+        n_new = int(np.count_nonzero(np.greater(leaves, mapped)))  # leaves & ~mapped
+        mapped |= leaves
+        self.stats.pages_mapped += int(np.count_nonzero(leaves))
+        return n_new
 
-    def unmap_pages(self, pages: np.ndarray) -> int:
-        """Remove PTEs for ``pages``; returns the number actually unmapped.
+    def unmap_span(self, start: int, leaves: np.ndarray) -> int:
+        """Remove PTEs for the pages ``start + i`` with ``leaves[i]`` set;
+        returns the number unmapped.
 
         Unmapping a non-mapped page raises: the driver's unmap paths are
         always guarded by residency checks, so hitting one is a logic bug.
         """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            return 0
-        if not self.mapped[pages].all():
+        mapped = self._span(start, leaves)
+        if np.count_nonzero(np.greater(leaves, mapped)):
             raise SimulationError(
                 f"unmap of non-mapped pages on {self.side} table"
             )
-        self.mapped[pages] = False
-        self.stats.pages_unmapped += int(pages.size)
-        return int(pages.size)
+        np.greater(mapped, leaves, out=mapped)  # mapped & ~leaves
+        n = int(np.count_nonzero(leaves))
+        self.stats.pages_unmapped += n
+        return n
+
+    def _span(self, start: int, leaves: np.ndarray) -> np.ndarray:
+        """The mapped bits of ``leaves``' span, as a writable view."""
+        mapped = self.mapped[start : start + leaves.size]
+        if leaves.dtype.type is not np.bool_ or mapped.shape != leaves.shape or start < 0:
+            raise AddressError(
+                f"span of {leaves.shape} {leaves.dtype} leaves at page {start} "
+                f"is not a boolean leaf mask inside the table of "
+                f"{self.mapped.size} pages"
+            )
+        return mapped
+
+    def map_pages(self, pages: np.ndarray) -> int:
+        """:meth:`map_span` for a list of unique pages in any VABlocks
+        (the CPU-fault path's scattered lists); returns the number newly
+        mapped."""
+        return self.map_span(*_covering_span(pages))
+
+    def unmap_pages(self, pages: np.ndarray) -> int:
+        """:meth:`unmap_span` for a list of unique pages in any VABlocks;
+        returns the number unmapped."""
+        return self.unmap_span(*_covering_span(pages))
 
     def invalidate_tlb(self) -> int:
         """Issue a TLB invalidate; returns the new epoch."""
@@ -121,3 +141,15 @@ class PageTable:
             raise SimulationError(
                 f"GPU page table out of sync with residency on {diff} pages"
             )
+
+
+def _covering_span(pages) -> tuple[int, np.ndarray]:
+    """``(start, leaves)``: the span from the lowest to the highest of
+    ``pages`` with their leaves set (one pass, whatever the VABlocks)."""
+    pages = np.asarray(pages, dtype=np.int64)
+    if pages.size == 0:
+        return 0, np.zeros(0, dtype=bool)
+    start = int(pages.min())
+    leaves = np.zeros(int(pages.max()) - start + 1, dtype=bool)
+    leaves[pages - start] = True
+    return start, leaves

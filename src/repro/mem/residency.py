@@ -18,6 +18,12 @@ number:
 * ``resident_count[vablock]`` - cached popcount the density prefetcher
   reads.
 
+The service path's transitions (:meth:`~ResidencyState.make_resident`,
+:meth:`~ResidencyState.evict_vablock`, duplicate collapse and remote
+mapping) are slice-local: they take one VABlock and a boolean mask over
+its leaves and touch only that block's span of each array.  Host-side
+transitions (CPU faults) take scattered page lists.
+
 Two derived masks are maintained incrementally because the GPU's warp
 advance scans them on every access:
 
@@ -31,6 +37,8 @@ permission bits the three UVM access behaviours require.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,14 +93,6 @@ class ResidencyState:
             self.resident[pages] & self.writable[pages]
         ) | self.remote_mapped[pages]
 
-    def _refresh_mask_span(self, start: int, stop: int) -> None:
-        self.read_ok[start:stop] = (
-            self.resident[start:stop] | self.remote_mapped[start:stop]
-        )
-        self.write_ok[start:stop] = (
-            self.resident[start:stop] & self.writable[start:stop]
-        ) | self.remote_mapped[start:stop]
-
     # -- state transitions -------------------------------------------------------
     def back_vablock(self, vablock_id: int) -> None:
         """Reserve GPU physical memory for a VABlock (allocation granule)."""
@@ -100,87 +100,80 @@ class ResidencyState:
             raise SimulationError(f"VABlock {vablock_id} already backed")
         self.backed[vablock_id] = True
 
+    def _leaf_span(self, vablock_id: int, leaves: np.ndarray) -> slice:
+        """The page span of ``vablock_id`` after checking ``leaves`` is
+        a boolean mask over exactly its leaves."""
+        start, stop = self.space.page_span_of_vablock(vablock_id)
+        if leaves.dtype.type is not np.bool_ or leaves.shape != (stop - start,):
+            raise AddressError(
+                f"leaves must be a boolean mask of shape ({stop - start},)"
+            )
+        return slice(start, stop)
+
     def make_resident(
         self,
-        pages: np.ndarray,
+        vablock_id: int,
+        leaves: np.ndarray,
         writing: np.ndarray | bool = False,
         writable: np.ndarray | bool = True,
         duplicated: np.ndarray | bool = False,
     ) -> int:
-        """Mark pages resident on the GPU; returns how many were new.
+        """Mark the ``leaves`` of one VABlock resident on the GPU; returns
+        how many were new.
 
-        Every page's VABlock must already be backed - the driver
-        allocates physical memory before migrating (Section III-D).
-        ``writing`` marks pages dirty; ``writable`` sets the mapping
-        permission (the stock migration path maps read-write);
-        ``duplicated`` flags read-mostly copies whose host mapping stays
-        valid (mutually exclusive with ``writable``/``writing``).
+        The VABlock must already be backed - the driver allocates
+        physical memory before migrating (Section III-D).  ``writing``
+        marks pages dirty; ``writable`` sets the mapping permission (the
+        stock migration path maps read-write); ``duplicated`` flags
+        read-mostly copies whose host mapping stays valid (mutually
+        exclusive with ``writable``/``writing``).  Each flag is a bool
+        for every leaf alike or a leaf mask of the block; only its bits
+        under ``leaves`` count.
         """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            return 0
-        ppv = self.pages_per_vablock
-        first_vb = int(pages.min()) // ppv
-        one_vablock = first_vb == int(pages.max()) // ppv  # the service path
-        if one_vablock:
-            if not self.backed[first_vb]:
-                raise SimulationError(
-                    f"making pages resident in unbacked VABlocks {[first_vb]}"
-                )
-        else:
-            vbs = pages // ppv
-            if not self.backed[vbs].all():
-                missing = np.unique(vbs[~self.backed[vbs]])
-                raise SimulationError(
-                    f"making pages resident in unbacked VABlocks {missing[:8].tolist()}"
-                )
-        if self.remote_mapped[pages].any():
+        span = self._leaf_span(vablock_id, leaves)
+        if not self.backed[vablock_id]:
+            raise SimulationError(
+                f"making pages resident in unbacked VABlock {vablock_id}"
+            )
+        if np.count_nonzero(leaves & self.remote_mapped[span]):
             raise SimulationError("migrating pages that are remote-mapped")
 
-        # Each flag stays a plain bool when given as a scalar, so the
-        # common all-pages-alike cases touch no full-size mask.
-        def as_flag(value):
-            if isinstance(value, (bool, np.bool_)) or np.ndim(value) == 0:
-                return bool(value)
-            mask = np.asarray(value, dtype=bool)
-            if mask.shape != pages.shape:
-                raise AddressError("mask shape mismatch")
-            return mask
-
-        writing_m = as_flag(writing)
-        writable_m = as_flag(writable)
-        duplicated_m = as_flag(duplicated)
-        if _any_both(writing_m, _negate(writable_m)):
+        writing_m = _as_flag(writing, leaves)
+        writable_m = _as_flag(writable, leaves)
+        duplicated_m = _as_flag(duplicated, leaves)
+        if _any_both(writing_m, _negate(writable_m, leaves)):
             raise SimulationError("writing through a read-only mapping")
         if _any_both(duplicated_m, writable_m):
             raise SimulationError("a duplicated copy cannot be writable")
 
-        was_resident = self.resident[pages]
-        n_new = int(pages.size - np.count_nonzero(was_resident))
-        self.resident[pages] = True
+        resident = self.resident[span]
+        resident |= leaves
+        # resident_count caches the block's popcount, so the new leaves
+        # are the difference
+        count = int(np.count_nonzero(resident))
+        n_new = count - int(self.resident_count[vablock_id])
+        self.resident_count[vablock_id] = count
+        writable_v = self.writable[span]
         if writable_m is True:
-            self.writable[pages] = True
+            writable_v |= leaves
         elif writable_m is not False:
-            self.writable[pages] |= writable_m
+            writable_v |= writable_m
         if duplicated_m is False:
-            self.duplicated[pages] = False
+            _clear(self.duplicated[span], leaves)
         else:
-            self.duplicated[pages] = duplicated_m & ~self.writable[pages]
+            fresh = ~writable_v if duplicated_m is True else duplicated_m & ~writable_v
+            np.copyto(self.duplicated[span], fresh, where=leaves)
         if writing_m is True:
-            self.dirty[pages] = True
+            self.dirty[span] |= leaves
         elif writing_m is not False:
-            self.dirty[pages[writing_m]] = True
-        if one_vablock:
-            self.resident_count[first_vb] += n_new
-        elif n_new:
-            np.add.at(self.resident_count, pages[~was_resident] // ppv, 1)
-        # the pages are now resident and (checked above) not remote-
+            self.dirty[span] |= writing_m
+        # the leaves are now resident and (checked above) not remote-
         # mapped, so read_ok is set and write_ok follows writable
-        self.read_ok[pages] = True
+        self.read_ok[span] |= leaves
         if writable_m is True:
-            self.write_ok[pages] = True
+            self.write_ok[span] |= leaves
         else:
-            self.write_ok[pages] = self.writable[pages]
+            np.copyto(self.write_ok[span], writable_v, where=leaves)
         return n_new
 
     def mark_dirty(self, pages: np.ndarray) -> None:
@@ -192,26 +185,26 @@ class ResidencyState:
             raise SimulationError("marking non-writable pages dirty")
         self.dirty[pages] = True
 
-    def collapse_duplicates(self, pages: np.ndarray) -> int:
+    def collapse_duplicates(self, vablock_id: int, leaves: np.ndarray) -> int:
         """Write-permission upgrade: break read-only duplication.
 
-        The touched pages' host copies become stale: the GPU mapping is
+        The touched leaves' host copies become stale: the GPU mapping is
         upgraded to writable and the pages go dirty.  Returns how many
-        pages actually collapsed (non-duplicated pages are ignored).
+        pages actually collapsed (non-duplicated leaves are ignored).
         """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
+        span = self._leaf_span(vablock_id, leaves)
+        collapsing = leaves & self.duplicated[span]
+        n = int(np.count_nonzero(collapsing))
+        if not n:
             return 0
-        collapsing = pages[self.duplicated[pages]]
-        if collapsing.size == 0:
-            return 0
-        if not self.resident[collapsing].all():
+        if np.count_nonzero(np.greater(collapsing, self.resident[span])):
             raise SimulationError("collapsing duplicates that are not resident")
-        self.duplicated[collapsing] = False
-        self.writable[collapsing] = True
-        self.dirty[collapsing] = True
-        self._refresh_masks(collapsing)
-        return int(collapsing.size)
+        _clear(self.duplicated[span], collapsing)
+        self.writable[span] |= collapsing
+        self.dirty[span] |= collapsing
+        # resident and now writable: read_ok already holds
+        self.write_ok[span] |= collapsing
+        return n
 
     def invalidate_duplicates(self, pages: np.ndarray) -> int:
         """Host write to duplicated pages: drop the (clean) GPU copies.
@@ -233,36 +226,39 @@ class ResidencyState:
         self._refresh_masks(dropping)
         return int(dropping.size)
 
-    def map_remote(self, pages: np.ndarray) -> int:
-        """Install remote (zero-copy) mappings; returns how many were new.
+    def map_remote(self, vablock_id: int, leaves: np.ndarray) -> int:
+        """Install remote (zero-copy) mappings for the ``leaves`` of one
+        VABlock; returns how many were new.
 
         Remote-mapped pages consume no GPU memory and never migrate;
         reads and writes go over the interconnect.
         """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            return 0
-        if self.resident[pages].any():
+        span = self._leaf_span(vablock_id, leaves)
+        if np.count_nonzero(leaves & self.resident[span]):
             raise SimulationError("remote-mapping pages that are GPU-resident")
-        new = ~self.remote_mapped[pages]
-        self.remote_mapped[pages[new]] = True
-        self._refresh_masks(pages)
-        return int(new.sum())
+        remote = self.remote_mapped[span]
+        n_new = int(np.count_nonzero(np.greater(leaves, remote)))
+        remote |= leaves
+        self.read_ok[span] |= leaves
+        self.write_ok[span] |= leaves
+        return n_new
 
-    def unmap_remote(self, pages: np.ndarray) -> int:
-        """Tear down remote mappings (counter-triggered promotion path).
+    def unmap_remote(self, vablock_id: int, leaves: np.ndarray) -> int:
+        """Tear down the remote mappings of the ``leaves`` of one VABlock
+        (counter-triggered promotion path).
 
         Returns how many mappings were removed; the caller is expected
         to migrate the pages to local memory immediately after.
         """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            return 0
-        if not self.remote_mapped[pages].all():
+        span = self._leaf_span(vablock_id, leaves)
+        remote = self.remote_mapped[span]
+        if np.count_nonzero(np.greater(leaves, remote)):
             raise SimulationError("unmap_remote on pages that are not remote")
-        self.remote_mapped[pages] = False
-        self._refresh_masks(pages)
-        return int(pages.size)
+        _clear(remote, leaves)
+        resident = self.resident[span]
+        np.copyto(self.read_ok[span], resident, where=leaves)
+        np.copyto(self.write_ok[span], resident & self.writable[span], where=leaves)
+        return int(np.count_nonzero(leaves))
 
     def migrate_to_host(self, pages: np.ndarray) -> tuple[int, int]:
         """CPU-fault path: page-granular migration back to the host.
@@ -289,28 +285,34 @@ class ResidencyState:
         self._refresh_masks(moving)
         return int(moving.size), n_dirty
 
-    def evict_vablock(self, vablock_id: int) -> tuple[int, int]:
-        """Evict a VABlock: returns ``(resident_pages, dirty_pages)``.
+    def evict_vablock(self, vablock_id: int) -> "EvictedLeaves":
+        """Evict a VABlock: every resident page is unmapped and the
+        physical backing released.
 
-        All resident pages are unmapped; dirty pages are the ones that
-        need a device-to-host migration (modified data copied back,
-        Section V-A1).  The physical backing is released.
+        Returns the counts and leaf masks of the pages that were
+        resident and of those that were dirty - the ones that need a
+        device-to-host migration (modified data copied back, Section
+        V-A1).
         """
         if not self.backed[vablock_id]:
             raise SimulationError(f"evicting unbacked VABlock {vablock_id}")
         start, stop = self.space.page_span_of_vablock(vablock_id)
-        res_mask = self.resident[start:stop]
-        n_resident = int(res_mask.sum())
-        n_dirty = int((res_mask & self.dirty[start:stop]).sum())
-        self.resident[start:stop] = False
-        self.writable[start:stop] = False
-        self.duplicated[start:stop] = False
-        self.dirty[start:stop] = False
+        span = slice(start, stop)
+        resident = self.resident[span].copy()
+        dirty = self.dirty[span] & resident
+        self.resident[span] = False
+        self.writable[span] = False
+        self.duplicated[span] = False
+        self.dirty[span] = False
         self.backed[vablock_id] = False
         self.resident_count[vablock_id] = 0
         self.evict_count[vablock_id] += 1
-        self._refresh_mask_span(start, stop)
-        return n_resident, n_dirty
+        # nothing is resident: only remote mappings still grant access
+        self.read_ok[span] = self.remote_mapped[span]
+        self.write_ok[span] = self.remote_mapped[span]
+        return EvictedLeaves(
+            int(np.count_nonzero(resident)), int(np.count_nonzero(dirty)), resident, dirty
+        )
 
     # -- invariants ---------------------------------------------------------------
     def expected_gpu_mapped(self) -> np.ndarray:
@@ -361,17 +363,45 @@ class ResidencyState:
         )
 
 
-def _negate(flag):
-    """Logical not of a bool or a per-page mask."""
-    return (not flag) if isinstance(flag, bool) else ~flag
+class EvictedLeaves(NamedTuple):
+    """What :meth:`ResidencyState.evict_vablock` tore down."""
+
+    n_resident: int
+    n_dirty: int
+    #: leaf masks of the victim's resident and dirty pages before eviction.
+    resident: np.ndarray
+    dirty: np.ndarray
+
+
+def _as_flag(value, leaves: np.ndarray):
+    """A per-leaf flag as a plain bool (every leaf alike, so the common
+    cases build no mask) or as a leaf mask restricted to ``leaves``."""
+    if value is True or value is False:
+        return value
+    if isinstance(value, np.bool_) or np.ndim(value) == 0:
+        return bool(value)
+    mask = np.asarray(value, dtype=bool)
+    if mask.shape != leaves.shape:
+        raise AddressError("mask shape mismatch")
+    return mask & leaves
+
+
+def _clear(view: np.ndarray, mask: np.ndarray) -> None:
+    """``view &= ~mask`` in one ufunc pass (on booleans, a > b is a & ~b)."""
+    np.greater(view, mask, out=view)
+
+
+def _negate(flag, leaves: np.ndarray):
+    """Logical not of a bool or of a leaf mask, within ``leaves``."""
+    return (not flag) if isinstance(flag, bool) else np.greater(leaves, flag)
 
 
 def _any_both(a, b) -> bool:
-    """Whether some page has both flags (each a bool or a per-page mask)."""
+    """Whether some leaf has both flags (each a bool or a leaf mask)."""
     if a is False or b is False:
         return False
     if a is True:
-        return bool(np.any(b))
+        return bool(np.count_nonzero(b))
     if b is True:
-        return bool(a.any())
-    return bool((a & b).any())
+        return bool(np.count_nonzero(a))
+    return bool(np.count_nonzero(a & b))

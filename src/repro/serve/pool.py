@@ -3,10 +3,15 @@
 Each worker is a separate OS process with its *own* depth-1 task queue,
 so the supervisor always knows exactly which jobs a worker holds - the
 property that makes death/timeout recovery exact: when a worker dies or
-is killed, its assigned jobs (and only those) are requeued.  A shared
-result queue carries small completion messages back; the actual result
-documents go through the on-disk :class:`~repro.serve.store.ResultStore`
-written by the worker itself, so large payloads never transit a pipe.
+is killed, its assigned jobs (and only those) are requeued.  Each worker
+also has its own one-way result pipe carrying small completion messages
+back, written synchronously: a worker SIGKILLed mid-message can only
+tear its own pipe, which the supervisor drops with it.  (A queue shared
+by all workers has one write lock; a worker killed while its feeder
+thread held it would silence every other worker for good.)  The actual
+result documents go through the on-disk
+:class:`~repro.serve.store.ResultStore` written by the worker itself, so
+large payloads never transit a pipe.
 
 Workers are *warm*: one process serves many tasks, and a task is a
 **batch** - a list of job members sharing a workload/setup build
@@ -28,12 +33,18 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import queue
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-#: message kinds on the result queue
+#: seconds an idle worker waits for a task before checking that its
+#: supervisor is still alive; a task handed over meanwhile is taken at
+#: once.
+PARENT_POLL_S = 1.0
+
+#: message kinds on the result pipes
 MSG_STARTED = "started"
 MSG_DONE = "done"
 MSG_ERROR = "error"
@@ -52,14 +63,19 @@ def _mp_context():
 def worker_main(
     worker_id: int,
     task_queue,
-    result_queue,
+    results,
     store_dir: str,
     cache_dir: Optional[str],
     checkpoint_every: int = 256,
 ) -> None:
     """Worker process body: pull one batch at a time, run its members, report.
 
+    ``results`` is the write end of this worker's result pipe.
+
     Imports happen lazily so a ``spawn``-context worker also boots.
+
+    An idle worker returns on the poison pill (``None``) or, within
+    :data:`PARENT_POLL_S`, once its supervisor process is gone.
 
     Fault injection (``UVMREPRO_CHAOS``) is applied here, at the worker
     boundary: process faults (kill/hang/slow-start) hit the worker
@@ -81,8 +97,18 @@ def worker_main(
     # their pre-rename tempfiles must not be unlinked under them.  The
     # service-owned store sweeps at startup instead.
     store = ResultStore(store_dir, sweep_tmp=False)
+    supervisor = os.getppid()
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=PARENT_POLL_S)
+        except queue.Empty:
+            if os.getppid() != supervisor:
+                # The supervisor died without sending the poison pill
+                # (SIGKILL).  This process inherited the task queue's
+                # write end, so a plain get() would never see EOF and
+                # the worker would outlive its service as an orphan.
+                return
+            continue
         if task is None:
             return
         # a task is a batch of members sharing a build signature; they
@@ -90,13 +116,13 @@ def worker_main(
         # started/done/error message.
         for member in task:
             _run_member(
-                worker_id, result_queue, store, cache_dir, checkpoint_every, plan, member
+                worker_id, results, store, cache_dir, checkpoint_every, plan, member
             )
 
 
 def _run_member(
     worker_id: int,
-    result_queue,
+    results,
     store,
     cache_dir: Optional[str],
     checkpoint_every: int,
@@ -120,7 +146,7 @@ def _run_member(
     from repro.experiments.runner import checkpoint_path, execute_job, simulate
 
     job_id, attempt, spec_dict, key = member
-    result_queue.put((MSG_STARTED, worker_id, job_id, attempt, {}))
+    results.send((MSG_STARTED, worker_id, job_id, attempt, {}))
     trial = attempt - 1
     t0 = time.perf_counter_ns()
     try:
@@ -205,7 +231,7 @@ def _run_member(
             trace=trace,
             trace_metadata={"job_id": job_id, "workload": spec.workload},
         )
-        result_queue.put(
+        results.send(
             (
                 MSG_DONE,
                 worker_id,
@@ -219,7 +245,7 @@ def _run_member(
             )
         )
     except ChaosError as exc:
-        result_queue.put(
+        results.send(
             (
                 MSG_CHAOS,
                 worker_id,
@@ -229,7 +255,7 @@ def _run_member(
             )
         )
     except BaseException as exc:  # report and keep serving
-        result_queue.put(
+        results.send(
             (
                 MSG_ERROR,
                 worker_id,
@@ -250,6 +276,8 @@ class WorkerHandle:
     worker_id: int
     process: mp.Process
     task_queue: Any
+    #: read end of the worker's result pipe.
+    results: Any
     #: batch members assigned to this worker: job_id -> attempt.
     #: Members are removed one by one as their completion messages
     #: drain; empty = idle.
@@ -287,7 +315,6 @@ class WorkerPool:
         #: simulation phases between worker checkpoints (0 disables).
         self.checkpoint_every = max(0, int(checkpoint_every))
         self._ctx = _mp_context()
-        self.result_queue = self._ctx.Queue()
         self.workers: dict[int, WorkerHandle] = {}
         self._next_worker_id = 0
 
@@ -296,12 +323,13 @@ class WorkerPool:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         task_queue = self._ctx.Queue(maxsize=1)
+        results, results_w = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
             args=(
                 worker_id,
                 task_queue,
-                self.result_queue,
+                results_w,
                 self.store_dir,
                 self.cache_dir,
                 self.checkpoint_every,
@@ -310,7 +338,12 @@ class WorkerPool:
             name=f"repro-serve-worker-{worker_id}",
         )
         process.start()
-        handle = WorkerHandle(worker_id=worker_id, process=process, task_queue=task_queue)
+        # the worker holds the only write end, so once it dies its pipe
+        # reads as EOF instead of blocking on a torn message
+        results_w.close()
+        handle = WorkerHandle(
+            worker_id=worker_id, process=process, task_queue=task_queue, results=results
+        )
         self.workers[worker_id] = handle
         return handle
 
@@ -327,6 +360,8 @@ class WorkerPool:
         old = self.workers.pop(worker_id, None)
         if old is not None and old.process.is_alive():  # pragma: no cover - guard
             old.process.terminate()
+        # the old result pipe closes when its handle is collected, not
+        # here: the supervisor may be reading it from another thread
         return self._spawn()
 
     def kill(self, worker_id: int) -> None:
@@ -355,7 +390,22 @@ class WorkerPool:
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=1.0)
+            handle.results.close()
         self.workers.clear()
+
+    # -- messages -------------------------------------------------------------
+    def messages(self) -> list[tuple]:
+        """Every complete message the workers have sent so far, each
+        worker's in the order it sent them.  A dead worker's pipe ends
+        in EOF (or a message torn by the kill) and yields nothing more."""
+        out = []
+        for handle in list(self.workers.values()):
+            try:
+                while handle.results.poll():
+                    out.append(handle.results.recv())
+            except (EOFError, OSError):
+                pass
+        return out
 
     # -- assignment -----------------------------------------------------------
     def idle_workers(self) -> list[WorkerHandle]:

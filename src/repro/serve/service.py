@@ -52,7 +52,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -613,15 +612,8 @@ class SimulationService:
                 self._stop.wait(self.config.poll_interval_s)
 
     def _drain_results(self) -> bool:
-        progressed = False
-        while True:
-            try:
-                kind, worker_id, job_id, attempt, detail = (
-                    self.pool.result_queue.get_nowait()
-                )
-            except queue.Empty:
-                return progressed
-            progressed = True
+        messages = self.pool.messages()
+        for kind, worker_id, job_id, attempt, detail in messages:
             with self._lock:
                 handle = self.pool.workers.get(worker_id)
                 record = self._jobs.get(job_id)
@@ -668,6 +660,7 @@ class SimulationService:
                     # a *reported* error is deterministic - fail fast.
                     record.error = detail.get("error", "unknown worker error")
                     self._finish(record, JobState.FAILED)
+        return bool(messages)
 
     def _check_workers(self) -> None:
         now = time.monotonic()  # handle.deadline is monotonic
@@ -698,8 +691,8 @@ class SimulationService:
         Members execute in assignment order and every result is durably
         stored *before* its completion message is sent, so the batch
         decomposes deterministically even when the per-member progress
-        messages died with the worker (a SIGKILL can race the queue's
-        feeder thread):
+        messages died with the worker (a SIGKILL can land between the
+        store write and the message, or tear the message):
 
         * a member whose result already reached the store finished -
           only the message was lost.  Finalize it as DONE.

@@ -1,0 +1,213 @@
+"""Golden-counter matrix: pinned simulated results for every service branch.
+
+Each cell is one small, oversubscribed simulation (4 MiB of data on a
+2 MiB GPU, one VABlock of device memory, unless the cell says otherwise).
+The matrix covers every registered workload under the four replay
+policies with prefetch on and off, every ``uvmrepro compare`` preset
+that changes how faults are serviced, and the memory-advise paths
+(pinned host, read-mostly with writes, host re-reads and host writes of
+duplicated data, counter-triggered promotion of remote blocks).
+
+For each cell the fixture pins ``total_time_ns``, ``gpu_phases``,
+faults read/serviced, evictions, and a sha256 over the full counter
+dict, the timer's nanosecond and operation-count dicts and the DMA
+totals.  ``tests/integration/test_golden_counters.py`` asserts every
+cell; a change to the simulator that moves any simulated bit fails it.
+
+Regenerate (only when a change is *meant* to alter simulated results)::
+
+    PYTHONPATH=src python -m tests.golden --write
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from dataclasses import asdict
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+from repro.cli import _VARIANTS
+from repro.core.driver import DriverConfig, RunResult, UvmDriver
+from repro.core.replay import ReplayPolicyKind
+from repro.experiments.runner import ExperimentSetup, simulate
+from repro.gpu.device import GpuDeviceConfig
+from repro.gpu.warp import WarpStream
+from repro.mem.address_space import AddressSpace
+from repro.mem.advise import MemAdvise
+from repro.sim.rng import SimRng
+from repro.units import MiB
+from repro.workloads.base import HostAccess, KernelPhase
+from repro.workloads.registry import all_workload_names, make_workload
+
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "golden_counters.json"
+
+DATA_BYTES = 4 * MiB
+GPU_BYTES = 2 * MiB
+#: compare presets whose service path differs from the stock one.
+PRESETS = (
+    "threshold-1",
+    "adaptive",
+    "thrashing-mitigation",
+    "origin-prefetch",
+    "access-counter-eviction",
+)
+#: the workloads each preset runs on: a scattered, a tiled and a
+#: multigrid access pattern (hpgmg evicts and re-faults the most).
+PRESET_WORKLOADS = ("random", "sgemm", "hpgmg")
+
+
+def _base_setup() -> ExperimentSetup:
+    return ExperimentSetup().with_gpu(memory_bytes=GPU_BYTES)
+
+
+def _workload_cell(name: str, policy: ReplayPolicyKind, prefetch: bool):
+    setup = _base_setup().with_driver(replay_policy=policy, prefetch_enabled=prefetch)
+    return lambda: simulate(make_workload(name, DATA_BYTES), setup)
+
+
+def _preset_cell(preset: str, name: str):
+    setup = _VARIANTS[preset](_base_setup())
+    return lambda: simulate(make_workload(name, DATA_BYTES), setup)
+
+
+def touch_driver(advise, phases, writes_frac=0.0, gpu_mib=2, data_mib=4,
+                 driver_config=None, track_counters=False, seed=1) -> UvmDriver:
+    """One stream per page (or the given kernel phases) over one advised
+    range, the way ``tests/integration/test_memadvise.py`` builds runs."""
+    space = AddressSpace()
+    buf = space.malloc_managed(data_mib * MiB, name="data")
+    if advise is not None:
+        space.mem_advise("data", advise)
+    pages = buf.pages()
+    if phases is None:
+        writes = np.zeros(len(pages), dtype=bool)
+        writes[: int(len(pages) * writes_frac)] = True
+        streams = [
+            WarpStream(i, np.array([p]), np.array([w]))
+            for i, (p, w) in enumerate(zip(pages, writes))
+        ]
+        kwargs = {"streams": streams}
+    else:
+        kwargs = {"phases": phases(pages)}
+    return UvmDriver(
+        space=space,
+        driver_config=driver_config or DriverConfig(),
+        gpu_config=GpuDeviceConfig(
+            memory_bytes=gpu_mib * MiB, track_access_counters=track_counters
+        ),
+        rng=SimRng(seed),
+        **kwargs,
+    )
+
+
+def _two_kernels(host_writes: bool, host_pages: slice):
+    """Kernel 1 reads every page, the host touches some, kernel 2 re-reads."""
+
+    def phases(pages):
+        k1 = [WarpStream(i, np.array([p])) for i, p in enumerate(pages)]
+        k2 = [WarpStream(10_000 + i, np.array([p])) for i, p in enumerate(pages)]
+        host = HostAccess(pages=pages[host_pages], writes=host_writes)
+        return [KernelPhase(streams=k1), KernelPhase(streams=k2, host_before=host)]
+
+    return phases
+
+
+def hot_remote(pages):
+    """Eight streams re-reading the whole range eight times each."""
+    return [KernelPhase(streams=[WarpStream(i, np.tile(pages, 8)) for i in range(8)])]
+
+
+def _advise_cells() -> dict[str, Callable[[], RunResult]]:
+    rm = MemAdvise.READ_MOSTLY
+    return {
+        "advise/pinned_host": lambda: touch_driver(MemAdvise.PINNED_HOST, None).run(),
+        "advise/read_mostly_writes": lambda: touch_driver(rm, None, writes_frac=0.25).run(),
+        "advise/read_mostly_host_reread": lambda: touch_driver(
+            rm, _two_kernels(False, slice(None)), gpu_mib=8
+        ).run(),
+        "advise/read_mostly_host_writes": lambda: touch_driver(
+            rm, _two_kernels(True, slice(0, 512)), gpu_mib=8
+        ).run(),
+        "advise/migrate_host_reread": lambda: touch_driver(
+            None, _two_kernels(False, slice(0, 700))
+        ).run(),
+        "advise/counter_promotion": lambda: touch_driver(
+            MemAdvise.PINNED_HOST,
+            hot_remote,
+            gpu_mib=8,
+            driver_config=DriverConfig(counter_migration=True),
+            track_counters=True,
+            seed=2,
+        ).run(),
+    }
+
+
+def cells() -> dict[str, Callable[[], RunResult]]:
+    """Every cell of the matrix, by id."""
+    out: dict[str, Callable[[], RunResult]] = {}
+    for name in all_workload_names():
+        for policy in ReplayPolicyKind:
+            for prefetch in (True, False):
+                cell_id = f"{name}/{policy.value}/{'pf' if prefetch else 'no_pf'}"
+                out[cell_id] = _workload_cell(name, policy, prefetch)
+    for preset in PRESETS:
+        for name in PRESET_WORKLOADS:
+            out[f"preset/{preset}/{name}"] = _preset_cell(preset, name)
+    out.update(_advise_cells())
+    return out
+
+
+def summarize(result: RunResult) -> dict:
+    """The pinned record of one cell."""
+    full = {
+        "counters": result.counters.as_dict(),
+        "timer_ns": result.timer.as_dict(),
+        "timer_counts": result.timer.counts_as_dict(),
+        "dma": asdict(result.dma),
+    }
+    digest = hashlib.sha256(json.dumps(full, sort_keys=True).encode()).hexdigest()
+    return {
+        "total_time_ns": result.total_time_ns,
+        "gpu_phases": result.gpu_phases,
+        "faults_read": result.faults_read,
+        "faults_serviced": result.faults_serviced,
+        "evictions": result.evictions,
+        "sha256": digest,
+    }
+
+
+def load() -> dict[str, dict]:
+    return json.loads(FIXTURE.read_text())["cells"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true", help="rewrite the fixture")
+    args = parser.parse_args(argv)
+    records = {cell_id: summarize(run()) for cell_id, run in cells().items()}
+    if args.write:
+        doc = {
+            "description": (
+                "Golden simulated results per cell; regenerate with "
+                "`PYTHONPATH=src python -m tests.golden --write`."
+            ),
+            "cells": records,
+        }
+        FIXTURE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(records)} cells to {FIXTURE}")
+        return 0
+    pinned = load()
+    bad = sorted(k for k in records.keys() | pinned.keys() if records.get(k) != pinned.get(k))
+    for cell_id in bad:
+        print(f"{cell_id}: {records.get(cell_id)} != pinned {pinned.get(cell_id)}")
+    print(f"{len(records) - len(bad)}/{len(records)} cells match")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -262,3 +262,39 @@ class TestFleetUnderShardLoss:
         finally:
             server.shutdown()
             server.server_close()
+
+
+def _process_gone(pid: int) -> bool:
+    """Exited (or a zombie nobody reaped yet)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs procfs")
+class TestShardKillLeavesNoWorker:
+    def test_warm_worker_exits_after_its_shard_is_sigkilled(self, tmp_path):
+        proc, url = _start_shard(tmp_path, "lone", None)
+        try:
+            client = ServiceClient(url, timeout_s=30.0)
+            record = client.submit(_specs()[0])
+            final = client.wait(record["job_id"], timeout_s=120.0, poll_s=0.05)
+            assert final["state"] == "done"
+            worker_pid = client.result(record["job_id"])["meta"]["worker_pid"]
+            assert worker_pid != proc.pid and not _process_gone(worker_pid)
+
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while not _process_gone(worker_pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert _process_gone(worker_pid), (
+                f"worker {worker_pid} outlived its SIGKILLed shard"
+            )
+        finally:
+            _drain_pipe(proc)
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.serve.client import ServiceClient, ServiceClientError
 from repro.serve.http_api import serve_http
+from repro.serve.jobs import JobSpec
 from repro.serve.service import ServiceConfig, SimulationService
 from repro.units import MiB
 
@@ -24,13 +25,16 @@ WORKLOADS = ["random", "stream", "sgemm", "regular"]
 
 
 def make_specs(n):
-    """n distinct tiny specs across >= 3 workloads."""
+    """n distinct tiny specs across >= 3 workloads.
+
+    Sizes step by 2 MiB: sgemm rounds 3 and 4 MiB to the same matrix,
+    and two specs with one key would race for the store."""
     specs = []
     for i in range(n):
         specs.append(
             {
                 "workload": WORKLOADS[i % len(WORKLOADS)],
-                "data_bytes": (2 + (i // len(WORKLOADS)) % 3) * MiB,
+                "data_bytes": (2 + 2 * ((i // len(WORKLOADS)) % 3)) * MiB,
                 "seed": 1000 + i // (len(WORKLOADS) * 3),
                 "gpu": {"memory_bytes": 16 * MiB},
             }
@@ -60,6 +64,8 @@ class TestConcurrentLoad:
         svc, client = service
         specs = make_specs(self.N_JOBS)
         assert len({s["workload"] for s in specs}) >= 3
+        keys = {JobSpec.from_dict(s).cache_key() for s in specs}
+        assert len(keys) == self.N_JOBS  # every job is its own simulation
 
         # -- wave 1: concurrent submission over HTTP ------------------------
         with ThreadPoolExecutor(max_workers=16) as pool:

@@ -10,6 +10,7 @@ from repro.gpu.fault_buffer import FaultEntry
 from repro.mem.address_space import AddressSpace
 from repro.mem.residency import ResidencyState
 from repro.units import MiB
+from tests.pagelists import make_resident
 
 N_PAGES = 2048  # 4 VABlocks
 
@@ -22,7 +23,7 @@ def fresh_residency(resident_pages):
     if resident_pages.size:
         for vb in np.unique(resident_pages // 512):
             state.back_vablock(int(vb))
-        state.make_resident(resident_pages)
+        make_resident(state, resident_pages)
     return state
 
 

@@ -1,16 +1,21 @@
 """Reference oracles for the per-bin and per-phase hot paths.
 
-The density prefetcher and the PTE count run on every VABlock bin, and
-the wavefront selection, uTLB raise and stream scan run on every GPU
-phase, so they are written for low per-call cost (Python-int bitsets,
-run checks on sorted pages, a partition instead of a full sort, window
-views).  The straightforward forms they replaced live here as
-executable specifications, and every field of every result must match:
+The density prefetcher, the PTE count and the span transitions run on
+every VABlock bin, and the wavefront selection, uTLB raise and stream
+scan run on every GPU phase, so they are written for low per-call cost
+(Python-int bitsets, boolean leaf masks over one VABlock's span, a
+partition instead of a full sort, window views).  The straightforward
+forms they replaced live here as executable specifications, and every
+field of every result must match:
 
 * :func:`reference_compute` is the slice-sum density-tree walk over
   numpy masks (Section IV-A),
 * :func:`reference_effective_ptes` counts pages per 64 KB group with
   ``np.unique``,
+* :func:`reference_map_pages` / :func:`reference_unmap_pages` are the
+  page-table updates over global page-index arrays,
+* :func:`reference_make_resident` and :func:`reference_evict` are the
+  residency transitions over global page-index arrays,
 * ``jitter_order(..., limit=k)`` is the full stable order cut at ``k``,
 * :func:`reference_raise` is the per-entry raise / push / forget loop,
 * :meth:`WarpStream.advance` is the per-stream scan,
@@ -23,17 +28,22 @@ VABlock with big pages of 1-16 leaves.
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.driver import UvmDriver
 from repro.core.prefetch import PrefetchDecision, TreePrefetcher
+from repro.errors import SimulationError
 from repro.gpu.soa import SoaStreams, advance_batch
 from repro.gpu.tlb import UTlbArray
 from repro.gpu.warp import WarpStream
 from repro.mem.address_space import AddressSpace
+from repro.mem.page_table import MappingStats, PageTable
+from repro.mem.residency import ResidencyState
 from repro.sim.rng import SimRng
 from repro.units import MiB, PAGE_SIZE
+from tests.pagelists import leaf_masks
 
 
 def reference_compute(
@@ -45,13 +55,13 @@ def reference_compute(
     resident_leaves = np.asarray(resident_leaves, dtype=bool)
     faulted_offsets = np.asarray(faulted_offsets, dtype=np.int64)
     if faulted_offsets.size == 0:
-        return PrefetchDecision(prefetch_offsets=np.empty(0, dtype=np.int64))
+        return PrefetchDecision(prefetch_mask=np.zeros(ppv, dtype=bool))
 
     demand = np.zeros(ppv, dtype=bool)
     demand[faulted_offsets] = True
     occ = resident_leaves | demand
     pending = np.zeros(ppv, dtype=bool)
-    decision = PrefetchDecision(prefetch_offsets=np.empty(0, dtype=np.int64))
+    decision = PrefetchDecision(prefetch_mask=np.zeros(ppv, dtype=bool))
 
     for g in np.unique(faulted_offsets // ppb):
         lo, hi = int(g) * ppb, (int(g) + 1) * ppb
@@ -75,8 +85,7 @@ def reference_compute(
         decision.region_sizes.append(size)
         decision.max_region = max(decision.max_region, size)
 
-    prefetch_mask = pending & ~demand & ~resident_leaves
-    decision.prefetch_offsets = np.flatnonzero(prefetch_mask).astype(np.int64)
+    decision.prefetch_mask = pending & ~demand & ~resident_leaves
     decision.tree_added = decision.count - decision.upgraded
     return decision
 
@@ -134,7 +143,9 @@ def test_compute_matches_slice_sum_reference(case):
     got = pf.compute(resident, faults)
     want = reference_compute(pf, resident, faults)
     assert np.array_equal(resident, before)
-    assert got.prefetch_offsets.dtype == want.prefetch_offsets.dtype
+    assert got.prefetch_mask.dtype == want.prefetch_mask.dtype == np.bool_
+    assert got.prefetch_mask.shape == want.prefetch_mask.shape == resident.shape
+    assert np.array_equal(got.prefetch_mask, want.prefetch_mask)
     assert np.array_equal(got.prefetch_offsets, want.prefetch_offsets)
     assert got.upgraded == want.upgraded
     assert got.tree_added == want.tree_added
@@ -166,8 +177,289 @@ def pte_case(draw):
 @settings(max_examples=400, deadline=None)
 def test_effective_ptes_matches_unique_count(case):
     ppb, pages = case
-    got = _servicer(ppb)._effective_ptes(pages)
+    servicer = _servicer(ppb)
+    # big pages never straddle VABlocks: the per-block mask counts add up
+    got = 0
+    for _vb, leaves in leaf_masks(servicer.space, pages):
+        got += servicer._effective_ptes(leaves, int(leaves.sum()))
     assert got == reference_effective_ptes(pages, ppb)
+
+
+# -- per-bin: page-table spans -------------------------------------------------
+
+
+def reference_map_pages(mapped: np.ndarray, stats: MappingStats, pages) -> int:
+    pages = np.asarray(pages, dtype=np.int64)
+    if pages.size == 0:
+        return 0
+    was_mapped = mapped[pages]
+    mapped[pages] = True
+    stats.pages_mapped += int(pages.size)
+    return int(pages.size - np.count_nonzero(was_mapped))
+
+
+def reference_unmap_pages(mapped: np.ndarray, stats: MappingStats, pages) -> int:
+    pages = np.asarray(pages, dtype=np.int64)
+    if pages.size == 0:
+        return 0
+    if not mapped[pages].all():
+        raise SimulationError("unmap of non-mapped pages")
+    mapped[pages] = False
+    stats.pages_unmapped += int(pages.size)
+    return int(pages.size)
+
+
+def _small_space(ppv: int, n_vablocks: int) -> AddressSpace:
+    space = AddressSpace(
+        big_page_size=min(16, ppv) * PAGE_SIZE, vablock_size=ppv * PAGE_SIZE
+    )
+    space.malloc_managed(n_vablocks * ppv * PAGE_SIZE)
+    return space
+
+
+@st.composite
+def mapping_ops(draw):
+    ppv = draw(st.sampled_from([16, 64, 512]))
+    n_vablocks = 3
+    ops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        kind = draw(st.sampled_from(["map", "unmap", "unmap_mapped"]))
+        if draw(st.booleans()):
+            # one VABlock's span, as the service path holds it
+            vb = draw(st.integers(min_value=0, max_value=n_vablocks - 1))
+            offsets = draw(st.lists(st.integers(0, ppv - 1), max_size=ppv, unique=True))
+            ops.append((kind, vb * ppv, [vb * ppv + o for o in sorted(offsets)]))
+        else:
+            # unique pages in any order across VABlocks (the CPU-fault path)
+            pages = st.integers(0, n_vablocks * ppv - 1)
+            ops.append((kind, None, draw(st.lists(pages, max_size=2 * ppv, unique=True))))
+    return ppv, n_vablocks, ops
+
+
+@given(mapping_ops())
+@settings(max_examples=400, deadline=None)
+def test_page_table_spans_match_index_arrays(case):
+    """``map_span``/``unmap_span`` on one block's leaves and
+    ``map_pages``/``unmap_pages`` on scattered lists, interleaved."""
+    ppv, n_vablocks, ops = case
+    table = PageTable(_small_space(ppv, n_vablocks), side="host")
+    mapped = np.zeros(ppv * n_vablocks, dtype=bool)
+    stats = MappingStats()
+    for kind, start, pages in ops:
+        if kind == "unmap_mapped":
+            # mostly-valid unmaps: restrict to what is mapped
+            pages = [p for p in pages if mapped[p]]
+        pages = np.array(pages, dtype=np.int64)
+        if start is None:
+            map_op, unmap_op, arg = PageTable.map_pages, PageTable.unmap_pages, (pages,)
+        else:
+            leaves = np.zeros(ppv, dtype=bool)
+            leaves[pages - start] = True
+            map_op, unmap_op, arg = PageTable.map_span, PageTable.unmap_span, (start, leaves)
+        if kind == "map":
+            assert map_op(table, *arg) == reference_map_pages(mapped, stats, pages)
+        else:
+            try:
+                want = reference_unmap_pages(mapped, stats, pages)
+            except SimulationError:
+                with pytest.raises(SimulationError, match="unmap of non-mapped"):
+                    unmap_op(table, *arg)
+            else:
+                assert unmap_op(table, *arg) == want
+        assert np.array_equal(table.mapped, mapped)
+        assert table.stats == stats
+
+
+# -- per-bin: residency transitions --------------------------------------------
+
+RESIDENCY_ARRAYS = (
+    "resident",
+    "writable",
+    "duplicated",
+    "remote_mapped",
+    "dirty",
+    "backed",
+    "resident_count",
+    "evict_count",
+    "read_ok",
+    "write_ok",
+)
+
+
+def reference_make_resident(state, pages, writing=False, writable=True, duplicated=False):
+    """The index-array transition (flags: bools or masks aligned with pages)."""
+    pages = np.asarray(pages, dtype=np.int64)
+    if pages.size == 0:
+        return 0
+    ppv = state.pages_per_vablock
+    vbs = pages // ppv
+    if not state.backed[vbs].all():
+        raise SimulationError("making pages resident in unbacked VABlocks")
+    if state.remote_mapped[pages].any():
+        raise SimulationError("migrating pages that are remote-mapped")
+    writing_m = np.broadcast_to(np.asarray(writing, dtype=bool), pages.shape)
+    writable_m = np.broadcast_to(np.asarray(writable, dtype=bool), pages.shape)
+    duplicated_m = np.broadcast_to(np.asarray(duplicated, dtype=bool), pages.shape)
+    if (writing_m & ~writable_m).any():
+        raise SimulationError("writing through a read-only mapping")
+    if (duplicated_m & writable_m).any():
+        raise SimulationError("a duplicated copy cannot be writable")
+    was_resident = state.resident[pages]
+    state.resident[pages] = True
+    state.writable[pages] |= writable_m
+    state.duplicated[pages] = duplicated_m & ~state.writable[pages]
+    state.dirty[pages[writing_m]] = True
+    np.add.at(state.resident_count, pages[~was_resident] // ppv, 1)
+    state.read_ok[pages] = state.resident[pages] | state.remote_mapped[pages]
+    state.write_ok[pages] = (
+        state.resident[pages] & state.writable[pages]
+    ) | state.remote_mapped[pages]
+    return int(pages.size - np.count_nonzero(was_resident))
+
+
+def reference_evict(state, vablock_id):
+    """The index-array teardown: resident and dirty pages, then clear."""
+    start, stop = state.space.page_span_of_vablock(vablock_id)
+    res = state.resident[start:stop]
+    resident_pages = np.flatnonzero(res) + start
+    dirty_pages = np.flatnonzero(res & state.dirty[start:stop]) + start
+    for name in ("resident", "writable", "duplicated", "dirty"):
+        getattr(state, name)[start:stop] = False
+    state.backed[vablock_id] = False
+    state.resident_count[vablock_id] = 0
+    state.evict_count[vablock_id] += 1
+    span = np.arange(start, stop)
+    state.read_ok[span] = state.resident[span] | state.remote_mapped[span]
+    state.write_ok[span] = (
+        state.resident[span] & state.writable[span]
+    ) | state.remote_mapped[span]
+    return resident_pages, dirty_pages
+
+
+def _same_residency(a: ResidencyState, b: ResidencyState) -> None:
+    for name in RESIDENCY_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+#: flag modes of a make_resident call: the stock migration, the read-
+#: mostly split, read-only copies, and combinations that must raise.
+FLAG_MODES = ("migrate", "read_mostly", "read_only", "bad_write", "bad_dup")
+
+
+def _flags(mode, draw_bool, writes):
+    if mode == "migrate":
+        return {"writing": writes if draw_bool() else bool(writes.any())}
+    if mode == "read_mostly":
+        return {"writing": writes, "writable": writes, "duplicated": ~writes}
+    if mode == "read_only":
+        return {"writable": False, "duplicated": writes if draw_bool() else True}
+    if mode == "bad_write":
+        return {"writing": True, "writable": ~writes if draw_bool() else False}
+    return {"writable": True, "duplicated": writes if writes.any() else True}
+
+
+@st.composite
+def residency_case(draw):
+    ppv = draw(st.sampled_from([16, 64, 512]))
+    n_vablocks = 3
+    leaf_lists = st.lists(st.integers(0, ppv - 1), min_size=1, max_size=ppv, unique=True)
+    # a history of index-array transitions builds the starting state
+    history = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        vb = draw(st.integers(min_value=0, max_value=n_vablocks - 1))
+        offsets = sorted(draw(leaf_lists))
+        writes = draw(st.lists(st.booleans(), min_size=len(offsets), max_size=len(offsets)))
+        kind = draw(st.sampled_from(["migrate", "read_mostly", "remote", "evict"]))
+        history.append((kind, vb, offsets, np.array(writes, dtype=bool)))
+    vb = draw(st.integers(min_value=0, max_value=n_vablocks - 1))
+    offsets = sorted(draw(leaf_lists))
+    writes = np.array(
+        draw(st.lists(st.booleans(), min_size=len(offsets), max_size=len(offsets))),
+        dtype=bool,
+    )
+    mode = draw(st.sampled_from(FLAG_MODES))
+    flags = _flags(mode, lambda: draw(st.booleans()), writes)
+    back = draw(st.booleans())
+    return ppv, n_vablocks, history, (vb, offsets, flags, back)
+
+
+def _replay_history(state, ppv, history):
+    for kind, vb, offsets, writes in history:
+        pages = np.array(offsets, dtype=np.int64) + vb * ppv
+        if kind == "evict":
+            if state.backed[vb]:
+                reference_evict(state, vb)
+            continue
+        if kind == "remote":
+            pages = pages[~state.resident[pages]]
+            state.remote_mapped[pages] = True
+            state.read_ok[pages] = state.write_ok[pages] = True
+            continue
+        pages_ok = ~state.remote_mapped[pages]
+        pages, writes = pages[pages_ok], writes[pages_ok]
+        if not state.backed[vb]:
+            state.backed[vb] = True
+        if kind == "migrate":
+            reference_make_resident(state, pages, writing=writes)
+        else:
+            reference_make_resident(
+                state, pages, writing=writes, writable=writes, duplicated=~writes
+            )
+
+
+def _leaf_flag(value, ppv, offsets):
+    if np.ndim(value) == 0:
+        return bool(value)
+    mask = np.zeros(ppv, dtype=bool)
+    mask[offsets] = value
+    return mask
+
+
+@given(residency_case())
+@settings(max_examples=400, deadline=None)
+def test_make_resident_span_matches_index_arrays(case):
+    ppv, n_vablocks, history, (vb, offsets, flags, back) = case
+    span_state = ResidencyState(_small_space(ppv, n_vablocks))
+    ref_state = ResidencyState(_small_space(ppv, n_vablocks))
+    _replay_history(span_state, ppv, history)
+    _replay_history(ref_state, ppv, history)
+    if back:
+        for state in (span_state, ref_state):
+            state.backed[vb] = True
+    pages = np.array(offsets, dtype=np.int64) + vb * ppv
+    leaves = np.zeros(ppv, dtype=bool)
+    leaves[offsets] = True
+    leaf_flags = {k: _leaf_flag(v, ppv, offsets) for k, v in flags.items()}
+    try:
+        want = reference_make_resident(ref_state, pages, **flags)
+    except SimulationError as exc:
+        with pytest.raises(SimulationError, match=str(exc).split(" in ")[0]):
+            span_state.make_resident(vb, leaves, **leaf_flags)
+    else:
+        assert span_state.make_resident(vb, leaves, **leaf_flags) == want
+    _same_residency(span_state, ref_state)
+
+
+@given(residency_case())
+@settings(max_examples=300, deadline=None)
+def test_evict_reports_the_leaves_the_index_arrays_find(case):
+    ppv, n_vablocks, history, (vb, _offsets, _flags, _back) = case
+    span_state = ResidencyState(_small_space(ppv, n_vablocks))
+    ref_state = ResidencyState(_small_space(ppv, n_vablocks))
+    _replay_history(span_state, ppv, history)
+    _replay_history(ref_state, ppv, history)
+    if not span_state.backed[vb]:
+        with pytest.raises(SimulationError, match="evicting unbacked"):
+            span_state.evict_vablock(vb)
+        return
+    evicted = span_state.evict_vablock(vb)
+    resident_pages, dirty_pages = reference_evict(ref_state, vb)
+    start = vb * ppv
+    assert evicted.n_resident == resident_pages.size
+    assert evicted.n_dirty == dirty_pages.size
+    assert np.array_equal(np.flatnonzero(evicted.resident) + start, resident_pages)
+    assert np.array_equal(np.flatnonzero(evicted.dirty) + start, dirty_pages)
+    _same_residency(span_state, ref_state)
 
 
 # -- GPU phase: wavefront selection ------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.mem.address_space import AddressSpace
 from repro.mem.residency import ResidencyState
 from repro.units import MiB
+from tests.pagelists import make_resident
 
 N_VABLOCKS = 4
 N_PAGES = N_VABLOCKS * 512
@@ -45,7 +46,7 @@ def test_invariants_hold_under_any_op_sequence(sequence):
             for vb in np.unique(pages // 512):
                 if not state.backed[vb]:
                     state.back_vablock(int(vb))
-            state.make_resident(pages, writing=write)
+            make_resident(state, pages, writing=write)
         else:
             _, vb = op
             if state.backed[vb]:
@@ -64,7 +65,7 @@ def test_resident_count_equals_bitmap_popcount(sequence):
             for vb in np.unique(pages // 512):
                 if not state.backed[vb]:
                     state.back_vablock(int(vb))
-            state.make_resident(pages, writing=write)
+            make_resident(state, pages, writing=write)
         elif state.backed[op[1]]:
             state.evict_vablock(op[1])
     assert state.total_resident_pages() == int(state.resident.sum())
@@ -81,8 +82,8 @@ def test_make_resident_is_idempotent_and_additive(first, second):
         state.back_vablock(vb)
     a = np.array(first, dtype=np.int64)
     b = np.array(second, dtype=np.int64)
-    n1 = state.make_resident(a)
-    n2 = state.make_resident(b)
+    n1 = make_resident(state, a)
+    n2 = make_resident(state, b)
     assert n1 == len(first)
     assert n2 == np.setdiff1d(b, a).size
     union = np.union1d(a, b)
@@ -96,9 +97,11 @@ def test_evict_drops_exactly_block_pages(pages):
     for vb in range(N_VABLOCKS):
         state.back_vablock(vb)
     pages = np.array(pages, dtype=np.int64)
-    state.make_resident(pages, writing=True)
+    make_resident(state, pages, writing=True)
     in_block0 = int((pages < 512).sum())
-    n_res, n_dirty = state.evict_vablock(0)
-    assert n_res == in_block0
-    assert n_dirty == in_block0  # all written
+    evicted = state.evict_vablock(0)
+    assert evicted.n_resident == in_block0
+    assert evicted.n_dirty == in_block0  # all written
+    assert np.array_equal(np.flatnonzero(evicted.resident), np.sort(pages[pages < 512]))
+    assert np.array_equal(evicted.dirty, evicted.resident)
     assert state.total_resident_pages() == pages.size - in_block0

@@ -15,6 +15,7 @@ from repro.mem.residency import ResidencyState
 from repro.sim.rng import SimRng
 from repro.units import MiB, VABLOCK_SIZE
 from repro.workloads.registry import make_workload
+from tests.pagelists import make_resident
 
 
 @pytest.fixture
@@ -197,7 +198,7 @@ def test_check_eviction_postconditions():
     lru = LruEvictionPolicy()
     res.back_vablock(0)
     lru.insert(0)
-    res.make_resident(np.arange(4, dtype=np.int64))
+    make_resident(res, np.arange(4, dtype=np.int64))
     with pytest.raises(SanitizerError, match="still backed"):
         san.check_eviction(res, 0, lru)
     res.evict_vablock(0)
@@ -214,7 +215,7 @@ def test_check_prefetch_rejects_resident_and_unbacked():
     with pytest.raises(SanitizerError, match="without physical backing"):
         san.check_prefetch(res, 0, np.array([1], dtype=np.int64))
     res.back_vablock(0)
-    res.make_resident(np.array([1], dtype=np.int64))
+    make_resident(res, np.array([1], dtype=np.int64))
     with pytest.raises(SanitizerError, match="already-resident"):
         san.check_prefetch(res, 0, np.array([1], dtype=np.int64))
     with pytest.raises(SanitizerError, match="escaped"):

@@ -9,6 +9,7 @@ from repro.gpu.fault_buffer import FaultBuffer, FaultEntry
 from repro.mem.address_space import AddressSpace
 from repro.mem.residency import ResidencyState
 from repro.units import MiB
+from tests.pagelists import make_resident
 
 
 def entry(page, write=False, t=0, stream=0, sm=0):
@@ -93,7 +94,7 @@ class TestPreprocess:
 
     def test_stale_duplicates_filtered(self, residency):
         residency.back_vablock(0)
-        residency.make_resident(np.array([5]))
+        make_resident(residency, np.array([5]))
         batch = self._batch([entry(5), entry(6)])
         pre = preprocess_batch(batch, residency)
         assert pre.n_duplicate == 1
@@ -115,7 +116,7 @@ class TestPreprocess:
 
     def test_entry_duplicate_mask_alignment(self, residency):
         residency.back_vablock(0)
-        residency.make_resident(np.array([1]))
+        make_resident(residency, np.array([1]))
         batch = self._batch([entry(1), entry(2), entry(2), entry(3)])
         pre = preprocess_batch(batch, residency)
         assert pre.entry_duplicate.tolist() == [True, False, True, False]
@@ -127,7 +128,7 @@ class TestPreprocess:
 
     def test_all_stale_batch(self, residency):
         residency.back_vablock(0)
-        residency.make_resident(np.array([1, 2]))
+        make_resident(residency, np.array([1, 2]))
         pre = preprocess_batch(self._batch([entry(1), entry(2)]), residency)
         assert pre.n_duplicate == 2
         assert pre.bins == []

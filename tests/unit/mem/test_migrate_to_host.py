@@ -6,6 +6,7 @@ import pytest
 from repro.mem.address_space import AddressSpace
 from repro.mem.residency import ResidencyState
 from repro.units import MiB
+from tests.pagelists import make_resident
 
 
 @pytest.fixture
@@ -19,7 +20,7 @@ def state():
 
 class TestMigrateToHost:
     def test_moves_only_resident_pages(self, state):
-        state.make_resident(np.array([1, 2, 3]))
+        make_resident(state, np.array([1, 2, 3]))
         moved, dirty = state.migrate_to_host(np.array([2, 3, 4, 5]))
         assert moved == 2
         assert dirty == 0
@@ -27,19 +28,19 @@ class TestMigrateToHost:
         assert not state.resident[[2, 3]].any()
 
     def test_reports_dirty_pages(self, state):
-        state.make_resident(np.array([1, 2]), writing=np.array([True, False]))
+        make_resident(state, np.array([1, 2]), writing=np.array([True, False]))
         moved, dirty = state.migrate_to_host(np.array([1, 2]))
         assert (moved, dirty) == (2, 1)
         assert not state.dirty[[1, 2]].any()
 
     def test_backing_preserved(self, state):
-        state.make_resident(np.array([0]))
+        make_resident(state, np.array([0]))
         state.migrate_to_host(np.array([0]))
         assert state.backed[0]
         assert state.resident_count[0] == 0
 
     def test_counts_stay_consistent(self, state):
-        state.make_resident(np.arange(10))
+        make_resident(state, np.arange(10))
         state.migrate_to_host(np.arange(4))
         state.check_invariants()
         assert state.resident_count[0] == 6
@@ -49,7 +50,7 @@ class TestMigrateToHost:
         assert state.migrate_to_host(np.array([9])) == (0, 0)
 
     def test_round_trip(self, state):
-        state.make_resident(np.array([7]))
+        make_resident(state, np.array([7]))
         state.migrate_to_host(np.array([7]))
-        assert state.make_resident(np.array([7])) == 1
+        assert make_resident(state, np.array([7])) == 1
         state.check_invariants()

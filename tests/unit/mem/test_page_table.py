@@ -1,9 +1,11 @@
 """Unit tests for page-table bookkeeping."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import AddressError, SimulationError
 from repro.mem.address_space import AddressSpace
 from repro.mem.page_table import PageTable
 from repro.units import MiB
@@ -47,6 +49,47 @@ class TestMapping:
     def test_empty_ops_are_noops(self, table):
         assert table.map_pages(np.empty(0, dtype=np.int64)) == 0
         assert table.unmap_pages(np.empty(0, dtype=np.int64)) == 0
+
+    def test_negative_page_rejected(self, table):
+        with pytest.raises(AddressError):
+            table.map_pages(np.array([-1, 3]))
+
+
+def leaves_of(*offsets, n=512):
+    leaves = np.zeros(n, dtype=bool)
+    leaves[list(offsets)] = True
+    return leaves
+
+
+class TestSpans:
+    def test_map_span_counts_new_and_pte_writes(self, table):
+        assert table.map_span(0, leaves_of(0, 1)) == 2
+        assert table.map_span(0, leaves_of(1, 2)) == 1
+        assert table.stats.pages_mapped == 4
+        assert np.flatnonzero(table.mapped).tolist() == [0, 1, 2]
+
+    def test_unmap_span(self, table):
+        table.map_span(0, leaves_of(3, 4, 5))
+        assert table.unmap_span(0, leaves_of(3, 5)) == 2
+        assert np.flatnonzero(table.mapped).tolist() == [4]
+        assert table.stats.pages_unmapped == 2
+
+    def test_unmap_span_of_unmapped_rejected(self, table):
+        table.map_span(0, leaves_of(3))
+        with pytest.raises(SimulationError):
+            table.unmap_span(0, leaves_of(3, 4))
+
+    def test_span_outside_table_rejected(self, table):
+        with pytest.raises(AddressError):
+            table.map_span(512, leaves_of(0))
+        with pytest.raises(AddressError):
+            table.map_span(0, np.ones(4, dtype=np.int64))
+
+    def test_unpickled_mask_is_a_leaf_mask(self, table):
+        # unpickling builds a new bool dtype object; compare by value
+        leaves = pickle.loads(pickle.dumps(leaves_of(0, 1)))
+        assert table.map_span(0, leaves) == 2
+        assert table.unmap_span(0, leaves) == 2
 
 
 class TestBarriers:

@@ -7,6 +7,7 @@ from repro.errors import SimulationError
 from repro.mem.address_space import AddressSpace
 from repro.mem.residency import ResidencyState
 from repro.units import MiB
+from tests.pagelists import collapse_duplicates, make_resident, map_remote
 
 
 @pytest.fixture
@@ -21,25 +22,25 @@ def state():
 
 class TestPermissions:
     def test_default_migration_maps_writable(self, state):
-        state.make_resident(np.array([1]))
+        make_resident(state, np.array([1]))
         assert state.writable[1]
         assert state.write_ok[1]
         state.check_invariants()
 
     def test_read_only_mapping(self, state):
-        state.make_resident(np.array([1]), writable=False)
+        make_resident(state, np.array([1]), writable=False)
         assert state.read_ok[1]
         assert not state.write_ok[1]
         state.check_invariants()
 
     def test_writing_through_read_only_rejected(self, state):
         with pytest.raises(SimulationError):
-            state.make_resident(np.array([1]), writing=True, writable=False)
+            make_resident(state, np.array([1]), writing=True, writable=False)
 
 
 class TestDuplication:
     def test_duplicate_is_read_only(self, state):
-        state.make_resident(np.array([2]), writable=False, duplicated=True)
+        make_resident(state, np.array([2]), writable=False, duplicated=True)
         assert state.duplicated[2]
         assert state.read_ok[2]
         assert not state.write_ok[2]
@@ -47,22 +48,22 @@ class TestDuplication:
 
     def test_duplicated_and_writable_rejected(self, state):
         with pytest.raises(SimulationError):
-            state.make_resident(np.array([2]), writable=True, duplicated=True)
+            make_resident(state, np.array([2]), writable=True, duplicated=True)
 
     def test_collapse_upgrades_and_dirties(self, state):
-        state.make_resident(np.array([2, 3]), writable=False, duplicated=True)
-        n = state.collapse_duplicates(np.array([2]))
+        make_resident(state, np.array([2, 3]), writable=False, duplicated=True)
+        n = collapse_duplicates(state, np.array([2]))
         assert n == 1
         assert state.writable[2] and state.dirty[2] and not state.duplicated[2]
         assert state.duplicated[3]  # untouched
         state.check_invariants()
 
     def test_collapse_ignores_non_duplicated(self, state):
-        state.make_resident(np.array([5]))
-        assert state.collapse_duplicates(np.array([5, 9])) == 0
+        make_resident(state, np.array([5]))
+        assert collapse_duplicates(state, np.array([5, 9])) == 0
 
     def test_host_invalidation_drops_clean_copies(self, state):
-        state.make_resident(np.array([2, 3]), writable=False, duplicated=True)
+        make_resident(state, np.array([2, 3]), writable=False, duplicated=True)
         n = state.invalidate_duplicates(np.array([2, 3, 4]))
         assert n == 2
         assert not state.resident[[2, 3]].any()
@@ -70,15 +71,15 @@ class TestDuplication:
         state.check_invariants()
 
     def test_migrate_to_host_skips_duplicates(self, state):
-        state.make_resident(np.array([2]), writable=False, duplicated=True)
-        state.make_resident(np.array([3]))
+        make_resident(state, np.array([2]), writable=False, duplicated=True)
+        make_resident(state, np.array([3]))
         moved, dirty = state.migrate_to_host(np.array([2, 3]))
         assert moved == 1  # only the exclusive page
         assert state.resident[2] and state.duplicated[2]
         state.check_invariants()
 
     def test_eviction_clears_duplication_flags(self, state):
-        state.make_resident(np.array([2]), writable=False, duplicated=True)
+        make_resident(state, np.array([2]), writable=False, duplicated=True)
         state.evict_vablock(0)
         assert not state.duplicated[2]
         state.check_invariants()
@@ -86,7 +87,7 @@ class TestDuplication:
 
 class TestRemoteMapping:
     def test_remote_map_enables_access_without_residency(self, state):
-        assert state.map_remote(np.array([7, 8])) == 2
+        assert map_remote(state, np.array([7, 8])) == 2
         assert state.read_ok[[7, 8]].all()
         assert state.write_ok[[7, 8]].all()
         assert not state.resident[[7, 8]].any()
@@ -94,20 +95,20 @@ class TestRemoteMapping:
         state.check_invariants()
 
     def test_remote_map_idempotent(self, state):
-        state.map_remote(np.array([7]))
-        assert state.map_remote(np.array([7])) == 0
+        map_remote(state, np.array([7]))
+        assert map_remote(state, np.array([7])) == 0
 
     def test_remote_and_resident_exclusive(self, state):
-        state.make_resident(np.array([7]))
+        make_resident(state, np.array([7]))
         with pytest.raises(SimulationError):
-            state.map_remote(np.array([7]))
+            map_remote(state, np.array([7]))
 
     def test_migrating_remote_pages_rejected(self, state):
-        state.map_remote(np.array([7]))
+        map_remote(state, np.array([7]))
         with pytest.raises(SimulationError):
-            state.make_resident(np.array([7]))
+            make_resident(state, np.array([7]))
 
     def test_migrate_to_host_ignores_remote(self, state):
-        state.map_remote(np.array([7]))
+        map_remote(state, np.array([7]))
         assert state.migrate_to_host(np.array([7])) == (0, 0)
         assert state.remote_mapped[7]

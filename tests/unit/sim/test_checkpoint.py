@@ -139,6 +139,14 @@ class TestSimulationCheckpointer:
             SimulationCheckpointer(tmp_path / "c.ckpt", every_phases=0)
 
 
+class _Interrupt(Exception):
+    pass
+
+
+def _interrupt(_saves: int) -> None:
+    raise _Interrupt
+
+
 class TestDriverResume:
     """Interrupt a real simulation mid-run and resume it bit-identically."""
 
@@ -193,3 +201,69 @@ class TestDriverResume:
         assert ck.saves > 0
         assert result.total_time_ns == baseline.total_time_ns
         assert result.counters.as_dict() == baseline.counters.as_dict()
+
+    def test_resumed_evicting_run_matches_uninterrupted(self, tmp_path):
+        """Evictions after the resume tear down leaf masks read from the
+        unpickled residency arrays (random, 4 MiB on a 2 MiB GPU)."""
+        from repro.core import counters as C
+        from repro.experiments.runner import (
+            ExperimentSetup,
+            build_driver,
+            execute_job,
+            simulate,
+        )
+        from repro.units import MiB
+        from repro.workloads.registry import make_workload
+
+        workload = make_workload("random", 4 * MiB)
+        setup = ExperimentSetup().with_gpu(memory_bytes=2 * MiB)
+        baseline = simulate(workload, setup)
+
+        ck = SimulationCheckpointer(
+            tmp_path / "run.ckpt", every_phases=2, on_save=_interrupt
+        )
+        with pytest.raises(_Interrupt):
+            build_driver(workload, setup).run(ck)
+        # the run still evicts after the resume point
+        assert ck.load().counters[C.EVICTIONS] < baseline.evictions
+
+        ck.on_save = None
+        result, cache_hit = execute_job(workload, setup, checkpointer=ck)
+        assert ck.resumed and not cache_hit
+        assert result.total_time_ns == baseline.total_time_ns
+        assert result.counters.as_dict() == baseline.counters.as_dict()
+        assert result.timer.as_dict() == baseline.timer.as_dict()
+
+    def test_resumed_promoting_run_matches_uninterrupted(self, tmp_path):
+        """Counter-triggered promotion after the resume migrates remote
+        leaves read from the unpickled residency arrays."""
+        from repro.core import counters as C
+        from repro.core.driver import DriverConfig
+        from repro.mem.advise import MemAdvise
+        from tests.golden import hot_remote, touch_driver
+
+        def build():
+            return touch_driver(
+                MemAdvise.PINNED_HOST,
+                hot_remote,
+                gpu_mib=8,
+                driver_config=DriverConfig(counter_migration=True),
+                track_counters=True,
+                seed=2,
+            )
+
+        baseline = build().run()
+
+        ck = SimulationCheckpointer(
+            tmp_path / "run.ckpt", every_phases=1, on_save=_interrupt
+        )
+        with pytest.raises(_Interrupt):
+            build().run(ck)
+        resumed = ck.load()
+        promoted = C.COUNTER_MIGRATION_BLOCKS
+        assert resumed.counters[promoted] < baseline.counters[promoted]
+
+        result = resumed.run()
+        assert result.total_time_ns == baseline.total_time_ns
+        assert result.counters.as_dict() == baseline.counters.as_dict()
+        assert result.timer.as_dict() == baseline.timer.as_dict()
