@@ -1,4 +1,4 @@
-"""Serve-layer throughput benchmark: cold vs batched vs warm-cache.
+"""Serve-layer throughput benchmark: cold vs tuned vs resubmission.
 
 Measures end-to-end jobs/sec of :class:`SimulationService` on a 64-job
 repeat-heavy mix (16 unique specs spanning 4 batch signatures, each
@@ -8,12 +8,13 @@ submitted 4 times) under three configurations:
   off, sweep memo off, and a fresh store per repeat wave so nothing is
   ever reused.  This is the per-job full-compute path a cache-less
   service would pay for the whole mix.
-* ``batched`` - one service with warm workers, batched dispatch
-  (``batch_max=8``) and the in-memory result tier: unique specs run as
-  signature-grouped batches on warmed builds, repeats are answered from
-  the hot tier at submit.
-* ``warm``    - the same 64-job mix resubmitted to the batched service:
-  pure memory-tier hits.
+* ``batched`` - one tuned service: persistent workers, batched dispatch
+  (``batch_max=8``) and the in-memory result tier.  Each unique spec is
+  simulated once (every run builds its workload afresh); its repeats
+  are answered from the result store at submit.  Result reuse is
+  nearly all of the gain over ``cold``.
+* ``warm``    - the same 64-job mix resubmitted to the tuned service:
+  pure store hits at submit.
 
 Writes ``BENCH_serve_throughput.json`` at the repo root and, with
 ``--check``, exits non-zero when batched throughput is below
@@ -23,9 +24,9 @@ perf-smoke budget.
 ``--gateway`` benchmarks the fleet tier instead: the same 64-job mix
 submitted over HTTP through a consistent-hash gateway
 (:mod:`repro.fleet`) fronting a 3-shard fleet of tuned services,
-against the single-shard cold baseline.  The container has one CPU, so
-the fleet's win comes from what sharding preserves - all repeats of a
-content key route to the same shard's warm workers and memory tier -
+against the single-shard cold baseline.  On a one- or two-CPU host the
+fleet's win comes from what sharding preserves - all repeats of a
+content key route to the same shard and are answered from its store -
 plus shard-parallel queueing, not from raw CPU parallelism.  Writes
 ``BENCH_fleet_throughput.json``; with ``--check`` the budget is
 ``--min-fleet-speedup`` (default 2.0) times cold.
@@ -223,9 +224,9 @@ def run_fleet_benchmark(args: argparse.Namespace) -> int:
             "HTTP through the consistent-hash gateway fronting "
             f"{FLEET_SHARDS} tuned service shards (batch_max=8, memory "
             "tier on), against the single-shard cold baseline (solo "
-            "dispatch, all tiers off, fresh store per wave). One-CPU "
-            "container: the fleet win is key-affinity (repeats hit "
-            "their shard's warm workers and memory tier), not CPU "
+            "dispatch, all tiers off, fresh store per wave). Shared "
+            "2-vCPU VM: the fleet win is key affinity (repeats are "
+            "answered from their shard's store), not CPU "
             "parallelism. Compare ratios, not absolutes."
         ),
         "mix": {
@@ -312,10 +313,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cold: {n_jobs} solo jobs ({len(specs)} unique x {REPEATS}) ...")
         cold_s = bench_cold(specs, scratch)
         print(f"  {cold_s:.2f}s  ({n_jobs / cold_s:.2f} jobs/s)")
-        print("batched: same mix, warm workers + batches + memory tier ...")
+        print("batched: same mix, one tuned service (batches + result reuse) ...")
         batched_s, warm_s, counters = bench_batched(specs, scratch)
         print(f"  {batched_s:.2f}s  ({n_jobs / batched_s:.2f} jobs/s)")
-        print(f"warm: resubmission, pure memory-tier hits ...")
+        print("warm: resubmission, pure store hits ...")
         print(f"  {warm_s:.2f}s  ({n_jobs / warm_s:.2f} jobs/s)")
 
     speedup = (n_jobs / batched_s) / (n_jobs / cold_s)
@@ -325,10 +326,12 @@ def main(argv: list[str] | None = None) -> int:
             "(16 unique specs = 4 batch signatures x 4 driver/cost "
             "variants, each submitted 4 times). cold = solo dispatch, "
             "all tiers off, fresh store per wave (64 full computes); "
-            "batched = one service with warm workers, batch_max=8 and "
-            "the in-memory result tier; warm = the same mix resubmitted "
-            "to that service. Wall times from the growth container "
-            "(1 CPU, shared/noisy - compare ratios, not absolutes)."
+            "batched = one tuned service (persistent workers, "
+            "batch_max=8, in-memory result tier) that simulates each "
+            "unique spec once and answers repeats from its store; "
+            "warm = the same mix resubmitted to that service. Wall "
+            "times from a shared 2-vCPU VM (noisy - compare ratios, "
+            "not absolutes)."
         ),
         "mix": {
             "jobs": n_jobs,

@@ -935,7 +935,7 @@ def main(argv: list[str] | None = None) -> int:
         "--batch-max",
         type=_positive_int,
         default=8,
-        help="max same-signature jobs dispatched to one warm worker as a "
+        help="max same-signature jobs dispatched to one worker as a "
         "batch (1 restores solo dispatch)",
     )
     serve_p.add_argument(

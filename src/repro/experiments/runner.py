@@ -8,28 +8,30 @@ here changes every exhibit consistently.
 
 :func:`run_sweep` is the fleet version: every figure/table is a grid of
 independent ``simulate`` points, so the sweep fans them out over a
-process pool (the work is pure Python/numpy - threads would serialize on
-the GIL) and memoizes each point in a checksummed
-:class:`~repro.serve.store.ResultStore` keyed by (workload spec, setup,
-code version), the job service's format and key.  Re-rendering an
-unchanged figure costs one store read per point.
+process pool, one point per task (the work is pure Python/numpy -
+threads would serialize on the GIL), and memoizes each point in a
+checksummed :class:`~repro.serve.store.ResultStore` keyed by (workload
+spec, setup, code version), the job service's format and key.
+Re-rendering an unchanged figure costs one store read per point.
+
+Results are memoized; workload builds never are.  Every run builds its
+workload afresh, because a vectorised build costs less than a deep copy
+of a memoized one would.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import enum
 import hashlib
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.driver import DriverConfig, RunResult, UvmDriver
-from repro.errors import ConfigurationError, CorruptResultError
+from repro.errors import CorruptResultError, ReproError
 from repro.gpu.device import GpuDeviceConfig
 from repro.mem.address_space import AddressSpace
 from repro.sim.costmodel import CostModel
@@ -70,70 +72,22 @@ class ExperimentSetup:
         return replace(self, cost=self.cost.with_overrides(**kwargs))
 
 
-#: pristine (AddressSpace, WorkloadBuild) pairs keyed by everything that
-#: determines ``workload.build`` output.  Entries are deep-copied on
-#: every use (the run mutates the space), so the memo stays pristine; a
-#: copy costs ~10 ms where a rebuild costs ~1 s for reference-sized
-#: workloads.  Per-process (each serve worker / sweep process warms its
-#: own), bounded to a handful of signatures.
-_warm_builds: OrderedDict[tuple, tuple] = OrderedDict()
-_WARM_BUILDS_MAX = 4
-
-
-def _build_signature(workload: Workload, setup: "ExperimentSetup") -> tuple:
-    """What :meth:`Workload.build` output depends on: the workload spec
-    itself, the seed (the build consumes ``rng.fork("workload")``), and
-    the address-space granule.  Driver/GPU/cost configs and the trace
-    flag are applied after the build, so jobs differing only there share
-    one warmed build."""
-    return (_stable_repr(workload), setup.seed, setup.vablock_bytes)
-
-
-def clear_warm_builds() -> None:
-    """Drop memoized builds (tests, or after monkeypatching a workload)."""
-    _warm_builds.clear()
-
-
 def build_driver(
     workload: Workload,
     setup: Optional[ExperimentSetup] = None,
     record_trace: bool = False,
-    warm: bool = False,
 ) -> UvmDriver:
     """Materialize a ready-to-run driver for one simulation point.
 
     Shared by :func:`simulate` and the checkpoint-aware
     :func:`execute_job` path (which may instead restore a pickled
-    driver and skip construction entirely).
-
-    ``warm=True`` memoizes the built ``(space, build)`` pair per build
-    signature and hands out a deep copy, so batch members sharing a
-    signature skip the expensive :meth:`Workload.build`.  Bit-identical
-    to a cold build: the build is deterministic in ``(workload, seed,
-    vablock)``, and :meth:`SimRng.fork` is pure (derives the child seed
-    without consuming parent state), so skipping the fork on a memo hit
-    leaves the driver's own rng stream untouched.
+    driver and skip construction entirely).  Every call builds the
+    workload afresh.
     """
     setup = setup or ExperimentSetup()
     rng = SimRng(setup.seed)
-    if warm:
-        sig = _build_signature(workload, setup)
-        entry = _warm_builds.get(sig)
-        if entry is None:
-            space0 = setup.make_space()
-            build0 = workload.build(space0, rng.fork("workload"))
-            entry = (space0, build0)
-            _warm_builds[sig] = entry
-            while len(_warm_builds) > _WARM_BUILDS_MAX:
-                _warm_builds.popitem(last=False)
-        else:
-            _warm_builds.move_to_end(sig)
-        # joint deepcopy preserves aliasing between the space and the
-        # build's streams/phases (they reference the same allocations).
-        space, build = copy.deepcopy(entry)
-    else:
-        space = setup.make_space()
-        build = workload.build(space, rng.fork("workload"))
+    space = setup.make_space()
+    build = workload.build(space, rng.fork("workload"))
     recorder: TraceRecorder = TraceRecorder() if record_trace else NullRecorder()
     return UvmDriver(
         space=space,
@@ -315,7 +269,6 @@ def execute_job(
     record_trace: bool = False,
     cache_dir: Optional[str] = None,
     checkpointer=None,
-    warm: bool = False,
 ) -> tuple[RunResult, bool]:
     """Run one simulation point through the canonical cache-aware path.
 
@@ -346,7 +299,7 @@ def execute_job(
         driver = checkpointer.load()
         checkpointer.resumed = driver is not None
     if driver is None:
-        driver = build_driver(workload, setup, record_trace, warm=warm)
+        driver = build_driver(workload, setup, record_trace)
     result = driver.run(checkpointer)
     if checkpointer is not None:
         checkpointer.clear()
@@ -362,35 +315,23 @@ def execute_job(
     return result, False
 
 
-def _run_batch(args) -> list[RunResult]:
-    """Module-level batch worker (pool submissions pickle cleanly): run
-    same-signature points on one warm build (``warm=True`` memoizes the
-    first member's build; the rest deep-copy it instead of rebuilding).
-    Results are bit-identical to solo :func:`simulate` runs - the build
-    is deterministic and the memo hands out pristine copies."""
-    batch, directory = args
-    out: list[RunResult] = []
-    for workload, setup, record_trace in batch:
-        checkpointer = None
-        if directory is not None:
-            from repro.sim.engine import SimulationCheckpointer
+def _run_point(args) -> RunResult:
+    """Module-level sweep worker (pool submissions pickle cleanly): run
+    one point through :func:`execute_job`, checkpointing under the memo
+    directory when there is one."""
+    workload, setup, record_trace, directory = args
+    checkpointer = None
+    if directory is not None:
+        from repro.sim.engine import SimulationCheckpointer
 
-            key = sweep_cache_key(workload, setup, record_trace)
-            checkpointer = SimulationCheckpointer(
-                checkpoint_path(directory, key),
-                every_phases=DEFAULT_CHECKPOINT_PHASES,
-            )
-        out.append(
-            execute_job(
-                workload,
-                setup,
-                record_trace,
-                cache_dir=directory,
-                checkpointer=checkpointer,
-                warm=True,
-            )[0]
+        key = sweep_cache_key(workload, setup, record_trace)
+        checkpointer = SimulationCheckpointer(
+            checkpoint_path(directory, key),
+            every_phases=DEFAULT_CHECKPOINT_PHASES,
         )
-    return out
+    return execute_job(
+        workload, setup, record_trace, cache_dir=directory, checkpointer=checkpointer
+    )[0]
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -413,7 +354,6 @@ def run_sweep(
     cache: bool = True,
     cache_dir: Optional[str] = None,
     record_trace: bool = False,
-    batch_max: int = 8,
 ) -> list[RunResult]:
     """Simulate independent sweep points, in parallel and memoized.
 
@@ -429,15 +369,13 @@ def run_sweep(
     only simulates points whose workload, setup, or simulator code
     changed.  A torn or corrupt entry is quarantined and recomputed.
 
-    Uncached points are grouped by build signature (workload spec, seed,
-    granule) and dispatched in batches of up to ``batch_max``; each
-    batch reuses one warmed workload build instead of rebuilding per
-    point, with bit-identical results.  Batches fan out over a
-    ``multiprocessing`` pool of ``workers`` processes (default:
-    ``REPRO_SWEEP_WORKERS`` or the CPU count; pass 1 to force serial).
+    Uncached points fan out one per task over a ``multiprocessing``
+    pool of ``workers`` processes (default: ``REPRO_SWEEP_WORKERS`` or
+    the CPU count; pass 1 to force serial).  A
+    :class:`~repro.errors.ReproError` raised by a point propagates at
+    once; only a pool that cannot start or a point that cannot be
+    pickled falls back to serial.
     """
-    if batch_max < 1:
-        raise ConfigurationError("batch_max must be >= 1")
     default_setup = setup or ExperimentSetup()
     jobs: list[tuple[Workload, ExperimentSetup, bool]] = []
     for point in points:
@@ -458,36 +396,27 @@ def run_sweep(
         if results[i] is None:
             misses.append(i)
 
-    # Group misses by build signature so each batch shares one warmed
-    # build, then chunk to batch_max.  Batches carry the memo directory
-    # so each worker checkpoints its points (under
-    # <directory>/checkpoints/) and stores its own results; a sweep
-    # killed mid-run resumes from those snapshots on re-run.
-    groups: OrderedDict[tuple, list[int]] = OrderedDict()
-    for i in misses:
-        groups.setdefault(_build_signature(jobs[i][0], jobs[i][1]), []).append(i)
-    batches: list[list[int]] = []
-    for members in groups.values():
-        for start in range(0, len(members), batch_max):
-            batches.append(members[start : start + batch_max])
-    batch_args = [([jobs[i] for i in chunk], directory) for chunk in batches]
+    # Each task carries the memo directory so its worker checkpoints
+    # the point (under <directory>/checkpoints/) and stores its result;
+    # a sweep killed mid-run resumes from those snapshots on re-run.
+    tasks = [(*jobs[i], directory) for i in misses]
     n_workers = _resolve_workers(workers)
-    if len(batch_args) > 1 and n_workers > 1:
-        computed = _run_pool(_run_batch, batch_args, min(n_workers, len(batch_args)))
+    if len(tasks) > 1 and n_workers > 1:
+        computed = _run_pool(_run_point, tasks, min(n_workers, len(tasks)))
     else:
         computed = None
     if computed is None:
-        computed = [_run_batch(args) for args in batch_args]
-
-    for chunk, outs in zip(batches, computed):
-        for i, result in zip(chunk, outs):
-            results[i] = result
+        computed = [_run_point(task) for task in tasks]
+    for i, result in zip(misses, computed):
+        results[i] = result
     return results  # type: ignore[return-value]
 
 
 def _run_pool(fn, jobs: Sequence, n_workers: int) -> Optional[list]:
     """Fan jobs over a process pool; ``None`` means fall back to serial
-    (sandboxes without fork/semaphore support, pickling failures)."""
+    (sandboxes without fork/semaphore support, pickling failures).  A
+    :class:`~repro.errors.ReproError` raised by a job propagates: the
+    serial re-run would only repeat every job before raising it again."""
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
@@ -498,5 +427,7 @@ def _run_pool(fn, jobs: Sequence, n_workers: int) -> Optional[list]:
             ctx = mp.get_context()
         with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
             return list(pool.map(fn, jobs))
+    except ReproError:
+        raise
     except Exception:  # pragma: no cover - environment-dependent
         return None

@@ -1383,8 +1383,12 @@ class FleetGateway:
             "failovers": entry.failovers,
         }
 
-    def status(self, gateway_id: str) -> dict[str, Any]:
-        """The job's current record (terminal records answer from cache)."""
+    def status(self, gateway_id: str, wait_s: float = 0.0) -> dict[str, Any]:
+        """The job's current record (terminal records answer from cache).
+
+        ``wait_s > 0`` long-polls the owning shard, held for at most half
+        the shard read timeout.
+        """
         entry = self._entry(gateway_id)
         with self._lock:
             cached = entry.last_record
@@ -1401,9 +1405,11 @@ class FleetGateway:
                 entry.shard_job_id = None
             self._try_reroute(entry)
             return self._synthetic(entry, "queued")
+        wait_s = min(wait_s, self.config.read_timeout_s / 2) if wait_s > 0 else 0.0
+        query = f"?wait_s={wait_s:g}" if wait_s > 0 else ""
         try:
             record, _ = shard.client.request_with_budget(
-                "GET", f"/jobs/{shard_job_id}"
+                "GET", f"/jobs/{shard_job_id}{query}"
             )
         except ServiceClientError as exc:
             if exc.status == 0:
@@ -1426,8 +1432,13 @@ class FleetGateway:
                 return self._synthetic(entry, "queued")
             raise
         with self._lock:
-            if record.get("state") in _TERMINAL:
+            moved = (entry.shard_name, entry.shard_job_id) != (shard_name, shard_job_id)
+            if not moved and record.get("state") in _TERMINAL:
                 entry.last_record = dict(record)
+        if moved:
+            # re-routed while the request was out: the answer is about
+            # a superseded shard job, so report the entry as it is now.
+            return self.status(gateway_id)
         return self._rewrite(entry, record)
 
     def result_doc(self, gateway_id: str) -> Optional[dict[str, Any]]:
@@ -1827,7 +1838,8 @@ class _GatewayHandler(JsonRequestHandler):
             elif parts == ["fleet", "elections"]:
                 self.send_json(200, gateway.election_audit())
             elif len(parts) == 2 and parts[0] == "jobs":
-                self.send_json(200, gateway.status(parts[1]))
+                wait_s = float(parse_qs(url.query).get("wait_s", ["0"])[0])
+                self.send_json(200, gateway.status(parts[1], wait_s))
             elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
                 doc = gateway.result_doc(parts[1])
                 if doc is None:

@@ -88,6 +88,11 @@ class ServiceOverloadedError(ServiceClientError):
         self.retry_after_s = retry_after_s
 
 
+#: longest one status request of :meth:`ServiceClient.wait` asks the
+#: server to hold.
+LONG_POLL_S = 1.0
+
+
 class _SplitTimeoutConnection(http.client.HTTPConnection):
     """HTTPConnection with distinct connect and read timeouts.
 
@@ -313,8 +318,11 @@ class ServiceClient:
     def submit(self, spec: dict[str, Any]) -> dict[str, Any]:
         return self._request("POST", "/jobs", spec)
 
-    def status(self, job_id: str) -> dict[str, Any]:
-        return self._request("GET", f"/jobs/{job_id}")
+    def status(self, job_id: str, wait_s: float = 0.0) -> dict[str, Any]:
+        """The job's record; ``wait_s > 0`` long-polls (the server
+        answers once the job is terminal or ``wait_s`` has passed)."""
+        query = f"?wait_s={wait_s:g}" if wait_s > 0 else ""
+        return self._request("GET", f"/jobs/{job_id}{query}")
 
     def list_jobs(self) -> list[dict[str, Any]]:
         return self._request("GET", "/jobs")["jobs"]
@@ -334,10 +342,18 @@ class ServiceClient:
     def wait(
         self, job_id: str, timeout_s: float = 300.0, poll_s: float = 0.1
     ) -> dict[str, Any]:
-        """Poll until the job is terminal; returns the final record."""
+        """Wait until the job is terminal; returns the final record.
+
+        Each status request long-polls for up to :data:`LONG_POLL_S`, so
+        a job that ends within that time costs one request, answered as
+        it ends.  ``poll_s`` paces the requests after a non-terminal
+        answer (a server that does not hold the request answers at once).
+        """
         deadline = time.monotonic() + timeout_s
         while True:
-            record = self.status(job_id)
+            remaining = deadline - time.monotonic()
+            wait_s = min(remaining, LONG_POLL_S, self.timeout_s / 2)
+            record = self.status(job_id, wait_s=wait_s)
             if record["state"] in ("done", "failed", "cancelled", "poisoned"):
                 return record
             if time.monotonic() > deadline:

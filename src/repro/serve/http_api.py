@@ -4,7 +4,9 @@ Endpoints:
 
 * ``POST /jobs``                - submit a job spec, returns the record
 * ``GET  /jobs``                - list job summaries
-* ``GET  /jobs/<id>``           - one job's record (state, attempts, ...)
+* ``GET  /jobs/<id>``           - one job's record (state, attempts, ...);
+  ``?wait_s=S`` long-polls: the answer comes once the job is terminal,
+  after ``S`` seconds (at most 30), or when the service drains
 * ``GET  /jobs/<id>/result``    - the stored result document (404 until done)
 * ``DELETE /jobs/<id>``         - cancel a queued/running job
 * ``GET  /metrics``             - telemetry snapshot (counters, gauges,
@@ -129,7 +131,9 @@ class _Handler(JsonRequestHandler):
             elif len(parts) == 3 and parts[:2] == ["store", "entries"]:
                 self.send_json(200, self.server.service.export_result(parts[2]))
             elif len(parts) == 2 and parts[0] == "jobs":
-                self.send_json(200, self.server.service.get(parts[1]).to_dict())
+                wait_s = float(parse_qs(url.query).get("wait_s", ["0"])[0])
+                record = self.server.service.poll(parts[1], wait_s)
+                self.send_json(200, record.to_dict())
             elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
                 doc = self.server.service.result_doc(parts[1])
                 if doc is None:

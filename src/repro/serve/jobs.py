@@ -143,10 +143,10 @@ class JobSpec:
         return sweep_cache_key(workload, setup, self.record_trace)
 
     def batch_signature(self) -> tuple:
-        """What the expensive :meth:`Workload.build` output depends on.
+        """What :meth:`Workload.build` output depends on.
 
-        Jobs sharing this signature can run as one batch on a warm
-        worker, reusing a single memoized build: the workload name +
+        Jobs sharing this signature are dispatched to one worker as one
+        batch (each member still builds afresh): the workload name +
         size determine the access pattern, the seed feeds the build's
         rng fork, and the granule shapes the address space.  Driver/GPU/
         cost overrides, trace recording, and priority are applied after

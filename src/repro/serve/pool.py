@@ -13,14 +13,13 @@ result documents go through the on-disk
 :class:`~repro.serve.store.ResultStore` written by the worker itself, so
 large payloads never transit a pipe.
 
-Workers are *warm*: one process serves many tasks, and a task is a
-**batch** - a list of job members sharing a workload/setup build
-signature.  The worker executes members sequentially with
-``warm=True``, so the first member's expensive workload build is
-memoized in-process and later members (and later batches with the same
-signature) deep-copy it instead of rebuilding.  Each member reports its
-own started/done/error message, so the supervisor tracks per-member
-timeouts, retries, and death recovery exactly as it did for solo jobs.
+Workers are *warm*: one process serves many tasks, so its start and
+imports are paid once.  A task is a **batch** - a list of job members
+sharing a workload/setup build signature - and saves only dispatch
+round trips: the worker executes members sequentially, each building
+its workload afresh.  Each member reports its own started/done/error
+message, so the supervisor tracks per-member timeouts, retries, and
+death recovery exactly as it did for solo jobs.
 
 Workers execute jobs through
 :func:`repro.experiments.runner.execute_job` - the same cache-aware code
@@ -112,8 +111,8 @@ def worker_main(
         if task is None:
             return
         # a task is a batch of members sharing a build signature; they
-        # run sequentially on this warm process, each reporting its own
-        # started/done/error message.
+        # run sequentially, each reporting its own started/done/error
+        # message.
         for member in task:
             _run_member(
                 worker_id, results, store, cache_dir, checkpoint_every, plan, member
@@ -186,7 +185,6 @@ def _run_member(
             spec.record_trace,
             cache_dir=cache_dir,
             checkpointer=checkpointer,
-            warm=True,
         )
         resumed = checkpointer is not None and checkpointer.resumed
         elapsed_ns = time.perf_counter_ns() - t0
@@ -290,6 +288,9 @@ class WorkerHandle:
     #: every member start (0 = no deadline).
     deadline: float = 0.0
     jobs_done: int = field(default=0)
+    #: the result pipe read EOF or a torn message: the worker is gone
+    #: and its pipe, forever readable, must not wake the supervisor.
+    results_eof: bool = False
 
     @property
     def idle(self) -> bool:
@@ -404,8 +405,13 @@ class WorkerPool:
                 while handle.results.poll():
                     out.append(handle.results.recv())
             except (EOFError, OSError):
-                pass
+                handle.results_eof = True
         return out
+
+    def result_pipes(self) -> list:
+        """The result pipes worth waiting on: every worker's but those
+        at EOF (a dead worker's until it is respawned)."""
+        return [h.results for h in list(self.workers.values()) if not h.results_eof]
 
     # -- assignment -----------------------------------------------------------
     def idle_workers(self) -> list[WorkerHandle]:

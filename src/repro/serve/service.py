@@ -21,10 +21,12 @@ A single supervisor thread drives the event loop: drain worker
 completion messages, detect dead workers and expired deadlines, requeue
 or fail the affected jobs (bounded retries with exponential backoff),
 respawn replacement workers, and dispatch queued jobs onto idle
-workers.  Failure semantics: infrastructure failures (worker death,
-timeout) are retried up to ``max_retries`` because they say nothing
-about the job; an error *reported* by a healthy worker is deterministic
-(the simulator is seeded) and fails the job immediately.
+workers.  Between ticks it sleeps until a worker writes to its result
+pipe, a job is queued or the service stops.  Failure semantics:
+infrastructure failures (worker death, timeout) are retried up to
+``max_retries`` because they say nothing about the job; an error
+*reported* by a healthy worker is deterministic (the simulator is
+seeded) and fails the job immediately.
 
 Overload and poison protection:
 
@@ -55,6 +57,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_ready
 from typing import Any, Optional
 
 from repro.chaos.plan import active_plan
@@ -68,6 +71,10 @@ from repro.serve.jobs import JobRecord, JobSpec, JobState
 from repro.serve.pool import MSG_CHAOS, MSG_DONE, MSG_ERROR, MSG_STARTED, WorkerPool
 from repro.serve.store import ResultStore
 from repro.serve.telemetry import Telemetry
+
+
+#: longest a ``GET /jobs/<id>?wait_s=`` long poll holds its request.
+MAX_POLL_WAIT_S = 30.0
 
 
 class AdmissionError(ReproError):
@@ -107,7 +114,11 @@ class ServiceConfig:
     max_retries: int = 2
     #: base of the exponential retry backoff (doubles per attempt).
     retry_backoff_s: float = 0.25
-    #: supervisor tick; also bounds shutdown latency.
+    #: longest the supervisor sleeps between ticks.  A worker message,
+    #: a queued job and :meth:`SimulationService.stop` wake it at once,
+    #: so this only bounds how late an expired retry backoff
+    #: (``not_before``) or attempt deadline is acted on, and how often
+    #: :meth:`SimulationService.drain` polls for running jobs.
     poll_interval_s: float = 0.02
     #: ``run_sweep``'s memo store directory for workers (None = the
     #: sweep executor's default resolution; "" disables).
@@ -132,7 +143,7 @@ class ServiceConfig:
     #: in-memory result cache budget (MiB); 0 disables the hot tier.
     mem_cache_mb: int = 64
     #: max queued jobs sharing one workload/setup signature dispatched
-    #: to a warm worker as one batch; 1 restores solo dispatch.
+    #: to a worker as one batch; 1 restores solo dispatch.
     batch_max: int = 8
     #: identity of this instance inside a fleet (reported by /healthz,
     #: targeted by the ``process.shard_kill`` chaos point); None when
@@ -194,6 +205,9 @@ class SimulationService:
         self._done = threading.Condition(self._lock)
         self._stop = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
+        #: (read, write) fds of the pipe that wakes the supervisor's
+        #: wait; open from start() to stop().
+        self._wake_fds: Optional[tuple[int, int]] = None
         #: queued-job depth (kept exact so admission is O(1), not a scan).
         self._queued = 0
         self._shedding = False
@@ -280,19 +294,47 @@ class SimulationService:
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> "SimulationService":
+        wake_r, wake_w = os.pipe()
+        # non-blocking both ends: a full pipe already holds a wake-up
+        os.set_blocking(wake_r, False)
+        os.set_blocking(wake_w, False)
+        with self._lock:
+            self._wake_fds = (wake_r, wake_w)
         self.pool.start()
         self._supervisor = threading.Thread(
-            target=self._supervise, name="repro-serve-supervisor", daemon=True
+            target=self._supervise,
+            args=(wake_r,),
+            name="repro-serve-supervisor",
+            daemon=True,
         )
         self._supervisor.start()
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
         self._stop.set()
+        self._wake()
+        with self._done:
+            self._done.notify_all()  # long polls answer now
         if self._supervisor is not None:
             self._supervisor.join(timeout=timeout)
         self.pool.stop()
         self.journal.close()
+        with self._lock:
+            supervising = self._supervisor is not None and self._supervisor.is_alive()
+            if self._wake_fds is not None and not supervising:
+                for fd in self._wake_fds:
+                    os.close(fd)
+                self._wake_fds = None
+
+    def _wake(self) -> None:
+        """Wake the supervisor's wait (any thread)."""
+        with self._lock:
+            if self._wake_fds is None:
+                return
+            try:
+                os.write(self._wake_fds[1], b"\0")
+            except BlockingIOError:
+                pass  # the pipe is full: a wake-up is already pending
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Graceful shutdown: stop admission, settle, journal, stop.
@@ -308,6 +350,7 @@ class SimulationService:
         with self._lock:
             already = self._draining
             self._draining = True
+            self._done.notify_all()  # long polls answer now
         if not already:
             self.telemetry.event("service", "draining")
         deadline = time.monotonic() + budget
@@ -437,6 +480,7 @@ class SimulationService:
             self._journal_record(record)
             heapq.heappush(self._heap, (spec.priority, seq, record.job_id))
             self._queued += 1
+        self._wake()
         self.telemetry.event(
             record.job_id,
             "queued",
@@ -535,6 +579,7 @@ class SimulationService:
                     sibling = self._jobs.get(sibling_id)
                     if sibling is not None and sibling.state is JobState.RUNNING:
                         self._requeue_unstarted(sibling)
+                self._wake()  # the fresh worker can take the siblings
             elif record.state is JobState.QUEUED:
                 self._queued -= 1
                 self._update_shedding()
@@ -558,6 +603,32 @@ class SimulationService:
                         f"{job_id} still {record.state.value} after {timeout}s"
                     )
                 self._done.wait(timeout=0.1 if remaining is None else min(0.1, remaining))
+
+    def poll(self, job_id: str, wait_s: float = 0.0) -> JobRecord:
+        """The job's record once it is terminal, or as it stands after
+        ``wait_s`` (at most :data:`MAX_POLL_WAIT_S`) or when the service
+        begins to drain or stops.
+
+        The long poll behind ``GET /jobs/<id>?wait_s=``: a client waiting
+        on a job sends one request per ``wait_s`` instead of one per
+        poll interval, and hears of completion as it happens.
+        """
+        wait_s = min(wait_s, MAX_POLL_WAIT_S) if wait_s > 0 else 0.0
+        deadline = time.monotonic() + wait_s
+        with self._done:
+            while True:
+                record = self._jobs.get(job_id)
+                if record is None:
+                    raise KeyError(job_id)
+                remaining = deadline - time.monotonic()
+                if (
+                    record.state.terminal
+                    or remaining <= 0
+                    or self._draining
+                    or self._stop.is_set()
+                ):
+                    return record
+                self._done.wait(timeout=remaining)
 
     def jobs(self) -> list[JobRecord]:
         with self._lock:
@@ -598,20 +669,34 @@ class SimulationService:
         return self.telemetry.snapshot(gauges)
 
     # -- supervisor loop ------------------------------------------------------
-    def _supervise(self) -> None:
+    def _supervise(self, wake_r: int) -> None:
         while not self._stop.is_set():
             try:
-                progressed = self._drain_results()
+                self._drain_results()
                 with self._lock:
                     self._check_workers()
                     self._dispatch()
+                self._await_event(wake_r)
             except Exception:  # keep supervising: one bad tick must not
                 self.telemetry.count("supervisor.errors")  # kill the service
-                progressed = False
-            if not progressed:
                 self._stop.wait(self.config.poll_interval_s)
 
-    def _drain_results(self) -> bool:
+    def _await_event(self, wake_r: int) -> None:
+        """Sleep until a worker's result pipe is readable, :meth:`_wake`
+        writes to ``wake_r``'s pipe, or ``poll_interval_s`` passes; then
+        empty the wake pipe.  Pipes at EOF are left out, so a dead
+        worker awaiting its respawn cannot make the loop spin."""
+        ready = wait_ready(
+            [*self.pool.result_pipes(), wake_r], timeout=self.config.poll_interval_s
+        )
+        if wake_r in ready:
+            try:
+                while os.read(wake_r, 4096):
+                    pass
+            except BlockingIOError:
+                pass  # emptied
+
+    def _drain_results(self) -> None:
         messages = self.pool.messages()
         for kind, worker_id, job_id, attempt, detail in messages:
             with self._lock:
@@ -660,7 +745,6 @@ class SimulationService:
                     # a *reported* error is deterministic - fail fast.
                     record.error = detail.get("error", "unknown worker error")
                     self._finish(record, JobState.FAILED)
-        return bool(messages)
 
     def _check_workers(self) -> None:
         now = time.monotonic()  # handle.deadline is monotonic

@@ -1,12 +1,15 @@
-"""Integration: batched/warm execution is bit-identical to solo execution.
+"""Integration: batched execution in warm processes is bit-identical to
+solo execution.
 
 Three layers of proof:
 
-* engine level - ``build_driver(warm=True)`` (memoized build, deep-copy
-  reuse) reproduces the cold build's counters and timing exactly, for
-  every registered workload,
-* sweep level - a grouped/batched ``run_sweep`` returns the same
-  results as point-by-point solo simulation,
+* engine level - a run in a warm process (one that already built and
+  ran the same spec, as a long-lived serve worker has) reproduces the
+  first run's counters and timing exactly, for every registered
+  workload: builds are never memoized, so nothing one run builds may
+  leak into the next,
+* sweep level - a pooled ``run_sweep`` returns the same results as
+  point-by-point solo simulation,
 * service level - a ``batch_max > 1`` service with the memory tier
   enabled stores byte-identical result documents to a solo
   (``batch_max=1``, memory tier off) service, under the UVMSAN
@@ -25,7 +28,6 @@ import pytest
 from repro.experiments.runner import (
     ExperimentSetup,
     build_driver,
-    clear_warm_builds,
     run_sweep,
     simulate,
 )
@@ -56,27 +58,19 @@ def fingerprint(result) -> tuple:
 
 
 class TestWarmBuildMatrix:
-    """Every registered workload: warm (memoized) build == cold build."""
+    """Every registered workload: a build in a warm process (one that
+    already built and ran the same spec) == the process's first build."""
 
     @pytest.mark.parametrize("name", all_workload_names())
     def test_warm_build_bit_identical(self, name):
-        clear_warm_builds()
         setup = tiny_setup()
-        cold = simulate(make_workload(name, DATA_MIB * MiB), setup)
-        first_warm = build_driver(
-            make_workload(name, DATA_MIB * MiB), setup, warm=True
-        ).run()
-        # second warm run hits the memo and must still match exactly
-        memo_hit = build_driver(
-            make_workload(name, DATA_MIB * MiB), setup, warm=True
-        ).run()
-        assert fingerprint(first_warm) == fingerprint(cold)
-        assert fingerprint(memo_hit) == fingerprint(cold)
+        first = simulate(make_workload(name, DATA_MIB * MiB), setup)
+        again = build_driver(make_workload(name, DATA_MIB * MiB), setup).run()
+        assert fingerprint(again) == fingerprint(first)
 
 
 class TestBatchedSweepEquivalence:
     def test_grouped_sweep_matches_solo(self, tmp_path):
-        clear_warm_builds()
         setup = tiny_setup()
         points = []
         for name in ("sgemm", "stream", "random"):
@@ -87,14 +81,9 @@ class TestBatchedSweepEquivalence:
                         setup.with_driver(prefetch_enabled=prefetch),
                     )
                 )
-        batched = run_sweep(
-            points,
-            workers=1,
-            cache_dir=str(tmp_path / "cache"),
-            batch_max=4,
-        )
+        swept = run_sweep(points, workers=1, cache_dir=str(tmp_path / "cache"))
         solo = [simulate(w, s) for w, s in points]
-        for got, want in zip(batched, solo):
+        for got, want in zip(swept, solo):
             assert fingerprint(got) == fingerprint(want)
 
 
@@ -110,7 +99,7 @@ def stripped(doc: dict) -> dict:
 class TestServiceBatchedEquivalence:
     def specs(self):
         # four distinct keys sharing one build signature, so a batched
-        # service runs them as one warm batch.
+        # service runs them as one batch.
         base = dict(
             workload="sgemm", data_bytes=DATA_MIB * MiB,
             gpu={"memory_bytes": GPU_MIB * MiB},

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.experiments.runner import (
     ExperimentSetup,
     code_version,
@@ -16,6 +17,7 @@ from repro.experiments.runner import (
 from repro.serve.results import result_to_doc
 from repro.serve.store import ResultStore
 from repro.units import MiB
+from repro.workloads.base import Workload
 from repro.workloads.registry import make_workload
 
 
@@ -137,6 +139,41 @@ class TestSweepCache:
             result_to_doc(simulate(w, setup)) for w in points()
         ]
         assert blocker.read_text() == ""
+
+
+class CountingWorkload(Workload):
+    """Wraps a workload: appends its label to ``log`` on every build, and
+    raises instead of building when ``fail`` is set."""
+
+    def __init__(self, inner: Workload, label: str, log: str, fail: bool = False):
+        self.inner, self.label, self.log, self.fail = inner, label, log, fail
+        self.name = inner.name
+
+    def required_bytes(self) -> int:
+        return self.inner.required_bytes()
+
+    def build(self, space, rng):
+        with open(self.log, "a") as fh:
+            fh.write(self.label + "\n")
+        if self.fail:
+            raise SimulationError(f"planted build failure in {self.label}")
+        return self.inner.build(space, rng)
+
+
+class TestSweepErrors:
+    def test_failing_point_is_run_once(self, tmp_path):
+        """A point whose simulation raises fails the sweep at once: its
+        error is not taken for a broken pool, so no point is re-run
+        serially in the parent."""
+        log = str(tmp_path / "builds.log")
+        pts = [
+            CountingWorkload(make_workload("stream", 1 * MiB), "ok", log),
+            CountingWorkload(make_workload("stream", 2 * MiB), "bad", log, fail=True),
+        ]
+        with pytest.raises(SimulationError, match="planted build failure in bad"):
+            run_sweep(pts, setup=small_setup(), workers=2, cache=False)
+        with open(log) as fh:
+            assert sorted(fh.read().split()) == ["bad", "ok"]
 
 
 @pytest.mark.skipif(

@@ -11,13 +11,15 @@ Acceptance criteria covered here:
   behave as documented.
 """
 
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.serve.client import ServiceClient, ServiceClientError
+from repro.serve.client import LONG_POLL_S, ServiceClient, ServiceClientError
 from repro.serve.http_api import serve_http
-from repro.serve.jobs import JobSpec
+from repro.serve.jobs import JobSpec, JobState
 from repro.serve.service import ServiceConfig, SimulationService
 from repro.units import MiB
 
@@ -201,3 +203,87 @@ class TestServiceSemantics:
         want.pop("meta")
         assert doc == want
         assert blocker.read_text() == ""
+
+
+class TestSupervisorWakeUp:
+    def test_a_job_and_stop_do_not_wait_for_the_poll_tick(self, tmp_path):
+        """The supervisor sleeps until there is work.  With a 5 s poll
+        interval a small job is still dispatched and collected at once
+        (a supervisor that waits for its tick needs two, about 10 s),
+        and stop() does not sit out the rest of a tick."""
+        config = ServiceConfig(n_workers=1, poll_interval_s=5.0, sweep_cache_dir="")
+        svc = SimulationService(str(tmp_path / "store"), config).start()
+        try:
+            t0 = time.monotonic()
+            record = svc.submit(JobSpec(workload="stream", data_bytes=1 * MiB))
+            final = svc.wait(record.job_id, timeout=30.0)
+            job_s = time.monotonic() - t0
+        finally:
+            t0 = time.monotonic()
+            svc.stop(timeout=10.0)
+            stop_s = time.monotonic() - t0
+        assert final.state is JobState.DONE, final.error
+        assert job_s < 2.5, f"job took {job_s:.2f}s to reach DONE"
+        assert stop_s < 1.0, f"stop() took {stop_s:.2f}s"
+        assert not svc._supervisor.is_alive()
+
+
+class TestLongPoll:
+    def test_wait_sends_one_request_per_long_poll(self, service, monkeypatch):
+        """ServiceClient.wait long-polls: a job costs one status request
+        per LONG_POLL_S of its life, however small poll_s is (a client
+        that polls sends one per poll_s)."""
+        _, client = service
+        waits = []
+        status = client.status
+
+        def counting_status(job_id, wait_s=0.0):
+            waits.append(wait_s)
+            return status(job_id, wait_s=wait_s)
+
+        monkeypatch.setattr(client, "status", counting_status)
+        t0 = time.monotonic()
+        record = client.submit(
+            {
+                "workload": "stream",
+                "data_bytes": 2 * MiB,
+                "gpu": {"memory_bytes": 16 * MiB},
+            }
+        )
+        final = client.wait(record["job_id"], timeout_s=120.0, poll_s=0.001)
+        elapsed = time.monotonic() - t0
+        assert final["state"] == "done", final["error"]
+        assert len(waits) <= elapsed / LONG_POLL_S + 2, (len(waits), elapsed)
+        assert all(0 < w <= LONG_POLL_S for w in waits)
+
+    def test_long_poll_holds_for_wait_s_and_drain_answers_it(self, tmp_path):
+        """A held status request answers with the record as it stands
+        after wait_s, or at once when the service drains."""
+        config = ServiceConfig(n_workers=1, sweep_cache_dir="")
+        svc = SimulationService(str(tmp_path / "store"), config)  # not started:
+        server = serve_http(svc)  # a submitted job stays queued
+        try:
+            client = ServiceClient(server.url, timeout_s=30.0)
+            spec = {"workload": "stream", "data_bytes": 1 * MiB}
+            job_id = client.submit(spec)["job_id"]
+            t0 = time.monotonic()
+            assert client.status(job_id, wait_s=0.3)["state"] == "queued"
+            assert 0.25 <= time.monotonic() - t0 < 5.0
+            held = {}
+            poller = threading.Thread(
+                target=lambda: held.update(client.status(job_id, wait_s=20.0))
+            )
+            poller.start()
+            time.sleep(0.2)
+            t0 = time.monotonic()
+            svc.drain(timeout=1.0)
+            poller.join(timeout=10.0)
+            assert not poller.is_alive()
+            assert time.monotonic() - t0 < 3.0
+            assert held["state"] == "queued"
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.status("job-missing", wait_s=1.0)
+            assert excinfo.value.status == 404
+        finally:
+            server.shutdown()
+            svc.stop()

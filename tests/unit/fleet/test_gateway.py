@@ -98,7 +98,10 @@ class _FakeShardHandler(JsonRequestHandler):
                 self.send_json(200, {"key": parts[2], **entry})
         elif len(parts) == 2 and parts[0] == "jobs":
             with shard.lock:
+                shard.status_paths.append(self.path)
                 job = shard.jobs.get(parts[1])
+            if job is not None and shard.on_status is not None:
+                shard.on_status(job)
             if job is None:
                 self.send_json_error(404, f"unknown job {parts[1]}")
             else:
@@ -198,6 +201,10 @@ class _FakeShard(ThreadingHTTPServer):
         self.counters: dict[str, int] = {}
         self.seq = 0
         self.post_attempts = 0
+        #: every GET /jobs/<id> path, query included
+        self.status_paths: list[str] = []
+        #: called with the job before a status request is answered
+        self.on_status = None
         self.lock = threading.Lock()
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
@@ -398,6 +405,38 @@ class TestQuarantineAndFailover:
         record = gateway.submit_dict(_spec(seed))
         assert record["shard"] == gateway._ring.preference(_key(seed))[1]
         assert gateway.telemetry.counter("fleet.reroutes") >= 1
+
+
+class TestLongPoll:
+    def test_wait_forwarded_within_the_shard_read_timeout(self, trio):
+        for shard in trio:
+            shard.hold = True
+        gateway = _fleet(trio)  # read_timeout_s=5.0
+        seed = _seed_with_primary(gateway, "s0")
+        record = gateway.submit_dict(_spec(seed))
+        gateway.status(record["job_id"])
+        gateway.status(record["job_id"], wait_s=60.0)
+        assert trio[0].status_paths == ["/jobs/s0-0001", "/jobs/s0-0001?wait_s=2.5"]
+
+    def test_answer_for_a_superseded_shard_job_is_dropped(self, trio):
+        """The entry is re-routed while its status request is out, and
+        the old shard then reports the old job done: that answer must
+        neither be cached nor returned under the new shard's name."""
+        for shard in trio:
+            shard.hold = True
+        gateway = _fleet(trio)
+        seed = _seed_with_primary(gateway, "s1")
+        record = gateway.submit_dict(_spec(seed))
+
+        def reroute_then_finish(job):
+            gateway._reroute_from("s1")
+            job["state"] = "done"
+
+        trio[1].on_status = reroute_then_finish
+        after = gateway.status(record["job_id"], wait_s=1.0)
+        assert after["state"] == "queued"
+        assert after["shard"] == gateway._ring.preference(_key(seed))[1]
+        assert after["failovers"] == 1
 
 
 class TestCancel:
