@@ -8,11 +8,22 @@ that changes how faults are serviced, and the memory-advise paths
 (pinned host, read-mostly with writes, host re-reads and host writes of
 duplicated data, counter-triggered promotion of remote blocks).
 
+On a one-VABlock GPU no fault batch holds more than two bins, so a
+second group of cells (``large/...``) runs 48 MiB on a 32 MiB GPU, where
+batches hold up to ~20 bins and evict blocks serviced earlier in the
+same batch: every workload under the four replay policies, the presets
+on their three workloads, and a traced run of each policy on ``random``
+and ``hpgmg``.
+
 For each cell the fixture pins ``total_time_ns``, ``gpu_phases``,
 faults read/serviced, evictions, and a sha256 over the full counter
 dict, the timer's nanosecond and operation-count dicts and the DMA
-totals.  ``tests/integration/test_golden_counters.py`` asserts every
-cell; a change to the simulator that moves any simulated bit fails it.
+totals.  A ``large/...`` cell also pins a sha256 of the driver's final
+state (every residency array, both page tables' mapped bits and mapping
+stats, the PMA stats and the eviction order), and a traced cell a sha256
+of each array of its :class:`~repro.trace.recorder.FinalizedTrace`.
+``tests/integration/test_golden_counters.py`` asserts every cell; a
+change to the simulator that moves any simulated bit fails it.
 
 Regenerate (only when a change is *meant* to alter simulated results)::
 
@@ -34,7 +45,7 @@ import numpy as np
 from repro.cli import _VARIANTS
 from repro.core.driver import DriverConfig, RunResult, UvmDriver
 from repro.core.replay import ReplayPolicyKind
-from repro.experiments.runner import ExperimentSetup, simulate
+from repro.experiments.runner import ExperimentSetup, build_driver, simulate
 from repro.gpu.device import GpuDeviceConfig
 from repro.gpu.warp import WarpStream
 from repro.mem.address_space import AddressSpace
@@ -59,6 +70,11 @@ PRESETS = (
 #: the workloads each preset runs on: a scattered, a tiled and a
 #: multigrid access pattern (hpgmg evicts and re-faults the most).
 PRESET_WORKLOADS = ("random", "sgemm", "hpgmg")
+#: the many-bins-per-batch size of the ``large/...`` cells.
+LARGE_DATA_BYTES = 48 * MiB
+LARGE_GPU_BYTES = 32 * MiB
+#: the workloads of the traced ``large/trace/...`` cells.
+TRACE_WORKLOADS = ("random", "hpgmg")
 
 
 def _base_setup() -> ExperimentSetup:
@@ -73,6 +89,34 @@ def _workload_cell(name: str, policy: ReplayPolicyKind, prefetch: bool):
 def _preset_cell(preset: str, name: str):
     setup = _VARIANTS[preset](_base_setup())
     return lambda: simulate(make_workload(name, DATA_BYTES), setup)
+
+
+def _large_cell(name: str, setup: ExperimentSetup, record_trace: bool = False):
+    """A ``large/...`` cell: its result together with the driver that
+    produced it, whose final state is pinned too."""
+
+    def run():
+        driver = build_driver(make_workload(name, LARGE_DATA_BYTES), setup, record_trace)
+        return driver.run(), driver
+
+    return run
+
+
+def _large_cells() -> dict[str, Callable]:
+    base = ExperimentSetup().with_gpu(memory_bytes=LARGE_GPU_BYTES)
+    out: dict[str, Callable] = {}
+    for name in all_workload_names():
+        for policy in ReplayPolicyKind:
+            setup = base.with_driver(replay_policy=policy)
+            out[f"large/{name}/{policy.value}"] = _large_cell(name, setup)
+    for preset in PRESETS:
+        for name in PRESET_WORKLOADS:
+            out[f"large/preset/{preset}/{name}"] = _large_cell(name, _VARIANTS[preset](base))
+    for policy in ReplayPolicyKind:
+        for name in TRACE_WORKLOADS:
+            setup = base.with_driver(replay_policy=policy)
+            out[f"large/trace/{policy.value}/{name}"] = _large_cell(name, setup, True)
+    return out
 
 
 def touch_driver(advise, phases, writes_frac=0.0, gpu_mib=2, data_mib=4,
@@ -147,9 +191,11 @@ def _advise_cells() -> dict[str, Callable[[], RunResult]]:
     }
 
 
-def cells() -> dict[str, Callable[[], RunResult]]:
-    """Every cell of the matrix, by id."""
-    out: dict[str, Callable[[], RunResult]] = {}
+def cells() -> dict[str, Callable]:
+    """Every cell of the matrix, by id.  A cell returns its
+    :class:`RunResult`, or for a ``large/...`` cell the result and the
+    driver that ran it."""
+    out: dict[str, Callable] = {}
     for name in all_workload_names():
         for policy in ReplayPolicyKind:
             for prefetch in (True, False):
@@ -159,11 +205,59 @@ def cells() -> dict[str, Callable[[], RunResult]]:
         for name in PRESET_WORKLOADS:
             out[f"preset/{preset}/{name}"] = _preset_cell(preset, name)
     out.update(_advise_cells())
+    out.update(_large_cells())
     return out
 
 
-def summarize(result: RunResult) -> dict:
-    """The pinned record of one cell."""
+def _sha256(*parts: bytes) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def _array_bytes(name: str, array: np.ndarray) -> bytes:
+    return f"{name}:{array.dtype.str}:{array.shape}:".encode() + np.ascontiguousarray(array).tobytes()
+
+
+def state_digest(driver: UvmDriver) -> str:
+    """sha256 of a driver's final state: every residency array, both
+    page tables' mapped bits and mapping stats, the PMA stats and the
+    eviction policy's order."""
+    res = driver.residency
+    arrays = {
+        name: getattr(res, name)
+        for name in (
+            "resident", "writable", "duplicated", "remote_mapped", "dirty",
+            "backed", "resident_count", "evict_count", "read_ok", "write_ok",
+        )
+    }
+    arrays["gpu.mapped"] = driver.gpu_table.mapped
+    arrays["host.mapped"] = driver.host_table.mapped
+    stats = {
+        "gpu": asdict(driver.gpu_table.stats),
+        "host": asdict(driver.host_table.stats),
+        "pma": asdict(driver.pma.stats),
+        "lru_order": [int(vb) for vb in driver.lru.order()],
+    }
+    return _sha256(
+        *(_array_bytes(name, a) for name, a in arrays.items()),
+        json.dumps(stats, sort_keys=True).encode(),
+    )
+
+
+def trace_digests(result: RunResult) -> dict[str, str]:
+    """sha256 of each array of a run's finalized trace, by field name."""
+    trace = result.trace
+    return {
+        name: _sha256(_array_bytes(name, value))
+        for name, value in vars(trace).items()
+    }
+
+
+def summarize(outcome) -> dict:
+    """The pinned record of one cell (see :func:`cells`)."""
+    result, driver = outcome if isinstance(outcome, tuple) else (outcome, None)
     full = {
         "counters": result.counters.as_dict(),
         "timer_ns": result.timer.as_dict(),
@@ -171,7 +265,7 @@ def summarize(result: RunResult) -> dict:
         "dma": asdict(result.dma),
     }
     digest = hashlib.sha256(json.dumps(full, sort_keys=True).encode()).hexdigest()
-    return {
+    record = {
         "total_time_ns": result.total_time_ns,
         "gpu_phases": result.gpu_phases,
         "faults_read": result.faults_read,
@@ -179,6 +273,11 @@ def summarize(result: RunResult) -> dict:
         "evictions": result.evictions,
         "sha256": digest,
     }
+    if driver is not None:
+        record["state_sha256"] = state_digest(driver)
+        if result.trace.n_faults:
+            record["trace_sha256"] = trace_digests(result)
+    return record
 
 
 def load() -> dict[str, dict]:
