@@ -11,10 +11,15 @@ submitted 4 times) under three configurations:
 * ``batched`` - one tuned service: persistent workers, batched dispatch
   (``batch_max=8``) and the in-memory result tier.  Each unique spec is
   simulated once (every run builds its workload afresh); its repeats
-  are answered from the result store at submit.  Result reuse is
-  nearly all of the gain over ``cold``.
+  are answered at submit, from the memory tier once the first result
+  was fetched.  Result reuse is nearly all of the gain over ``cold``.
 * ``warm``    - the same 64-job mix resubmitted to the tuned service:
-  pure store hits at submit.
+  pure result-tier hits at submit.
+
+Every job's result document is fetched after its wait, as a client
+does; a fetch reads the memory tier when it holds the result and the
+checksummed disk store otherwise (``cache.mem_hits`` against
+``cache.disk_hits``; a submit answered from a tier counts there too).
 
 Writes ``BENCH_serve_throughput.json`` at the repo root and, with
 ``--check``, exits non-zero when batched throughput is below
@@ -100,6 +105,8 @@ def service_config(
 
 
 def run_wave(svc: SimulationService, specs: list[JobSpec]) -> None:
+    """Submit every spec, then wait for each job and fetch its result
+    document, as a client does (``GET /jobs/<id>/result``)."""
     records = [svc.submit(spec) for spec in specs]
     for record in records:
         final = svc.wait(record.job_id, timeout=600.0)
@@ -107,6 +114,8 @@ def run_wave(svc: SimulationService, specs: list[JobSpec]) -> None:
             raise RuntimeError(
                 f"job {final.job_id} ended {final.state.value}: {final.error}"
             )
+        if svc.result_doc(final.job_id) is None:
+            raise RuntimeError(f"job {final.job_id} is done but has no result")
 
 
 def bench_cold(specs: list[JobSpec], scratch: Path) -> float:
@@ -324,14 +333,18 @@ def main(argv: list[str] | None = None) -> int:
         "description": (
             "Serve-layer throughput on a 64-job repeat-heavy mix "
             "(16 unique specs = 4 batch signatures x 4 driver/cost "
-            "variants, each submitted 4 times). cold = solo dispatch, "
-            "all tiers off, fresh store per wave (64 full computes); "
-            "batched = one tuned service (persistent workers, "
-            "batch_max=8, in-memory result tier) that simulates each "
-            "unique spec once and answers repeats from its store; "
-            "warm = the same mix resubmitted to that service. Wall "
-            "times from a shared 2-vCPU VM (noisy - compare ratios, "
-            "not absolutes)."
+            "variants, each submitted 4 times); every job's result "
+            "document is fetched after its wait, as clients do. cold = "
+            "solo dispatch, all tiers off, fresh store per wave (64 full "
+            "computes, each result read back from disk); batched = one "
+            "tuned service (persistent workers, batch_max=8, in-memory "
+            "result tier) that simulates each unique spec once, answers "
+            "repeats at submit and serves fetches from the memory tier "
+            "after the first disk read of each result; warm = the same "
+            "mix resubmitted to that service. cache.mem_hits and "
+            "cache.disk_hits count submits and fetches answered by each "
+            "tier. Wall times from a shared 2-vCPU VM (noisy - compare "
+            "ratios, not absolutes)."
         ),
         "mix": {
             "jobs": n_jobs,

@@ -113,17 +113,18 @@ class UvmSanitizer:
                 )
 
     # -- eviction (Section V-A) --------------------------------------------
-    def check_eviction(self, residency: "ResidencyState", victim: int, lru) -> None:
-        """Post-conditions of one eviction: whole-VABlock teardown."""
+    def check_eviction(self, state, victim: int, lru) -> None:
+        """Post-conditions of one eviction: whole-VABlock teardown.
+
+        ``state`` is the residency the eviction changed: the
+        :class:`~repro.mem.residency.ResidencyState`, or the batch view
+        the fault servicer decides on (both give ``block(vablock_id)``).
+        """
         self.checks_run += 1
-        if residency.backed[victim]:
+        block = state.block(victim)
+        if block.backed:
             raise self._fail("evict", f"victim VABlock {victim} still backed")
-        if residency.resident_count[victim]:
-            raise self._fail(
-                "evict", f"victim VABlock {victim} still counts resident pages"
-            )
-        start, stop = residency.space.page_span_of_vablock(victim)
-        if residency.resident[start:stop].any():
+        if block.resident:
             raise self._fail(
                 "evict",
                 f"partial eviction: resident pages left in VABlock {victim} "
@@ -135,33 +136,36 @@ class UvmSanitizer:
     # -- prefetch (Section IV-A) -------------------------------------------
     def check_prefetch(
         self,
-        residency: "ResidencyState",
+        state,
         vablock_id: int,
         prefetch_pages: np.ndarray,
         demand_pages: Optional[np.ndarray] = None,
     ) -> None:
         """Prefetch targets live in the serviced, backed VABlock only.
 
-        Given the bin's ``demand_pages``, also checks that both lists
-        are page sets (strictly ascending) and disjoint from each other.
-        The servicer works on leaf masks and already rejects an overlap
-        of its demand and prefetch masks itself; this clause re-checks
-        the page arrays it hands the sanitizer, independently of it.
+        ``state`` is the residency the bin saw (see
+        :meth:`check_eviction`).  Given the bin's ``demand_pages``, also
+        checks that both lists are page sets (strictly ascending) and
+        disjoint from each other.  The servicer works on leaf bitsets
+        and already rejects an overlap of its demand and prefetch leaves
+        itself; this clause re-checks the page arrays it hands the
+        sanitizer, independently of it.
         """
         self.checks_run += 1
         if prefetch_pages.size == 0:
             return
-        if not residency.backed[vablock_id]:
+        block = state.block(vablock_id)
+        if not block.backed:
             raise self._fail(
                 "prefetch",
                 f"prefetch into VABlock {vablock_id} without physical backing",
             )
-        start, stop = residency.space.page_span_of_vablock(vablock_id)
+        start, stop = state.space.page_span_of_vablock(vablock_id)
         if int(prefetch_pages.min()) < start or int(prefetch_pages.max()) >= stop:
             raise self._fail(
                 "prefetch", f"prefetch escaped serviced VABlock {vablock_id}"
             )
-        if residency.resident[prefetch_pages].any():
+        if any(block.resident >> (page - start) & 1 for page in prefetch_pages.tolist()):
             raise self._fail("prefetch", "prefetch of already-resident pages")
         if demand_pages is not None and (
             (np.diff(demand_pages) <= 0).any()

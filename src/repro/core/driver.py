@@ -8,7 +8,8 @@ a kernel to completion:
 2. the driver wakes, drains batches (:mod:`~repro.core.batch`), filters
    and bins them (:mod:`~repro.core.preprocess`), and services each
    VABlock bin (:mod:`~repro.core.service`) - evicting, prefetching,
-   migrating, and mapping as required,
+   migrating, and mapping as required, on the batch's view of the state,
+   which is written back once the batch's last bin is serviced,
 3. the configured replay policy (:mod:`~repro.core.replay`) decides when
    to flush the buffer and when to notify the GPU to replay, waking
    stalled warps (which may re-fault, producing duplicates).
@@ -311,7 +312,8 @@ class UvmDriver:
             from repro.ext.origin_prefetch import OriginStreamPrefetcher
 
             return OriginStreamPrefetcher(
-                pages_per_big_page=self.space.pages_per_big_page
+                pages_per_big_page=self.space.pages_per_big_page,
+                pages_per_vablock=self.space.pages_per_vablock,
             )
         return TreePrefetcher(
             threshold=self.driver_config.density_threshold,
@@ -443,9 +445,12 @@ class UvmDriver:
                 self.recorder.record_batch(self.clock.now, pre.n_read, pre.n_duplicate)
 
             service_start = self.clock.now
-            for vbin in pre.bins:
-                self.servicer.service_bin(vbin)
-                self._apply_action(self.policy.after_vablock())
+            # bins decide on the batch's view; the numpy state is written
+            # when the batch closes, before anything reads it again
+            with self.servicer.batch(pre.bins):
+                for vbin in pre.bins:
+                    self.servicer.service_bin(vbin)
+                    self._apply_action(self.policy.after_vablock())
             self._gpu_arrivals(self.clock.now - service_start)
             self._apply_action(self.policy.after_batch())
             if self.sanitizer is not None:

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.checks import sanitizer as uvmsan
 from repro.errors import ConfigurationError
+from repro.mem.leafbits import bits_of, mask_of
 from repro.units import (
     DEFAULT_DENSITY_THRESHOLD,
     PAGES_PER_BIG_PAGE,
@@ -75,9 +76,9 @@ class TreePrefetcher:
     """Stateless per-VABlock prefetch computation.
 
     Also implements the generic prefetcher interface the fault servicer
-    consumes (:meth:`prefetch_leaves`); alternative predictors (e.g. the
-    fault-origin stream prefetcher in :mod:`repro.ext.origin_prefetch`)
-    provide the same method.
+    consumes (:meth:`prefetch_bits`, on leaf bitsets); alternative
+    predictors (e.g. the fault-origin stream prefetcher in
+    :mod:`repro.ext.origin_prefetch`) provide the same method.
     """
 
     def __init__(
@@ -97,6 +98,22 @@ class TreePrefetcher:
         self.threshold = threshold
         self.pages_per_vablock = pages_per_vablock
         self.pages_per_big_page = pages_per_big_page
+
+    def _grow(self, occ: int, base: int) -> tuple[int, int]:
+        """Stage two from the big page at leaf ``base``: grow the region
+        upward while the parent's density exceeds the threshold, setting
+        each chosen region to max.  Returns the new occupancy and the
+        chosen region size."""
+        size, ppv = self.pages_per_big_page, self.pages_per_vablock
+        while size < ppv:
+            parent_size = size * 2
+            parent_base = base - base % parent_size
+            region = ((1 << parent_size) - 1) << parent_base
+            if (occ & region).bit_count() * 100 <= self.threshold * parent_size:
+                break
+            base, size = parent_base, parent_size
+            occ |= region  # set region to max
+        return occ, size
 
     def compute(
         self,
@@ -124,7 +141,7 @@ class TreePrefetcher:
 
         # Leaf sets are Python-int bitsets (bit i is leaf i), so a
         # region's occupancy is one mask and popcount.
-        occ = _bits_of(resident_leaves)
+        occ = bits_of(resident_leaves)
         for leaf in faults:
             occ |= 1 << leaf
         # Occupancy evolves as regions are chosen ("set to max"); the
@@ -141,48 +158,55 @@ class TreePrefetcher:
         # Stage two: grow a region upward from each faulted leaf.
         region_sizes = []
         for leaf in faults:
-            base = leaf - leaf % ppb
-            size = ppb
-            while size < ppv:
-                parent_size = size * 2
-                parent_base = base - base % parent_size
-                region = ((1 << parent_size) - 1) << parent_base
-                if (occ & region).bit_count() * 100 > self.threshold * parent_size:
-                    base, size = parent_base, parent_size
-                    occ |= region  # set region to max
-                else:
-                    break
+            occ, size = self._grow(occ, leaf - leaf % ppb)
             region_sizes.append(size)
 
         flagged = occ ^ present
         # Stage-one leaves were counted before stage two grew regions,
         # so the tree's contribution is simply the remainder.
         return PrefetchDecision(
-            prefetch_mask=_mask_of(flagged, ppv),
+            prefetch_mask=mask_of(flagged, ppv),
             upgraded=upgraded,
             tree_added=flagged.bit_count() - upgraded,
             max_region=max(region_sizes),
             region_sizes=region_sizes,
         )
 
-    def prefetch_leaves(self, resident_leaves: np.ndarray, start: int, vbin) -> np.ndarray:
-        """Generic interface: the leaves to prefetch for one fault bin.
+    def prefetch_bits(self, resident: int, demand: int, vbin=None, start: int = 0) -> int:
+        """Generic interface: the leaves to prefetch for one fault bin,
+        as a bitset, given the bitsets of the block's ``resident`` leaves
+        and of the bin's ``demand`` faults (the bin and its first page
+        are for predictors that read fault origins).
 
-        ``resident_leaves`` is the residency mask of the bin's VABlock,
-        whose first page is ``start``; the result is a boolean mask of
-        the same shape.
+        The same two stages as :meth:`compute`, walked once per faulted
+        big page instead of once per fault: the faults of one big page
+        start stage two from the same leaf, one after the other, so
+        every walk after the first repeats it without changing anything.
         """
-        mask = self.compute(resident_leaves, vbin.pages - start).prefetch_mask
+        ppb = self.pages_per_big_page
+        big_page = (1 << ppb) - 1
+        occ = present = resident | demand
+        bases = []
+        faults = demand
+        while faults:  # stage one, lowest faulted big page first
+            leaf = (faults & -faults).bit_length() - 1
+            base = leaf - leaf % ppb
+            bases.append(base)
+            occ |= big_page << base
+            faults &= ~(big_page << base)
+        for base in bases:  # stage two
+            occ = self._grow(occ, base)[0]
+        bits = occ ^ present
         if uvmsan.enabled():
-            if np.count_nonzero(mask & resident_leaves):
+            if bits & resident:
                 raise uvmsan.SanitizerError(
                     "UVMSAN[prefetch]: tree computed prefetch of resident pages"
                 )
-            if np.count_nonzero(mask[vbin.pages - start]):
+            if bits & demand:
                 raise uvmsan.SanitizerError(
                     "UVMSAN[prefetch]: tree prefetch overlaps demand faults"
                 )
-        return mask
+        return bits
 
     def describe_tree(
         self, resident_leaves: np.ndarray, faulted_offsets: np.ndarray
@@ -205,15 +229,3 @@ class TreePrefetcher:
             level += 1
         return lines
 
-
-def _bits_of(mask: np.ndarray) -> int:
-    """A boolean leaf mask as a Python-int bitset (bit i is ``mask[i]``)."""
-    return int.from_bytes(np.packbits(mask, bitorder="little"), "little")
-
-
-def _mask_of(bits: int, n_leaves: int) -> np.ndarray:
-    """The boolean leaf mask of a Python-int bitset (below ``n_leaves``)."""
-    if not bits:
-        return np.zeros(n_leaves, dtype=bool)
-    raw = np.frombuffer(bits.to_bytes((n_leaves + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n_leaves, bitorder="little").view(bool)

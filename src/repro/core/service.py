@@ -12,12 +12,27 @@ time (the driver's per-VABlock service loop), which is what makes batch
 composition matter: a bin with many pages amortizes its per-VABlock fixed
 costs and coalesces its DMA, while 256 bins of one page each pay 256 of
 everything (the paper's first key insight in III-D).
+
+**Decide per bin, write per batch.**  Every decision is made per bin, in
+bin order: the LRU victim, PMA reserve and release, the prefetch walk,
+each charge and the clock it advances, the chaos draws and the
+thrashing-detector and trace-recorder calls.  The decisions read and
+change a :class:`BatchView`, the batch's copy of the state of the
+VABlocks it touches as leaf bitsets, gathered from the numpy state when
+the batch opens (:meth:`FaultServicer.batch`).  The numpy state - the
+residency arrays, both page tables and their stats, the timer and the
+counters - is written once, when the batch closes.  Nothing reads those
+arrays while the batch is open; the next reader (the arrival phase, the
+sanitizer's state check, the next batch's preprocess) runs after the
+write.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,8 +45,9 @@ from repro.core.prefetch import TreePrefetcher
 from repro.errors import SimulationError
 from repro.gpu.dma import DmaEngine
 from repro.mem.advise import MemAdvise
-from repro.mem.page_table import PageTable
-from repro.mem.residency import ResidencyState
+from repro.mem.leafbits import mask_of
+from repro.mem.page_table import PageTable, TableLeaves
+from repro.mem.residency import BlockLeaves, ResidencyState
 from repro.sim.clock import SimClock
 from repro.sim.costmodel import CostModel
 from repro.sim.stats import CategoryTimer, CounterSet
@@ -46,6 +62,60 @@ class ServiceOutcome:
     n_demand: int = 0
     n_prefetch: int = 0
     n_evictions: int = 0
+
+
+class BatchView:
+    """One batch's working copy of the state the fault servicer changes.
+
+    ``blocks`` holds the residency of every VABlock the batch touches
+    (:class:`~repro.mem.residency.BlockLeaves`), ``gpu`` and ``host`` the
+    two page tables' mapped bits of the same blocks, and ``ns``,
+    ``counts`` and ``counters`` the timer charges and counter additions
+    made so far.  :meth:`write` moves all of it into the numpy state,
+    timer and counters: one gather per array when the batch opens (and
+    one for each victim that was not foreseen), one scatter when it
+    closes.
+    """
+
+    def __init__(
+        self, residency: ResidencyState, gpu_table: PageTable, host_table: PageTable
+    ) -> None:
+        self.residency = residency
+        self.space = residency.space
+        self.gpu_table = gpu_table
+        self.host_table = host_table
+        self.blocks: dict[int, BlockLeaves] = {}
+        self.gpu = TableLeaves("gpu")
+        self.host = TableLeaves("host")
+        self.ns: dict[str, int] = defaultdict(int)
+        self.counts: dict[str, int] = defaultdict(int)
+        self.counters: dict[str, int] = defaultdict(int)
+
+    def add(self, vablocks: Iterable[int]) -> None:
+        """Gather the blocks of ``vablocks`` that are not in the view yet."""
+        new = [vb for vb in dict.fromkeys(vablocks) if vb not in self.blocks]
+        if new:
+            self.blocks.update(zip(new, self.residency.blocks(new)))
+            self.gpu_table.gather(self.gpu, new)
+            self.host_table.gather(self.host, new)
+
+    def block(self, vablock_id: int) -> BlockLeaves:
+        """The batch's state of one VABlock, gathered on first use."""
+        block = self.blocks.get(vablock_id)
+        if block is None:
+            self.add((vablock_id,))
+            block = self.blocks[vablock_id]
+        return block
+
+    def write(self, timer: CategoryTimer, counters: CounterSet) -> None:
+        """Write the batch into the numpy state, the timer and the counters."""
+        self.residency.write(list(self.blocks.values()))
+        self.gpu_table.write(self.gpu)
+        self.host_table.write(self.host)
+        for category, ns in self.ns.items():
+            timer.charge(category, ns, count=self.counts[category])
+        for name, value in self.counters.items():
+            counters.add(name, value)
 
 
 class FaultServicer:
@@ -86,14 +156,74 @@ class FaultServicer:
         self.thrashing = thrashing
         #: UVMSAN hooks (None unless UVMREPRO_SANITIZE=1).
         self.sanitizer = sanitizer
+        ppv, ppb = self.space.pages_per_vablock, self.space.pages_per_big_page
+        self._ppv = ppv
+        self._ppb = ppb
+        #: shifts that fold each run of ``ppb`` set leaves onto its first
+        #: leaf, and the first leaf of every big page (for PTE counts).
+        self._fold_shifts = [1 << i for i in range(ppb.bit_length() - 1)]
+        self._big_page_starts = sum(1 << leaf for leaf in range(0, ppv, ppb))
+        #: the open batch's view; None between batches.
+        self._view: Optional[BatchView] = None
+
+    # -- batches -----------------------------------------------------------------
+    @contextmanager
+    def batch(
+        self, bins: Sequence[VABlockBin] = (), blocks: Iterable[int] = ()
+    ) -> Iterator[BatchView]:
+        """Open a batch over the VABlocks of ``bins`` (and ``blocks``):
+        gather their state, let :meth:`service_bin` decide on it, and
+        write it back when the block of the ``with`` statement ends.
+
+        The LRU blocks that the batch's allocations will evict are
+        gathered with it; a victim that was not foreseen (an injected
+        allocation failure evicts one more) is gathered when chosen.
+        The view is dropped unwritten if the batch raises.
+        """
+        if self._view is not None:
+            raise SimulationError("a service batch is already open")
+        vablocks = list(dict.fromkeys([vbin.vablock_id for vbin in bins] + list(blocks)))
+        view = BatchView(self.residency, self.gpu_table, self.host_table)
+        view.add(vablocks + self._likely_victims(vablocks))
+        self._view = view
+        try:
+            yield view
+            self.write_batch()
+        finally:
+            self._view = None
+
+    def write_batch(self) -> None:
+        """Write the open batch into the numpy state, timer and counters."""
+        self._view.write(self.timer, self.counters)
+
+    def _likely_victims(self, vablocks: list[int]) -> list[int]:
+        """The blocks that allocating the unbacked ones of ``vablocks``
+        evicts if no block is evicted before its own bin: one per
+        unbacked block beyond the free VABlocks, taken from the eviction
+        end of the LRU list."""
+        need = len(vablocks) - int(np.count_nonzero(self.residency.backed[vablocks]))
+        need -= self.pma.available_bytes // self.space.vablock_size
+        victims: list[int] = []
+        if need > 0:
+            batch = set(vablocks)
+            for vb in self.lru.order():
+                if vb not in batch:
+                    victims.append(vb)
+                    if len(victims) == need:
+                        break
+        return victims
 
     # -- helpers -----------------------------------------------------------------
     def _charge(self, category: str, duration_ns: int, count: int = 1) -> None:
-        """Attribute driver time and advance the (serial) driver clock."""
-        self.timer.charge(category, duration_ns, count=count)
+        """Attribute driver time and advance the (serial) driver clock;
+        the timer receives the batch's charges when it is written."""
+        duration_ns = round(duration_ns)
         self.clock.advance(duration_ns)
+        view = self._view
+        view.ns[category] += duration_ns
+        view.counts[category] += count
 
-    def _effective_ptes(self, leaves: np.ndarray, n: int) -> int:
+    def _effective_ptes(self, leaves: int, n: int) -> int:
         """PTE writes needed for the ``n`` set ``leaves`` of one VABlock,
         with big-page promotion.
 
@@ -103,17 +233,25 @@ class FaultServicer:
         pay ~1/16th the mapping cost of scattered ones - part of why
         aggressive prefetching approaches explicit-transfer efficiency.
         """
-        ppb = self.space.pages_per_big_page
+        ppb = self._ppb
         if n < ppb:
             return n  # too few pages to fill a group
-        full = int(np.count_nonzero(leaves.reshape(-1, ppb).all(axis=1)))
-        return n - full * (ppb - 1)
+        full = leaves
+        for shift in self._fold_shifts:
+            full &= full >> shift
+        return n - (full & self._big_page_starts).bit_count() * (ppb - 1)
 
-    def _leaves(self, offsets: np.ndarray) -> np.ndarray:
-        """The leaf mask of one VABlock with ``offsets`` set."""
-        leaves = np.zeros(self.space.pages_per_vablock, dtype=bool)
-        leaves[offsets] = True
-        return leaves
+    @staticmethod
+    def _leaf_bits(vbin: VABlockBin, start: int) -> tuple[int, int]:
+        """The bin's demand faults and write intent as leaf bitsets of
+        its VABlock, whose first page is ``start``."""
+        demand = writing = 0
+        for page, write in zip(vbin.pages.tolist(), vbin.writes.tolist()):
+            leaf = 1 << (page - start)
+            demand |= leaf
+            if write:
+                writing |= leaf
+        return demand, writing
 
     # -- eviction path --------------------------------------------------------------
     def _evict_one(self, exclude_vablock: int) -> None:
@@ -123,16 +261,10 @@ class FaultServicer:
         migration of the modified pages plus unmap/invalidate, and the
         lock dance forces the faulting path to restart (the fixed cost).
         """
+        view = self._view
         victim = self.lru.evict_victim(exclude=(exclude_vablock,))
-        start, stop = self.space.page_span_of_vablock(victim)
-        # the servicer's own read of the victim span, cross-checked
-        # against what the teardown reports
-        n_seen = np.count_nonzero(self.residency.resident[start:stop])
-        n_dirty_seen = np.count_nonzero(self.residency.dirty[start:stop])
-        evicted = self.residency.evict_vablock(victim)
-        n_res, n_dirty = evicted.n_resident, evicted.n_dirty
-        if n_res != n_seen or n_dirty != n_dirty_seen:
-            raise SimulationError("eviction accounting mismatch")
+        resident, dirty = view.block(victim).evict()
+        n_res, n_dirty = resident.bit_count(), dirty.bit_count()
 
         if self.thrashing is not None:
             self.thrashing.record_eviction(victim, self.clock.now)
@@ -140,24 +272,25 @@ class FaultServicer:
         evict_ns += self.dma.d2h_pages(n_dirty) if n_dirty else 0
         evict_ns += n_res * self.cost.unmap_page_ns
         evict_ns += self.cost.tlb_invalidate_ns + self.cost.membar_ns
-        self.gpu_table.unmap_span(start, evicted.resident)
-        self.gpu_table.invalidate_tlb()
-        self.gpu_table.membar()
+        view.gpu.unmap(victim, resident)
+        view.gpu.invalidate_tlb()
+        view.gpu.membar()
         # data is host-resident again
-        self.host_table.map_span(start, evicted.resident)
+        view.host.map(victim, resident)
         evict_ns += n_res * self.cost.map_page_ns
         self._charge("service.evict", evict_ns, count=1)
 
         self.pma.release(self.space.vablock_size)
-        self.counters.add(C.EVICTIONS)
-        self.counters.add(C.EVICTION_PAGES_DROPPED, n_res)
-        self.counters.add(C.EVICTION_PAGES_DIRTY, n_dirty)
-        self.counters.add(C.PAGES_WRITEBACK_D2H, n_dirty)
+        counters = view.counters
+        counters[C.EVICTIONS] += 1
+        counters[C.EVICTION_PAGES_DROPPED] += n_res
+        counters[C.EVICTION_PAGES_DIRTY] += n_dirty
+        counters[C.PAGES_WRITEBACK_D2H] += n_dirty
         self.recorder.record_eviction(self.clock.now, victim, n_res, n_dirty)
         if self.sanitizer is not None:
-            self.sanitizer.check_eviction(self.residency, victim, self.lru)
+            self.sanitizer.check_eviction(view, victim, self.lru)
 
-    def _ensure_backed(self, vablock_id: int) -> int:
+    def _ensure_backed(self, block: BlockLeaves) -> int:
         """Reserve GPU physical memory for the bin's VABlock.
 
         Triggered "whenever the driver attempts to allocate memory for a
@@ -165,8 +298,9 @@ class FaultServicer:
         e.g. the first page fault" (Section V-A1).  Returns the number of
         evictions performed.
         """
-        if self.residency.backed[vablock_id]:
+        if block.backed:
             return 0
+        vablock_id = block.vablock_id
         evictions = 0
         vab_bytes = self.space.vablock_size
         while True:
@@ -183,21 +317,21 @@ class FaultServicer:
                 # anything is evictable) and retry.  The injector's
                 # max_fires budget bounds the loop.
                 self._charge("service.pma_alloc", exc.cost_ns, count=1)
-                self.counters.add(C.PMA_CALLS)
+                self._view.counters[C.PMA_CALLS] += 1
                 if self.lru.select_victim(exclude=(vablock_id,)) is not None:
                     self._evict_one(exclude_vablock=vablock_id)
                     evictions += 1
         if reserve_ns:
-            self.counters.add(C.PMA_CALLS)
+            self._view.counters[C.PMA_CALLS] += 1
         # PMA cost is "actually part of the migration process" but the
         # paper separates it (Fig. 4 caption); we do the same.
         self._charge("service.pma_alloc", reserve_ns, count=1)
-        self.residency.back_vablock(vablock_id)
+        block.back()
         self.lru.insert(vablock_id)
         return evictions
 
     # -- memory-advise service paths ------------------------------------------------
-    def _service_remote_bin(self, vbin: VABlockBin, start: int) -> ServiceOutcome:
+    def _service_remote_bin(self, vbin: VABlockBin, block: BlockLeaves) -> ServiceOutcome:
         """Remote mapping (Section III-A): map host memory, migrate nothing.
 
         No PMA allocation, no eviction pressure, no data transfer - the
@@ -209,13 +343,12 @@ class FaultServicer:
         n = int(vbin.pages.size)
         if n == 0:
             return outcome
-        leaves = self._leaves(vbin.pages - start)
-        if np.count_nonzero(leaves & self.residency.resident[start : start + leaves.size]):
-            raise SimulationError("remote bin contains migrated pages")
-        n_new = self.residency.map_remote(vb, leaves)
-        self.gpu_table.map_span(start, leaves)
-        self.gpu_table.invalidate_tlb()
-        self.gpu_table.membar()
+        leaves = self._leaf_bits(vbin, vb * self._ppv)[0]
+        view = self._view
+        n_new = block.map_remote(leaves)
+        view.gpu.map(vb, leaves)
+        view.gpu.invalidate_tlb()
+        view.gpu.membar()
         map_ns = (
             self.cost.map_vablock_fixed_ns
             + n * (self.cost.map_page_ns + self.cost.service_per_fault_ns)
@@ -224,35 +357,36 @@ class FaultServicer:
         )
         self._charge("service.map", map_ns, count=n)
         outcome.n_demand = n
-        self.counters.add(C.FAULTS_SERVICED, outcome.n_demand)
-        self.counters.add(C.REMOTE_PAGES_MAPPED, n_new)
-        self.recorder.record_service(self.clock.now, vb, outcome.n_demand, 0)
+        view.counters[C.FAULTS_SERVICED] += n
+        view.counters[C.REMOTE_PAGES_MAPPED] += n_new
+        self.recorder.record_service(self.clock.now, vb, n, 0)
         return outcome
 
-    def _upgrade_permissions(self, vb: int, start: int, leaves: np.ndarray) -> int:
+    def _upgrade_permissions(self, block: BlockLeaves, leaves: int) -> int:
         """Write faults on duplicated pages: collapse the duplication.
 
         The host copies become stale, so their host mappings are torn
         down and the GPU PTEs upgraded to read-write; no data moves.
         """
-        duplicated = self.residency.duplicated[start : start + leaves.size]
-        if np.count_nonzero(np.greater(leaves, duplicated)):
+        if leaves & ~block.duplicated:
             raise SimulationError("upgrade request on non-duplicated pages")
-        n_pages = int(np.count_nonzero(leaves))
-        n = self.residency.collapse_duplicates(vb, leaves)
-        self.host_table.unmap_span(start, leaves)
-        self.gpu_table.map_span(start, leaves)  # PTE permission rewrite
-        self.gpu_table.invalidate_tlb()
-        self.gpu_table.membar()
+        vb = block.vablock_id
+        view = self._view
+        n_pages = leaves.bit_count()
+        n = block.collapse_duplicates(leaves)
+        view.host.unmap(vb, leaves)
+        view.gpu.map(vb, leaves)  # PTE permission rewrite
+        view.gpu.invalidate_tlb()
+        view.gpu.membar()
         upgrade_ns = (
             n_pages * (self.cost.map_page_ns + self.cost.unmap_page_ns)
             + self.cost.tlb_invalidate_ns
             + self.cost.membar_ns
         )
         self._charge("service.map", upgrade_ns, count=n_pages)
-        self.counters.add(C.FAULTS_WRITE_UPGRADE, n)
-        self.counters.add(C.FAULTS_SERVICED, n)
-        self.counters.add(C.DUP_COLLAPSES, n)
+        view.counters[C.FAULTS_WRITE_UPGRADE] += n
+        view.counters[C.FAULTS_SERVICED] += n
+        view.counters[C.DUP_COLLAPSES] += n
         return n
 
     def promote_remote_block(self, vablock_id: int) -> int:
@@ -262,78 +396,85 @@ class FaultServicer:
         heavily re-touched; paying one bulk migration converts every
         future touch from an interconnect trip into an HBM hit.  The
         GPU PTEs are rewritten from sysmem to local (a remap, not an
-        unmap), and the pages arrive writable like any migration.
-        Returns the number of pages promoted.
+        unmap), and the pages arrive writable like any migration.  The
+        promotion is a batch of its own.  Returns the number of pages
+        promoted.
         """
-        start, stop = self.space.page_span_of_vablock(vablock_id)
-        leaves = self.residency.remote_mapped[start:stop].copy()
-        n = int(np.count_nonzero(leaves))
-        if n == 0:
-            return 0
-        self._ensure_backed(vablock_id)
-        self.residency.unmap_remote(vablock_id, leaves)
-        n_ptes = self._effective_ptes(leaves, n)
-        promote_ns = (
-            n * (self.cost.stage_page_ns + self.cost.unmap_page_ns)
-            + n_ptes * (self.cost.zero_page_ns + self.cost.map_page_ns)
-            + self.dma.h2d_pages(n)
-            + self.cost.tlb_invalidate_ns
-            + self.cost.membar_ns
-        )
-        self.gpu_table.map_span(start, leaves)  # PTE rewrite sysmem -> local
-        self.gpu_table.invalidate_tlb()
-        self.gpu_table.membar()
-        self.host_table.unmap_span(start, leaves)
-        self._charge("service.counter_migration", promote_ns, count=n)
-        self.residency.make_resident(vablock_id, leaves)
-        self.lru.touch(vablock_id)
-        self.counters.add(C.COUNTER_MIGRATION_BLOCKS)
-        self.counters.add(C.COUNTER_MIGRATION_PAGES, n)
-        return n
+        with self.batch(blocks=(vablock_id,)) as view:
+            block = view.block(vablock_id)
+            leaves = block.remote_mapped
+            n = leaves.bit_count()
+            if n == 0:
+                return 0
+            self._ensure_backed(block)
+            block.unmap_remote(leaves)
+            n_ptes = self._effective_ptes(leaves, n)
+            promote_ns = (
+                n * (self.cost.stage_page_ns + self.cost.unmap_page_ns)
+                + n_ptes * (self.cost.zero_page_ns + self.cost.map_page_ns)
+                + self.dma.h2d_pages(n)
+                + self.cost.tlb_invalidate_ns
+                + self.cost.membar_ns
+            )
+            view.gpu.map(vablock_id, leaves)  # PTE rewrite sysmem -> local
+            view.gpu.invalidate_tlb()
+            view.gpu.membar()
+            view.host.unmap(vablock_id, leaves)
+            self._charge("service.counter_migration", promote_ns, count=n)
+            block.make_resident(leaves)
+            self.lru.touch(vablock_id)
+            view.counters[C.COUNTER_MIGRATION_BLOCKS] += 1
+            view.counters[C.COUNTER_MIGRATION_PAGES] += n
+            return n
 
     # -- main entry ---------------------------------------------------------------
     def service_bin(self, vbin: VABlockBin) -> ServiceOutcome:
         """Service all faults of one VABlock bin (plus prefetch).
 
-        The bin is serviced on its VABlock's span: demand, prefetch and
-        write intent are boolean masks over the block's leaves, and the
-        residency, page-table and DMA updates take those masks or their
-        page counts.
+        The bin is serviced on its VABlock's state in the open batch's
+        view: demand, prefetch and write intent are leaf bitsets, and
+        the residency, page-table and DMA updates take those bitsets or
+        their page counts.
         """
+        view = self._view
+        if view is None:
+            raise SimulationError("service_bin outside a batch (see FaultServicer.batch)")
         vb = vbin.vablock_id
-        start, stop = self.space.page_span_of_vablock(vb)
+        start = vb * self._ppv
+        block = view.block(vb)
         advise = self.space.advise_of_vablock(vb)
         if advise is MemAdvise.PINNED_HOST:
-            return self._service_remote_bin(vbin, start)
+            return self._service_remote_bin(vbin, block)
 
         if self.thrashing is not None and advise is MemAdvise.MIGRATE:
             before = self.thrashing.pinned_blocks
             self.thrashing.on_fault(vb, self.clock.now)
             if self.thrashing.pinned_blocks > before:
-                self.counters.add(C.THRASH_BLOCKS_PINNED)
+                view.counters[C.THRASH_BLOCKS_PINNED] += 1
             if self.thrashing.should_pin(vb):
                 # thrashing remedy: stop migrating this block - service
                 # its faults as remote mappings from here on
-                outcome = self._service_remote_bin(vbin, start)
-                self.counters.add(C.THRASH_PAGES_PINNED, outcome.n_demand)
+                outcome = self._service_remote_bin(vbin, block)
+                view.counters[C.THRASH_PAGES_PINNED] += outcome.n_demand
                 return outcome
 
         outcome = ServiceOutcome(vablock_id=vb)
-        # a live view: it follows the block's residency through the
-        # upgrades, the eviction of other blocks and the prefetch
-        resident = self.residency.resident[start:stop]
-        offsets = vbin.pages - start
+        demand, writing = self._leaf_bits(vbin, start)
 
         # Split permission upgrades (resident read-only duplicates hit
         # by writes) from true demand misses.
-        hit = resident[offsets]
-        if np.count_nonzero(hit):
-            self._upgrade_permissions(vb, start, self._leaves(offsets[hit]))
-            missing = ~hit
-            if not np.count_nonzero(missing):
+        hit = demand & block.resident
+        if hit:
+            self._upgrade_permissions(block, hit)
+            demand &= ~hit
+            writing &= ~hit
+            if not demand:
                 self.lru.touch(vb)
                 self.recorder.record_service(self.clock.now, vb, 0, 0)
                 return outcome
+            missing = np.array(
+                [not hit >> leaf & 1 for leaf in (vbin.pages - start).tolist()]
+            )
             vbin = VABlockBin(
                 vablock_id=vb,
                 pages=vbin.pages[missing],
@@ -341,34 +482,27 @@ class FaultServicer:
                 stream_ids=vbin.stream_ids[missing],
                 sm_ids=vbin.sm_ids[missing],
             )
-            offsets = offsets[missing]
-        n_demand = int(offsets.size)
-        demand = self._leaves(offsets)
-        # write intent per leaf; a plain False when nothing writes
-        writing = False
-        if np.count_nonzero(vbin.writes):
-            writing = self._leaves(offsets[vbin.writes])
-        outcome.n_evictions = self._ensure_backed(vb)
+        n_demand = demand.bit_count()
+        outcome.n_evictions = self._ensure_backed(block)
 
         # -- prefetch decision (Section IV-A) ---------------------------------
         leaves, n_prefetch = demand, 0
         if self.prefetcher is not None and n_demand:
-            prefetch = self.prefetcher.prefetch_leaves(resident, start, vbin)
-            if prefetch.dtype != np.bool_ or prefetch.shape != demand.shape:
+            resident = block.resident
+            prefetch = self.prefetcher.prefetch_bits(resident, demand, vbin, start)
+            if prefetch < 0 or prefetch >> self._ppv:
                 # Prefetch is per-VABlock: physical backing exists only
                 # for the block being serviced.
                 raise SimulationError("prefetcher escaped the serviced VABlock")
-            if np.count_nonzero(prefetch & resident):
+            if prefetch & resident:
                 raise SimulationError("prefetcher returned resident pages")
-            if np.count_nonzero(prefetch & demand):
+            if prefetch & demand:
                 raise SimulationError("prefetch overlaps the demand faults")
             if self.sanitizer is not None:
-                self.sanitizer.check_prefetch(
-                    self.residency, vb, np.flatnonzero(prefetch) + start, vbin.pages
-                )
-            n_prefetch = int(np.count_nonzero(prefetch))
-            if n_prefetch:
-                leaves = demand | prefetch
+                pages = np.flatnonzero(mask_of(prefetch, self._ppv)) + start
+                self.sanitizer.check_prefetch(view, vb, pages, vbin.pages)
+            n_prefetch = prefetch.bit_count()
+            leaves = demand | prefetch
         n_all = n_demand + n_prefetch
         if n_all == 0:
             return outcome
@@ -386,14 +520,12 @@ class FaultServicer:
         if advise is MemAdvise.READ_MOSTLY:
             # read-only duplication: host mappings survive for pages that
             # were not written; only written pages become exclusive.
-            unmap, n_unmap = writing, 0
-            if writing is not False:
-                n_unmap = int(np.count_nonzero(writing))
+            unmap, n_unmap = writing, writing.bit_count()
         else:
             unmap, n_unmap = leaves, n_all  # migration unmaps the source copy
         migrate_ns += n_unmap * self.cost.unmap_page_ns
         if n_unmap:
-            self.host_table.unmap_span(start, unmap)
+            view.host.unmap(vb, unmap)
         self._charge("service.migrate", migrate_ns, count=n_all)
 
         # -- map (PTE writes, invalidate, membar) --------------------------------
@@ -403,33 +535,26 @@ class FaultServicer:
             + self.cost.tlb_invalidate_ns
             + self.cost.membar_ns
         )
-        self.gpu_table.map_span(start, leaves)
-        self.gpu_table.invalidate_tlb()
-        self.gpu_table.membar()
+        view.gpu.map(vb, leaves)
+        view.gpu.invalidate_tlb()
+        view.gpu.membar()
         self._charge("service.map", map_ns, count=n_all)
 
         # -- residency + LRU promotion --------------------------------------------
         if advise is MemAdvise.READ_MOSTLY:
             # written pages map exclusive+RW; everything else arrives as
             # a read-only duplicate whose host copy stays valid
-            self.residency.make_resident(
-                vb,
-                leaves,
-                writing=writing,
-                writable=writing,
-                duplicated=True if writing is False else ~writing,
-            )
+            block.make_resident(leaves, writing, writable=writing, duplicated=~writing)
         else:
-            self.residency.make_resident(vb, leaves, writing=writing)
+            block.make_resident(leaves, writing)
         self.lru.touch(vb)
 
         outcome.n_demand = n_demand
         outcome.n_prefetch = n_prefetch
-        self.counters.add(C.FAULTS_SERVICED, outcome.n_demand)
-        self.counters.add(C.PAGES_DEMAND_H2D, outcome.n_demand)
-        self.counters.add(C.PAGES_PREFETCH_H2D, outcome.n_prefetch)
-        self.counters.add(C.PAGES_ZEROED, n_all)
-        self.recorder.record_service(
-            self.clock.now, vb, outcome.n_demand, outcome.n_prefetch
-        )
+        counters = view.counters
+        counters[C.FAULTS_SERVICED] += n_demand
+        counters[C.PAGES_DEMAND_H2D] += n_demand
+        counters[C.PAGES_PREFETCH_H2D] += n_prefetch
+        counters[C.PAGES_ZEROED] += n_all
+        self.recorder.record_service(self.clock.now, vb, n_demand, n_prefetch)
         return outcome

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ConfigurationError
+from repro.units import PAGES_PER_VABLOCK
 
 
 @dataclass
@@ -42,12 +41,14 @@ class OriginStreamPrefetcher:
         depth: int = 8,
         min_confirmations: int = 1,
         max_origins: int = 65536,
+        pages_per_vablock: int = PAGES_PER_VABLOCK,
     ) -> None:
         if depth < 1:
             raise ConfigurationError("depth must be >= 1")
         if min_confirmations < 1:
             raise ConfigurationError("min_confirmations must be >= 1")
         self.pages_per_big_page = pages_per_big_page
+        self.pages_per_vablock = pages_per_vablock
         self.depth = depth
         self.min_confirmations = min_confirmations
         self.max_origins = max_origins
@@ -71,19 +72,18 @@ class OriginStreamPrefetcher:
         state.last_page = page
         return state
 
-    def prefetch_leaves(self, resident_leaves: np.ndarray, start: int, vbin) -> np.ndarray:
+    def prefetch_bits(self, resident: int, demand: int, vbin, start: int) -> int:
         """Predict ahead for each origin with a confirmed stride.
 
         The origin is the faulting SM: the granularity Section VI-B says
         the hardware could plausibly expose ("SM ID, logical thread ID,
         or related information sufficient to pinpoint a specific area of
-        execution").  Returns a leaf mask of the bin's VABlock (first
-        page ``start``, residency ``resident_leaves``), like the tree
-        prefetcher.
+        execution").  Returns a leaf bitset of the bin's VABlock (first
+        page ``start``, ``resident`` and ``demand`` leaf bitsets), like
+        the tree prefetcher.
         """
-        stop = start + resident_leaves.size
-        predicted: set[int] = set()
-        demand = set(vbin.pages.tolist())
+        stop = start + self.pages_per_vablock
+        predicted = 0
         for page, origin in zip(vbin.pages.tolist(), vbin.sm_ids.tolist()):
             state = self._observe(origin, page)
             if state.stride == 0 or state.confirmations < self.min_confirmations:
@@ -92,10 +92,7 @@ class OriginStreamPrefetcher:
                 target = page + k * state.stride
                 if not start <= target < stop:
                     break  # backing is per-VABlock; stop at the edge
-                if target in demand or resident_leaves[target - start]:
-                    continue
-                predicted.add(target)
-        self.predictions += len(predicted)
-        mask = np.zeros(resident_leaves.size, dtype=bool)
-        mask[[target - start for target in predicted]] = True
-        return mask
+                predicted |= 1 << (target - start)
+        bits = predicted & ~(resident | demand)
+        self.predictions += bits.bit_count()
+        return bits

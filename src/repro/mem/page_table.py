@@ -10,6 +10,11 @@ The simulator uses it for two purposes:
 * charging map/unmap/TLB-invalidate costs with exact operation counts,
 * verifying the mapping discipline (a page is GPU-mapped iff resident;
   double-maps and double-unmaps indicate driver-logic bugs and raise).
+
+The fault servicer maps and unmaps on a :class:`TableLeaves`, one
+batch's copy of the mapped bits of the VABlocks it touches as leaf
+bitsets, which :meth:`PageTable.write` scatters back with the batch's
+mapping stats.  The span and page-list forms serve the CPU-fault path.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 
 from repro.errors import AddressError, SimulationError
 from repro.mem.address_space import AddressSpace
+from repro.mem.leafbits import gather_rows, scatter_rows
 
 
 @dataclass
@@ -114,6 +120,28 @@ class PageTable:
         """Issue a memory barrier publishing recent PTE updates."""
         self.stats.membars += 1
 
+    def gather(self, view: "TableLeaves", vablocks) -> None:
+        """Add the mapped bits of ``vablocks`` (not yet in ``view``) to
+        ``view``, one gather for all of them."""
+        idx = np.asarray(vablocks, dtype=np.int64)
+        (rows,) = gather_rows([self.mapped], idx, self.space.pages_per_vablock)
+        view.mapped.update(zip(idx.tolist(), rows))
+
+    def write(self, view: "TableLeaves") -> None:
+        """Write back ``view``: one scatter of its mapped bits, plus the
+        mapping stats of the operations made on it."""
+        if view.mapped:
+            idx = np.fromiter(view.mapped, dtype=np.int64, count=len(view.mapped))
+            scatter_rows(
+                [self.mapped], idx, [list(view.mapped.values())], self.space.pages_per_vablock
+            )
+        delta = view.stats
+        self.stats.pages_mapped += delta.pages_mapped
+        self.stats.pages_unmapped += delta.pages_unmapped
+        self.stats.tlb_invalidates += delta.tlb_invalidates
+        self.stats.membars += delta.membars
+        self.epoch += delta.tlb_invalidates
+
     def mapped_count(self) -> int:
         return int(self.mapped.sum())
 
@@ -141,6 +169,49 @@ class PageTable:
             raise SimulationError(
                 f"GPU page table out of sync with residency on {diff} pages"
             )
+
+
+class TableLeaves:
+    """One batch's copy of a page table: the mapped bits of the VABlocks
+    the batch touches (``mapped[vablock]`` is a leaf bitset) and the
+    stats of the mapping operations made on them.
+
+    The operations mirror :meth:`PageTable.map_span`,
+    :meth:`~PageTable.unmap_span`, :meth:`~PageTable.invalidate_tlb` and
+    :meth:`~PageTable.membar`; :meth:`PageTable.write` applies them.
+    """
+
+    __slots__ = ("side", "mapped", "stats")
+
+    def __init__(self, side: str) -> None:
+        self.side = side
+        self.mapped: dict[int, int] = {}
+        self.stats = MappingStats()
+
+    def map(self, vablock_id: int, leaves: int) -> int:
+        """Install PTEs for ``leaves``; returns the number newly mapped
+        (a re-map is a PTE write, counted, but not a new mapping)."""
+        mapped = self.mapped[vablock_id]
+        self.mapped[vablock_id] = mapped | leaves
+        self.stats.pages_mapped += leaves.bit_count()
+        return (leaves & ~mapped).bit_count()
+
+    def unmap(self, vablock_id: int, leaves: int) -> int:
+        """Remove the PTEs of ``leaves``; unmapping a non-mapped page is
+        a driver logic bug and raises."""
+        mapped = self.mapped[vablock_id]
+        if leaves & ~mapped:
+            raise SimulationError(f"unmap of non-mapped pages on {self.side} table")
+        self.mapped[vablock_id] = mapped & ~leaves
+        n = leaves.bit_count()
+        self.stats.pages_unmapped += n
+        return n
+
+    def invalidate_tlb(self) -> None:
+        self.stats.tlb_invalidates += 1
+
+    def membar(self) -> None:
+        self.stats.membars += 1
 
 
 def _covering_span(pages) -> tuple[int, np.ndarray]:

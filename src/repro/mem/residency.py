@@ -15,14 +15,20 @@ number:
 * ``dirty[page]``      - the GPU copy was written and must migrate on
   evict,
 * ``backed[vablock]``  - the VABlock has GPU physical memory reserved,
-* ``resident_count[vablock]`` - cached popcount the density prefetcher
-  reads.
+* ``resident_count[vablock]`` - cached popcount of the block's
+  ``resident`` leaves.
 
-The service path's transitions (:meth:`~ResidencyState.make_resident`,
-:meth:`~ResidencyState.evict_vablock`, duplicate collapse and remote
-mapping) are slice-local: they take one VABlock and a boolean mask over
-its leaves and touch only that block's span of each array.  Host-side
-transitions (CPU faults) take scattered page lists.
+The service path's transitions (make resident, evict, duplicate
+collapse, remote map and unmap) are methods of :class:`BlockLeaves`,
+one VABlock's flags as leaf bitsets (Python ints, bit ``i`` is leaf
+``i``).  The fault servicer gathers the blocks of a fault batch with
+:meth:`ResidencyState.blocks`, applies every transition of the batch to
+them in order, and writes them back with :meth:`ResidencyState.write`,
+one gather and one scatter per array.  The per-block methods of
+:class:`ResidencyState` (:meth:`~ResidencyState.make_resident`,
+:meth:`~ResidencyState.evict_vablock`, ...) take a boolean leaf mask and
+run the same transition on a one-block gather.  Host-side transitions
+(CPU faults) take scattered page lists.
 
 Two derived masks are maintained incrementally because the GPU's warp
 advance scans them on every access:
@@ -44,6 +50,11 @@ import numpy as np
 
 from repro.errors import AddressError, SimulationError
 from repro.mem.address_space import AddressSpace
+from repro.mem.leafbits import bits_of, gather_rows, mask_of, unpack_rows
+
+#: the per-page flag arrays whose rows a :class:`BlockLeaves` carries as
+#: bitset fields of the same names.
+FLAG_PLANES = ("resident", "writable", "duplicated", "remote_mapped", "dirty")
 
 
 class ResidencyState:
@@ -100,15 +111,58 @@ class ResidencyState:
             raise SimulationError(f"VABlock {vablock_id} already backed")
         self.backed[vablock_id] = True
 
-    def _leaf_span(self, vablock_id: int, leaves: np.ndarray) -> slice:
-        """The page span of ``vablock_id`` after checking ``leaves`` is
-        a boolean mask over exactly its leaves."""
+    # -- per-block state as leaf bitsets ------------------------------------------
+    def blocks(self, vablocks) -> list["BlockLeaves"]:
+        """The current state of each of ``vablocks`` (unique) as
+        :class:`BlockLeaves`, gathered in one pass per array."""
+        idx = np.asarray(vablocks, dtype=np.int64)
+        planes = gather_rows(
+            [getattr(self, name) for name in FLAG_PLANES], idx, self.pages_per_vablock
+        )
+        return [
+            BlockLeaves(vb, *flags)
+            for vb, *flags in zip(idx.tolist(), *planes, self.backed[idx].tolist())
+        ]
+
+    def block(self, vablock_id: int) -> "BlockLeaves":
+        """The current state of one VABlock (see :meth:`blocks`)."""
+        self.space.page_span_of_vablock(vablock_id)  # range check
+        return self.blocks([vablock_id])[0]
+
+    def write(self, blocks: list["BlockLeaves"]) -> None:
+        """Write back the final state of ``blocks`` (unique VABlocks
+        gathered by :meth:`blocks`): one scatter per array.  The cached
+        counts and the derived access masks follow from the bitsets;
+        each block's evictions are added to ``evict_count``."""
+        if not blocks:
+            return
+        ppv = self.pages_per_vablock
+        idx = np.fromiter((b.vablock_id for b in blocks), dtype=np.int64, count=len(blocks))
+        planes = unpack_rows(
+            [[getattr(b, name) for b in blocks] for name in FLAG_PLANES], ppv
+        )
+        for name, rows in zip(FLAG_PLANES, planes):
+            getattr(self, name).reshape(-1, ppv)[idx] = rows
+        resident, writable, _, remote, _ = planes
+        self.read_ok.reshape(-1, ppv)[idx] = resident | remote
+        self.write_ok.reshape(-1, ppv)[idx] = (resident & writable) | remote
+        self.resident_count[idx] = np.count_nonzero(resident, axis=1)
+        self.backed[idx] = [b.backed for b in blocks]
+        self.evict_count[idx] += [b.evictions for b in blocks]
+
+    def _transition(self, vablock_id: int, leaves: np.ndarray, method, *flags):
+        """Run one :class:`BlockLeaves` transition on ``vablock_id`` and
+        write it back; ``leaves`` must be a boolean mask over exactly the
+        block's leaves.  Nothing is written when the transition raises."""
         start, stop = self.space.page_span_of_vablock(vablock_id)
         if leaves.dtype.type is not np.bool_ or leaves.shape != (stop - start,):
             raise AddressError(
                 f"leaves must be a boolean mask of shape ({stop - start},)"
             )
-        return slice(start, stop)
+        block = self.blocks([vablock_id])[0]
+        out = method(block, bits_of(leaves), *(_flag_bits(f, leaves) for f in flags))
+        self.write([block])
+        return out
 
     def make_resident(
         self,
@@ -118,63 +172,31 @@ class ResidencyState:
         writable: np.ndarray | bool = True,
         duplicated: np.ndarray | bool = False,
     ) -> int:
-        """Mark the ``leaves`` of one VABlock resident on the GPU; returns
-        how many were new.
+        """:meth:`BlockLeaves.make_resident` on one VABlock; each flag is
+        a bool for every leaf alike or a leaf mask of the block."""
+        return self._transition(
+            vablock_id, leaves, BlockLeaves.make_resident, writing, writable, duplicated
+        )
 
-        The VABlock must already be backed - the driver allocates
-        physical memory before migrating (Section III-D).  ``writing``
-        marks pages dirty; ``writable`` sets the mapping permission (the
-        stock migration path maps read-write); ``duplicated`` flags
-        read-mostly copies whose host mapping stays valid (mutually
-        exclusive with ``writable``/``writing``).  Each flag is a bool
-        for every leaf alike or a leaf mask of the block; only its bits
-        under ``leaves`` count.
-        """
-        span = self._leaf_span(vablock_id, leaves)
-        if not self.backed[vablock_id]:
-            raise SimulationError(
-                f"making pages resident in unbacked VABlock {vablock_id}"
-            )
-        if np.count_nonzero(leaves & self.remote_mapped[span]):
-            raise SimulationError("migrating pages that are remote-mapped")
+    def collapse_duplicates(self, vablock_id: int, leaves: np.ndarray) -> int:
+        """:meth:`BlockLeaves.collapse_duplicates` on one VABlock."""
+        return self._transition(vablock_id, leaves, BlockLeaves.collapse_duplicates)
 
-        writing_m = _as_flag(writing, leaves)
-        writable_m = _as_flag(writable, leaves)
-        duplicated_m = _as_flag(duplicated, leaves)
-        if _any_both(writing_m, _negate(writable_m, leaves)):
-            raise SimulationError("writing through a read-only mapping")
-        if _any_both(duplicated_m, writable_m):
-            raise SimulationError("a duplicated copy cannot be writable")
+    def map_remote(self, vablock_id: int, leaves: np.ndarray) -> int:
+        """:meth:`BlockLeaves.map_remote` on one VABlock."""
+        return self._transition(vablock_id, leaves, BlockLeaves.map_remote)
 
-        resident = self.resident[span]
-        resident |= leaves
-        # resident_count caches the block's popcount, so the new leaves
-        # are the difference
-        count = int(np.count_nonzero(resident))
-        n_new = count - int(self.resident_count[vablock_id])
-        self.resident_count[vablock_id] = count
-        writable_v = self.writable[span]
-        if writable_m is True:
-            writable_v |= leaves
-        elif writable_m is not False:
-            writable_v |= writable_m
-        if duplicated_m is False:
-            _clear(self.duplicated[span], leaves)
-        else:
-            fresh = ~writable_v if duplicated_m is True else duplicated_m & ~writable_v
-            np.copyto(self.duplicated[span], fresh, where=leaves)
-        if writing_m is True:
-            self.dirty[span] |= leaves
-        elif writing_m is not False:
-            self.dirty[span] |= writing_m
-        # the leaves are now resident and (checked above) not remote-
-        # mapped, so read_ok is set and write_ok follows writable
-        self.read_ok[span] |= leaves
-        if writable_m is True:
-            self.write_ok[span] |= leaves
-        else:
-            np.copyto(self.write_ok[span], writable_v, where=leaves)
-        return n_new
+    def evict_vablock(self, vablock_id: int) -> "EvictedLeaves":
+        """:meth:`BlockLeaves.evict` on one VABlock: the counts and leaf
+        masks of the pages that were resident and of those that were
+        dirty (the ones that need a device-to-host migration)."""
+        block = self.block(vablock_id)
+        resident, dirty = block.evict()
+        self.write([block])
+        ppv = self.pages_per_vablock
+        return EvictedLeaves(
+            resident.bit_count(), dirty.bit_count(), mask_of(resident, ppv), mask_of(dirty, ppv)
+        )
 
     def mark_dirty(self, pages: np.ndarray) -> None:
         """Record GPU writes to already-resident writable pages."""
@@ -184,27 +206,6 @@ class ResidencyState:
         if not (self.resident[pages] & self.writable[pages]).all():
             raise SimulationError("marking non-writable pages dirty")
         self.dirty[pages] = True
-
-    def collapse_duplicates(self, vablock_id: int, leaves: np.ndarray) -> int:
-        """Write-permission upgrade: break read-only duplication.
-
-        The touched leaves' host copies become stale: the GPU mapping is
-        upgraded to writable and the pages go dirty.  Returns how many
-        pages actually collapsed (non-duplicated leaves are ignored).
-        """
-        span = self._leaf_span(vablock_id, leaves)
-        collapsing = leaves & self.duplicated[span]
-        n = int(np.count_nonzero(collapsing))
-        if not n:
-            return 0
-        if np.count_nonzero(np.greater(collapsing, self.resident[span])):
-            raise SimulationError("collapsing duplicates that are not resident")
-        _clear(self.duplicated[span], collapsing)
-        self.writable[span] |= collapsing
-        self.dirty[span] |= collapsing
-        # resident and now writable: read_ok already holds
-        self.write_ok[span] |= collapsing
-        return n
 
     def invalidate_duplicates(self, pages: np.ndarray) -> int:
         """Host write to duplicated pages: drop the (clean) GPU copies.
@@ -225,40 +226,6 @@ class ResidencyState:
         np.add.at(self.resident_count, dropping // self.pages_per_vablock, -1)
         self._refresh_masks(dropping)
         return int(dropping.size)
-
-    def map_remote(self, vablock_id: int, leaves: np.ndarray) -> int:
-        """Install remote (zero-copy) mappings for the ``leaves`` of one
-        VABlock; returns how many were new.
-
-        Remote-mapped pages consume no GPU memory and never migrate;
-        reads and writes go over the interconnect.
-        """
-        span = self._leaf_span(vablock_id, leaves)
-        if np.count_nonzero(leaves & self.resident[span]):
-            raise SimulationError("remote-mapping pages that are GPU-resident")
-        remote = self.remote_mapped[span]
-        n_new = int(np.count_nonzero(np.greater(leaves, remote)))
-        remote |= leaves
-        self.read_ok[span] |= leaves
-        self.write_ok[span] |= leaves
-        return n_new
-
-    def unmap_remote(self, vablock_id: int, leaves: np.ndarray) -> int:
-        """Tear down the remote mappings of the ``leaves`` of one VABlock
-        (counter-triggered promotion path).
-
-        Returns how many mappings were removed; the caller is expected
-        to migrate the pages to local memory immediately after.
-        """
-        span = self._leaf_span(vablock_id, leaves)
-        remote = self.remote_mapped[span]
-        if np.count_nonzero(np.greater(leaves, remote)):
-            raise SimulationError("unmap_remote on pages that are not remote")
-        _clear(remote, leaves)
-        resident = self.resident[span]
-        np.copyto(self.read_ok[span], resident, where=leaves)
-        np.copyto(self.write_ok[span], resident & self.writable[span], where=leaves)
-        return int(np.count_nonzero(leaves))
 
     def migrate_to_host(self, pages: np.ndarray) -> tuple[int, int]:
         """CPU-fault path: page-granular migration back to the host.
@@ -284,35 +251,6 @@ class ResidencyState:
         np.add.at(self.resident_count, moving // self.pages_per_vablock, -1)
         self._refresh_masks(moving)
         return int(moving.size), n_dirty
-
-    def evict_vablock(self, vablock_id: int) -> "EvictedLeaves":
-        """Evict a VABlock: every resident page is unmapped and the
-        physical backing released.
-
-        Returns the counts and leaf masks of the pages that were
-        resident and of those that were dirty - the ones that need a
-        device-to-host migration (modified data copied back, Section
-        V-A1).
-        """
-        if not self.backed[vablock_id]:
-            raise SimulationError(f"evicting unbacked VABlock {vablock_id}")
-        start, stop = self.space.page_span_of_vablock(vablock_id)
-        span = slice(start, stop)
-        resident = self.resident[span].copy()
-        dirty = self.dirty[span] & resident
-        self.resident[span] = False
-        self.writable[span] = False
-        self.duplicated[span] = False
-        self.dirty[span] = False
-        self.backed[vablock_id] = False
-        self.resident_count[vablock_id] = 0
-        self.evict_count[vablock_id] += 1
-        # nothing is resident: only remote mappings still grant access
-        self.read_ok[span] = self.remote_mapped[span]
-        self.write_ok[span] = self.remote_mapped[span]
-        return EvictedLeaves(
-            int(np.count_nonzero(resident)), int(np.count_nonzero(dirty)), resident, dirty
-        )
 
     # -- invariants ---------------------------------------------------------------
     def expected_gpu_mapped(self) -> np.ndarray:
@@ -363,6 +301,119 @@ class ResidencyState:
         )
 
 
+class BlockLeaves:
+    """One VABlock's residency flags as leaf bitsets, and the service
+    path's transitions on them.
+
+    Each transition checks its preconditions before it changes anything,
+    so a transition that raises leaves the block as it was.
+    """
+
+    __slots__ = (
+        "vablock_id", "resident", "writable", "duplicated", "remote_mapped", "dirty",
+        "backed", "evictions",
+    )
+
+    def __init__(
+        self, vablock_id: int, resident: int = 0, writable: int = 0,
+        duplicated: int = 0, remote_mapped: int = 0, dirty: int = 0, backed: bool = False,
+    ) -> None:
+        self.vablock_id = vablock_id
+        self.resident = resident
+        self.writable = writable
+        self.duplicated = duplicated
+        self.remote_mapped = remote_mapped
+        self.dirty = dirty
+        self.backed = backed
+        #: evictions since the block was gathered.
+        self.evictions = 0
+
+    def back(self) -> None:
+        """Reserve GPU physical memory for the block (allocation granule)."""
+        if self.backed:
+            raise SimulationError(f"VABlock {self.vablock_id} already backed")
+        self.backed = True
+
+    def make_resident(
+        self, leaves: int, writing: int = 0, writable: int = -1, duplicated: int = 0
+    ) -> int:
+        """Mark ``leaves`` resident on the GPU; returns how many were new.
+
+        The block must already be backed - the driver allocates physical
+        memory before migrating (Section III-D).  ``writing`` marks
+        pages dirty; ``writable`` sets the mapping permission (the stock
+        migration path maps read-write, ``-1`` being every leaf);
+        ``duplicated`` flags read-mostly copies whose host mapping stays
+        valid (mutually exclusive with ``writable``/``writing``).  Only
+        a flag's bits under ``leaves`` count.
+        """
+        if not self.backed:
+            raise SimulationError(
+                f"making pages resident in unbacked VABlock {self.vablock_id}"
+            )
+        if leaves & self.remote_mapped:
+            raise SimulationError("migrating pages that are remote-mapped")
+        writing &= leaves
+        writable &= leaves
+        duplicated &= leaves
+        if writing & ~writable:
+            raise SimulationError("writing through a read-only mapping")
+        if duplicated & writable:
+            raise SimulationError("a duplicated copy cannot be writable")
+        n_new = (leaves & ~self.resident).bit_count()
+        self.resident |= leaves
+        self.writable |= writable
+        self.duplicated = (self.duplicated & ~leaves) | (duplicated & ~self.writable)
+        self.dirty |= writing
+        return n_new
+
+    def collapse_duplicates(self, leaves: int) -> int:
+        """Write-permission upgrade: break read-only duplication.
+
+        The touched leaves' host copies become stale: the GPU mapping is
+        upgraded to writable and the pages go dirty.  Returns how many
+        pages actually collapsed (non-duplicated leaves are ignored).
+        """
+        collapsing = leaves & self.duplicated
+        if collapsing & ~self.resident:
+            raise SimulationError("collapsing duplicates that are not resident")
+        self.duplicated &= ~collapsing
+        self.writable |= collapsing
+        self.dirty |= collapsing
+        return collapsing.bit_count()
+
+    def map_remote(self, leaves: int) -> int:
+        """Install remote (zero-copy) mappings for ``leaves``; returns
+        how many were new.  Remote-mapped pages consume no GPU memory
+        and never migrate; reads and writes cross the interconnect."""
+        if leaves & self.resident:
+            raise SimulationError("remote-mapping pages that are GPU-resident")
+        n_new = (leaves & ~self.remote_mapped).bit_count()
+        self.remote_mapped |= leaves
+        return n_new
+
+    def unmap_remote(self, leaves: int) -> int:
+        """Tear down the remote mappings of ``leaves`` (counter-triggered
+        promotion, which migrates the pages right after); returns how
+        many were removed."""
+        if leaves & ~self.remote_mapped:
+            raise SimulationError("unmap_remote on pages that are not remote")
+        self.remote_mapped &= ~leaves
+        return leaves.bit_count()
+
+    def evict(self) -> tuple[int, int]:
+        """Evict the block: every resident page is unmapped and the
+        physical backing released.  Returns the leaves that were
+        resident and those of them that were dirty."""
+        if not self.backed:
+            raise SimulationError(f"evicting unbacked VABlock {self.vablock_id}")
+        resident, dirty = self.resident, self.dirty & self.resident
+        self.resident = self.writable = self.duplicated = self.dirty = 0
+        self.backed = False
+        self.evictions += 1
+        return resident, dirty
+
+
 class EvictedLeaves(NamedTuple):
     """What :meth:`ResidencyState.evict_vablock` tore down."""
 
@@ -373,35 +424,12 @@ class EvictedLeaves(NamedTuple):
     dirty: np.ndarray
 
 
-def _as_flag(value, leaves: np.ndarray):
-    """A per-leaf flag as a plain bool (every leaf alike, so the common
-    cases build no mask) or as a leaf mask restricted to ``leaves``."""
-    if value is True or value is False:
-        return value
-    if isinstance(value, np.bool_) or np.ndim(value) == 0:
-        return bool(value)
+def _flag_bits(value, leaves: np.ndarray) -> int:
+    """A per-leaf flag as a bitset: a bool is every leaf alike (-1 or 0),
+    a mask must have the shape of ``leaves``."""
+    if np.ndim(value) == 0:
+        return -1 if value else 0
     mask = np.asarray(value, dtype=bool)
     if mask.shape != leaves.shape:
         raise AddressError("mask shape mismatch")
-    return mask & leaves
-
-
-def _clear(view: np.ndarray, mask: np.ndarray) -> None:
-    """``view &= ~mask`` in one ufunc pass (on booleans, a > b is a & ~b)."""
-    np.greater(view, mask, out=view)
-
-
-def _negate(flag, leaves: np.ndarray):
-    """Logical not of a bool or of a leaf mask, within ``leaves``."""
-    return (not flag) if isinstance(flag, bool) else np.greater(leaves, flag)
-
-
-def _any_both(a, b) -> bool:
-    """Whether some leaf has both flags (each a bool or a leaf mask)."""
-    if a is False or b is False:
-        return False
-    if a is True:
-        return bool(np.count_nonzero(b))
-    if b is True:
-        return bool(np.count_nonzero(a))
-    return bool(np.count_nonzero(a & b))
+    return bits_of(mask)

@@ -39,6 +39,7 @@ from repro.gpu.soa import SoaStreams, advance_batch
 from repro.gpu.tlb import UTlbArray
 from repro.gpu.warp import WarpStream
 from repro.mem.address_space import AddressSpace
+from repro.mem.leafbits import bits_of
 from repro.mem.page_table import MappingStats, PageTable
 from repro.mem.residency import ResidencyState
 from repro.sim.rng import SimRng
@@ -181,7 +182,7 @@ def test_effective_ptes_matches_unique_count(case):
     # big pages never straddle VABlocks: the per-block mask counts add up
     got = 0
     for _vb, leaves in leaf_masks(servicer.space, pages):
-        got += servicer._effective_ptes(leaves, int(leaves.sum()))
+        got += servicer._effective_ptes(bits_of(leaves), int(leaves.sum()))
     assert got == reference_effective_ptes(pages, ppb)
 
 

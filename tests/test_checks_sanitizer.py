@@ -103,26 +103,27 @@ def test_sanitizer_does_not_change_results(name, tiny_setup):
 
 # -- planted bugs -------------------------------------------------------------
 def _plant_residency_bug(driver: UvmDriver) -> None:
-    """After the first serviced bin, mark a non-resident page dirty.
+    """After the first batch is written, mark a non-resident page dirty.
 
     The corruption is behaviorally inert: eviction and migration always
     mask ``dirty`` with ``resident``, so an unsanitized run completes
     with identical results - exactly the silent-corruption class UVMSAN
-    exists to catch.
+    exists to catch.  (Bins decide on the batch's view; the arrays
+    change only when the batch is written, so that is where the bug is
+    planted.)
     """
-    original = driver.servicer.service_bin
+    original = driver.servicer.write_batch
     state = {"planted": False}
 
-    def corrupting(vbin):
-        outcome = original(vbin)
+    def corrupting():
+        original()
         if not state["planted"]:
             non_resident = np.flatnonzero(~driver.residency.resident)
             if non_resident.size:
                 driver.residency.dirty[non_resident[0]] = True
                 state["planted"] = True
-        return outcome
 
-    driver.servicer.service_bin = corrupting
+    driver.servicer.write_batch = corrupting
 
 
 def test_planted_residency_bug_caught(san_on, tiny_setup):
@@ -140,19 +141,18 @@ def test_planted_residency_bug_silent_without_sanitizer(san_off, tiny_setup):
 
 def test_planted_page_table_bug_caught(san_on, tiny_setup):
     driver = build_driver(tiny_setup, make_workload("sgemm", 8 * MiB))
-    original = driver.servicer.service_bin
+    original = driver.servicer.write_batch
     state = {"planted": False}
 
-    def corrupting(vbin):
-        outcome = original(vbin)
+    def corrupting():
+        original()
         if not state["planted"]:
             mapped = np.flatnonzero(driver.gpu_table.mapped)
             if mapped.size:
                 driver.gpu_table.mapped[mapped[0]] = False  # leak a PTE
                 state["planted"] = True
-        return outcome
 
-    driver.servicer.service_bin = corrupting
+    driver.servicer.write_batch = corrupting
     with pytest.raises(SanitizerError, match="page-table"):
         driver.run()
 

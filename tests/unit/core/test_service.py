@@ -64,11 +64,17 @@ class Harness:
             prefetcher=prefetcher,
         )
 
+    def service(self, vbin):
+        """Service one bin as a batch of its own (decided on the batch's
+        view, written to the arrays when the batch closes)."""
+        with self.servicer.batch([vbin]):
+            return self.servicer.service_bin(vbin)
+
 
 class TestDemandService:
     def test_pages_become_resident_and_mapped(self):
         h = Harness()
-        outcome = h.servicer.service_bin(make_bin([1, 2, 3]))
+        outcome = h.service(make_bin([1, 2, 3]))
         assert outcome.n_demand == 3
         assert h.residency.resident[[1, 2, 3]].all()
         assert h.gpu_table.mapped[[1, 2, 3]].all()
@@ -76,13 +82,13 @@ class TestDemandService:
 
     def test_write_faults_mark_dirty(self):
         h = Harness()
-        h.servicer.service_bin(make_bin([1, 2], writes=[True, False]))
+        h.service(make_bin([1, 2], writes=[True, False]))
         assert h.residency.dirty[1]
         assert not h.residency.dirty[2]
 
     def test_costs_charged_to_paper_categories(self):
         h = Harness()
-        h.servicer.service_bin(make_bin([1]))
+        h.service(make_bin([1]))
         assert h.timer.total_ns("service.pma_alloc") > 0
         assert h.timer.total_ns("service.migrate") > 0
         assert h.timer.total_ns("service.map") > 0
@@ -90,21 +96,21 @@ class TestDemandService:
 
     def test_lru_tracks_serviced_block(self):
         h = Harness()
-        h.servicer.service_bin(make_bin([1]))
-        h.servicer.service_bin(make_bin([600]))
-        h.servicer.service_bin(make_bin([2]))  # re-fault block 0: promote
+        h.service(make_bin([1]))
+        h.service(make_bin([600]))
+        h.service(make_bin([2]))  # re-fault block 0: promote
         assert h.lru.order() == [1, 0]
 
     def test_second_service_skips_pma_call(self):
         h = Harness()
-        h.servicer.service_bin(make_bin([1]))
+        h.service(make_bin([1]))
         calls = h.pma.stats.calls
-        h.servicer.service_bin(make_bin([2]))
+        h.service(make_bin([2]))
         assert h.pma.stats.calls == calls
 
     def test_residency_invariants_hold(self):
         h = Harness()
-        h.servicer.service_bin(make_bin([1, 5, 200], writes=[True, True, False]))
+        h.service(make_bin([1, 5, 200], writes=[True, True, False]))
         h.residency.check_invariants()
         h.gpu_table.check_against_residency(h.residency.resident)
 
@@ -112,7 +118,7 @@ class TestDemandService:
 class TestPrefetchIntegration:
     def test_prefetched_pages_arrive_clean(self):
         h = Harness(prefetcher=TreePrefetcher())
-        outcome = h.servicer.service_bin(make_bin([0], writes=[True]))
+        outcome = h.service(make_bin([0], writes=[True]))
         assert outcome.n_prefetch == 15
         assert h.residency.resident[:16].all()
         assert h.residency.dirty[0]
@@ -120,7 +126,7 @@ class TestPrefetchIntegration:
 
     def test_prefetch_counted_separately(self):
         h = Harness(prefetcher=TreePrefetcher(threshold=1))
-        h.servicer.service_bin(make_bin([0]))
+        h.service(make_bin([0]))
         assert h.counters["pages.prefetch_h2d"] == 511
         assert h.counters["pages.demand_h2d"] == 1
 
@@ -128,47 +134,47 @@ class TestPrefetchIntegration:
 class TestEvictionPath:
     def test_eviction_triggered_when_memory_full(self):
         h = Harness(gpu_mib=4, data_mib=8)  # 2-block GPU, 4-block data
-        h.servicer.service_bin(make_bin([0]))
-        h.servicer.service_bin(make_bin([512]))
-        outcome = h.servicer.service_bin(make_bin([1024]))
+        h.service(make_bin([0]))
+        h.service(make_bin([512]))
+        outcome = h.service(make_bin([1024]))
         assert outcome.n_evictions == 1
         assert h.counters["evictions.count"] == 1
         assert not h.residency.backed[0]  # LRU victim was block 0
 
     def test_eviction_writes_back_dirty_pages(self):
         h = Harness(gpu_mib=4, data_mib=8)
-        h.servicer.service_bin(make_bin([0, 1], writes=[True, False]))
-        h.servicer.service_bin(make_bin([512]))
-        h.servicer.service_bin(make_bin([1024]))
+        h.service(make_bin([0, 1], writes=[True, False]))
+        h.service(make_bin([512]))
+        h.service(make_bin([1024]))
         assert h.counters["evictions.pages_dirty"] == 1
         assert h.counters["evictions.pages_dropped"] == 2
         assert h.dma.stats.d2h_bytes == 4096
 
     def test_evicted_pages_rehosted(self):
         h = Harness(gpu_mib=4, data_mib=8)
-        h.servicer.service_bin(make_bin([0]))
-        h.servicer.service_bin(make_bin([512]))
-        h.servicer.service_bin(make_bin([1024]))
+        h.service(make_bin([0]))
+        h.service(make_bin([512]))
+        h.service(make_bin([1024]))
         assert h.host_table.mapped[0]
         assert not h.gpu_table.mapped[0]
 
     def test_faulting_block_never_evicts_itself(self):
         h = Harness(gpu_mib=2, data_mib=8)  # single-block GPU
-        h.servicer.service_bin(make_bin([0]))
-        h.servicer.service_bin(make_bin([512]))  # must evict block 0
+        h.service(make_bin([0]))
+        h.service(make_bin([512]))  # must evict block 0
         assert h.residency.backed[1]
         assert not h.residency.backed[0]
 
     def test_eviction_charged_to_service_evict(self):
         h = Harness(gpu_mib=4, data_mib=8)
         for page in (0, 512, 1024):
-            h.servicer.service_bin(make_bin([page]))
+            h.service(make_bin([page]))
         assert h.timer.total_ns("service.evict") > 0
 
     def test_trace_records_eviction(self):
         h = Harness(gpu_mib=4, data_mib=8)
         for page in (0, 512, 1024):
-            h.servicer.service_bin(make_bin([page]))
+            h.service(make_bin([page]))
         trace = h.recorder.finalize()
         assert trace.n_evictions == 1
         assert trace.evict_vablock.tolist() == [0]

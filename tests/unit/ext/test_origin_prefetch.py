@@ -7,6 +7,7 @@ from repro.core.preprocess import VABlockBin
 from repro.errors import ConfigurationError
 from repro.ext.origin_prefetch import OriginStreamPrefetcher
 from repro.mem.address_space import AddressSpace
+from repro.mem.leafbits import bits_of, mask_of
 from repro.mem.residency import ResidencyState
 from repro.units import MiB
 from tests.pagelists import make_resident
@@ -31,11 +32,13 @@ def make_bin(pages, sms, vablock=0):
 
 
 def predict(pf, residency, vbin):
-    """The prefetcher's leaf mask for ``vbin`` as ascending global pages."""
+    """The prefetcher's leaf bitset for ``vbin`` as ascending global pages."""
     start, _ = residency.space.page_span_of_vablock(vbin.vablock_id)
-    leaves = pf.prefetch_leaves(residency.vablock_leaf_mask(vbin.vablock_id), start, vbin)
-    assert leaves.dtype == bool and leaves.shape == (residency.pages_per_vablock,)
-    return np.flatnonzero(leaves) + start
+    resident = bits_of(residency.vablock_leaf_mask(vbin.vablock_id))
+    demand = bits_of(np.isin(np.arange(residency.pages_per_vablock), vbin.pages - start))
+    bits = pf.prefetch_bits(resident, demand, vbin, start)
+    assert 0 <= bits < 1 << residency.pages_per_vablock
+    return np.flatnonzero(mask_of(bits, residency.pages_per_vablock)) + start
 
 
 class TestStrideDetection:
