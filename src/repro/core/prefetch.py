@@ -228,4 +228,3 @@ class TreePrefetcher:
             size *= 2
             level += 1
         return lines
-

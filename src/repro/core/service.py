@@ -440,9 +440,9 @@ class FaultServicer:
         if view is None:
             raise SimulationError("service_bin outside a batch (see FaultServicer.batch)")
         vb = vbin.vablock_id
+        advise = self.space.advise_of_vablock(vb)  # range-checks vb
         start = vb * self._ppv
         block = view.block(vb)
-        advise = self.space.advise_of_vablock(vb)
         if advise is MemAdvise.PINNED_HOST:
             return self._service_remote_bin(vbin, block)
 

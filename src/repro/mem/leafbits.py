@@ -4,8 +4,8 @@ Bit ``i`` of a bitset is leaf (page) ``i`` of its VABlock.  The fault
 servicer decides on bitsets (a mask test is one ``&``, a count one
 ``bit_count()``) and moves them to and from the numpy state a batch at
 a time: :func:`gather_rows` reads the rows of some VABlocks from several
-page-indexed boolean arrays in one pass, and :func:`unpack_rows` and
-:func:`scatter_rows` turn them back into boolean rows and write them.
+page-indexed boolean arrays in one pass, and :func:`unpack_rows` turns
+bitsets back into boolean rows to write.
 """
 
 from __future__ import annotations
@@ -52,15 +52,3 @@ def unpack_rows(bits: Sequence[Sequence[int]], width: int) -> np.ndarray:
     raw = b"".join(row.to_bytes(step, "little") for plane in bits for row in plane)
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(bits), -1, step)
     return np.unpackbits(rows, axis=-1, count=width, bitorder="little").view(bool)
-
-
-def scatter_rows(
-    planes: Sequence[np.ndarray],
-    vablocks: np.ndarray,
-    bits: Sequence[Sequence[int]],
-    width: int,
-) -> None:
-    """Write per plane the bitsets ``bits`` (aligned with ``vablocks``)
-    into the rows of that page-indexed array."""
-    for plane, rows in zip(planes, unpack_rows(bits, width)):
-        plane.reshape(-1, width)[vablocks] = rows

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import AddressError, SimulationError
 from repro.mem.address_space import AddressSpace
-from repro.mem.leafbits import gather_rows, scatter_rows
+from repro.mem.leafbits import gather_rows, unpack_rows
 
 
 @dataclass
@@ -131,10 +131,9 @@ class PageTable:
         """Write back ``view``: one scatter of its mapped bits, plus the
         mapping stats of the operations made on it."""
         if view.mapped:
+            ppv = self.space.pages_per_vablock
             idx = np.fromiter(view.mapped, dtype=np.int64, count=len(view.mapped))
-            scatter_rows(
-                [self.mapped], idx, [list(view.mapped.values())], self.space.pages_per_vablock
-            )
+            self.mapped.reshape(-1, ppv)[idx] = unpack_rows([list(view.mapped.values())], ppv)[0]
         delta = view.stats
         self.stats.pages_mapped += delta.pages_mapped
         self.stats.pages_unmapped += delta.pages_unmapped
