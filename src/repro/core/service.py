@@ -45,9 +45,9 @@ from repro.core.prefetch import TreePrefetcher
 from repro.errors import SimulationError
 from repro.gpu.dma import DmaEngine
 from repro.mem.advise import MemAdvise
-from repro.mem.leafbits import mask_of
+from repro.mem.leafbits import gather_rows, mask_of, unpack_rows
 from repro.mem.page_table import PageTable, TableLeaves
-from repro.mem.residency import BlockLeaves, ResidencyState
+from repro.mem.residency import FLAG_PLANES, BlockLeaves, ResidencyState
 from repro.sim.clock import SimClock
 from repro.sim.costmodel import CostModel
 from repro.sim.stats import CategoryTimer, CounterSet
@@ -91,13 +91,28 @@ class BatchView:
         self.counts: dict[str, int] = defaultdict(int)
         self.counters: dict[str, int] = defaultdict(int)
 
+    def _planes(self) -> list[np.ndarray]:
+        """The page-indexed arrays the view carries: the residency flags
+        (``FLAG_PLANES``), then the GPU and host tables' mapped bits."""
+        res = self.residency
+        return [getattr(res, name) for name in FLAG_PLANES] + [
+            self.gpu_table.mapped,
+            self.host_table.mapped,
+        ]
+
     def add(self, vablocks: Iterable[int]) -> None:
-        """Gather the blocks of ``vablocks`` that are not in the view yet."""
+        """Gather the blocks of ``vablocks`` that are not in the view yet:
+        one gather of all the view's arrays."""
         new = [vb for vb in dict.fromkeys(vablocks) if vb not in self.blocks]
-        if new:
-            self.blocks.update(zip(new, self.residency.blocks(new)))
-            self.gpu_table.gather(self.gpu, new)
-            self.host_table.gather(self.host, new)
+        if not new:
+            return
+        idx = np.array(new, dtype=np.int64)
+        *flags, gpu, host = gather_rows(self._planes(), idx, self.space.pages_per_vablock)
+        backed = self.residency.backed[idx].tolist()
+        for vb, *leaves, is_backed in zip(new, *flags, backed):
+            self.blocks[vb] = BlockLeaves(vb, *leaves, is_backed)
+        self.gpu.mapped.update(zip(new, gpu))
+        self.host.mapped.update(zip(new, host))
 
     def block(self, vablock_id: int) -> BlockLeaves:
         """The batch's state of one VABlock, gathered on first use."""
@@ -108,10 +123,17 @@ class BatchView:
         return block
 
     def write(self, timer: CategoryTimer, counters: CounterSet) -> None:
-        """Write the batch into the numpy state, the timer and the counters."""
-        self.residency.write(list(self.blocks.values()))
-        self.gpu_table.write(self.gpu)
-        self.host_table.write(self.host)
+        """Write the batch into the numpy state (one scatter per array),
+        the timer and the counters."""
+        if self.blocks:
+            blocks = list(self.blocks.values())
+            bits = [[getattr(b, name) for b in blocks] for name in FLAG_PLANES]
+            bits += [list(self.gpu.mapped.values()), list(self.host.mapped.values())]
+            *flags, gpu, host = unpack_rows(bits, self.space.pages_per_vablock)
+            idx = np.fromiter(self.blocks, dtype=np.int64, count=len(blocks))
+            self.residency.write_rows(idx, flags, blocks)
+            self.gpu_table.write_rows(idx, gpu, self.gpu.stats)
+            self.host_table.write_rows(idx, host, self.host.stats)
         for category, ns in self.ns.items():
             timer.charge(category, ns, count=self.counts[category])
         for name, value in self.counters.items():

@@ -13,8 +13,9 @@ The simulator uses it for two purposes:
 
 The fault servicer maps and unmaps on a :class:`TableLeaves`, one
 batch's copy of the mapped bits of the VABlocks it touches as leaf
-bitsets, which :meth:`PageTable.write` scatters back with the batch's
-mapping stats.  The span and page-list forms serve the CPU-fault path.
+bitsets, which :meth:`PageTable.write_rows` writes back with the
+batch's mapping stats.  The span and page-list forms serve the
+CPU-fault path.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 from repro.errors import AddressError, SimulationError
 from repro.mem.address_space import AddressSpace
-from repro.mem.leafbits import gather_rows, unpack_rows
 
 
 @dataclass
@@ -120,26 +120,16 @@ class PageTable:
         """Issue a memory barrier publishing recent PTE updates."""
         self.stats.membars += 1
 
-    def gather(self, view: "TableLeaves", vablocks) -> None:
-        """Add the mapped bits of ``vablocks`` (not yet in ``view``) to
-        ``view``, one gather for all of them."""
-        idx = np.asarray(vablocks, dtype=np.int64)
-        (rows,) = gather_rows([self.mapped], idx, self.space.pages_per_vablock)
-        view.mapped.update(zip(idx.tolist(), rows))
-
-    def write(self, view: "TableLeaves") -> None:
-        """Write back ``view``: one scatter of its mapped bits, plus the
-        mapping stats of the operations made on it."""
-        if view.mapped:
-            ppv = self.space.pages_per_vablock
-            idx = np.fromiter(view.mapped, dtype=np.int64, count=len(view.mapped))
-            self.mapped.reshape(-1, ppv)[idx] = unpack_rows([list(view.mapped.values())], ppv)[0]
-        delta = view.stats
-        self.stats.pages_mapped += delta.pages_mapped
-        self.stats.pages_unmapped += delta.pages_unmapped
-        self.stats.tlb_invalidates += delta.tlb_invalidates
-        self.stats.membars += delta.membars
-        self.epoch += delta.tlb_invalidates
+    def write_rows(self, idx: np.ndarray, rows: np.ndarray, stats: "MappingStats") -> None:
+        """Write the mapped bits of VABlocks ``idx`` (``rows``, boolean,
+        one row per block) and add ``stats``, the mapping operations a
+        batch made on them (:class:`TableLeaves`)."""
+        self.mapped.reshape(-1, self.space.pages_per_vablock)[idx] = rows
+        self.stats.pages_mapped += stats.pages_mapped
+        self.stats.pages_unmapped += stats.pages_unmapped
+        self.stats.tlb_invalidates += stats.tlb_invalidates
+        self.stats.membars += stats.membars
+        self.epoch += stats.tlb_invalidates
 
     def mapped_count(self) -> int:
         return int(self.mapped.sum())
@@ -177,7 +167,7 @@ class TableLeaves:
 
     The operations mirror :meth:`PageTable.map_span`,
     :meth:`~PageTable.unmap_span`, :meth:`~PageTable.invalidate_tlb` and
-    :meth:`~PageTable.membar`; :meth:`PageTable.write` applies them.
+    :meth:`~PageTable.membar`; :meth:`PageTable.write_rows` applies them.
     """
 
     __slots__ = ("side", "mapped", "stats")

@@ -131,16 +131,21 @@ class ResidencyState:
 
     def write(self, blocks: list["BlockLeaves"]) -> None:
         """Write back the final state of ``blocks`` (unique VABlocks
-        gathered by :meth:`blocks`): one scatter per array.  The cached
-        counts and the derived access masks follow from the bitsets;
-        each block's evictions are added to ``evict_count``."""
-        if not blocks:
-            return
-        ppv = self.pages_per_vablock
+        gathered by :meth:`blocks`); see :meth:`write_rows`."""
         idx = np.fromiter((b.vablock_id for b in blocks), dtype=np.int64, count=len(blocks))
         planes = unpack_rows(
-            [[getattr(b, name) for b in blocks] for name in FLAG_PLANES], ppv
+            [[getattr(b, name) for b in blocks] for name in FLAG_PLANES],
+            self.pages_per_vablock,
         )
+        self.write_rows(idx, planes, blocks)
+
+    def write_rows(self, idx: np.ndarray, planes: np.ndarray, blocks: list["BlockLeaves"]) -> None:
+        """Write ``blocks`` (VABlocks ``idx``) with their flag rows
+        ``planes`` (``planes[p]`` the boolean rows of ``FLAG_PLANES[p]``):
+        one scatter per array.  The cached counts and the derived access
+        masks follow from the rows; each block's evictions are added to
+        ``evict_count``."""
+        ppv = self.pages_per_vablock
         for name, rows in zip(FLAG_PLANES, planes):
             getattr(self, name).reshape(-1, ppv)[idx] = rows
         resident, writable, _, remote, _ = planes
@@ -148,7 +153,9 @@ class ResidencyState:
         self.write_ok.reshape(-1, ppv)[idx] = (resident & writable) | remote
         self.resident_count[idx] = np.count_nonzero(resident, axis=1)
         self.backed[idx] = [b.backed for b in blocks]
-        self.evict_count[idx] += [b.evictions for b in blocks]
+        evictions = [b.evictions for b in blocks]
+        if any(evictions):
+            self.evict_count[idx] += evictions
 
     def _transition(self, vablock_id: int, leaves: np.ndarray, method, *flags):
         """Run one :class:`BlockLeaves` transition on ``vablock_id`` and
