@@ -480,14 +480,16 @@ class SimulationService:
             self._journal_record(record)
             heapq.heappush(self._heap, (spec.priority, seq, record.job_id))
             self._queued += 1
+            # under the lock the dispatcher takes, so "queued" is always
+            # recorded before the job's "running"
+            self.telemetry.event(
+                record.job_id,
+                "queued",
+                key=key,
+                workload=spec.workload,
+                priority=spec.priority,
+            )
         self._wake()
-        self.telemetry.event(
-            record.job_id,
-            "queued",
-            key=key,
-            workload=spec.workload,
-            priority=spec.priority,
-        )
         return record
 
     def get(self, job_id: str) -> JobRecord:
