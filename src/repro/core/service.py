@@ -71,10 +71,10 @@ class BatchView:
     (:class:`~repro.mem.residency.BlockLeaves`), ``gpu`` and ``host`` the
     two page tables' mapped bits of the same blocks, and ``ns``,
     ``counts`` and ``counters`` the timer charges and counter additions
-    made so far.  :meth:`write` moves all of it into the numpy state,
-    timer and counters: one gather per array when the batch opens (and
-    one for each victim that was not foreseen), one scatter when it
-    closes.
+    made so far.  The view is gathered when the batch opens, one gather
+    per array packed in one pass (and one more for each victim that was
+    not foreseen); :meth:`write` moves it into the numpy state, timer and
+    counters when the batch closes, one scatter per array.
     """
 
     def __init__(
