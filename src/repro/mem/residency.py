@@ -44,7 +44,7 @@ permission bits the three UVM access behaviours require.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,7 +139,9 @@ class ResidencyState:
         )
         self.write_rows(idx, planes, blocks)
 
-    def write_rows(self, idx: np.ndarray, planes: np.ndarray, blocks: list["BlockLeaves"]) -> None:
+    def write_rows(
+        self, idx: np.ndarray, planes: Sequence[np.ndarray], blocks: list["BlockLeaves"]
+    ) -> None:
         """Write ``blocks`` (VABlocks ``idx``) with their flag rows
         ``planes`` (``planes[p]`` the boolean rows of ``FLAG_PLANES[p]``):
         one scatter per array.  The cached counts and the derived access
