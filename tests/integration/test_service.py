@@ -11,6 +11,8 @@ Acceptance criteria covered here:
   behave as documented.
 """
 
+import http.client
+import statistics
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -285,5 +287,33 @@ class TestLongPoll:
                 client.status("job-missing", wait_s=1.0)
             assert excinfo.value.status == 404
         finally:
+            server.shutdown()
+            svc.stop()
+
+
+class TestKeepAlive:
+    def test_reused_connection_answers_without_a_delayed_ack_stall(self, tmp_path):
+        """A response is written as headers then body; with Nagle on,
+        the body waits for the client's delayed ACK (about 40 ms) on
+        every request of a reused connection."""
+        config = ServiceConfig(n_workers=1, sweep_cache_dir="")
+        svc = SimulationService(str(tmp_path / "store"), config)  # not started
+        server = serve_http(svc)
+        conn = http.client.HTTPConnection(*server.server_address[:2], timeout=10.0)
+        try:
+            conn.connect()
+            sock = conn.sock
+            times = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                body = response.read()
+                times.append(time.perf_counter() - t0)
+                assert response.status == 200 and b'"ok": true' in body
+            assert conn.sock is sock  # one connection for all 20
+            assert statistics.median(times) < 0.015, times
+        finally:
+            conn.close()
             server.shutdown()
             svc.stop()
