@@ -23,7 +23,8 @@ Workloads (``--workloads``, default ``reference smoke service-smoke``):
 Each workload runs ``--repeat`` times (default 1), every run in a fresh
 interpreter; the printed figures are per-layer medians.  Times are host
 seconds as measured, next to the host speed that ``perfbench``'s
-calibration reads (1.0 = the reference host).  ``--src`` profiles
+calibration reads (1.0 = the reference host), and each run's peak
+resident set (``ru_maxrss`` of its interpreter, build included).  ``--src`` profiles
 another checkout's ``src/`` tree, for a before/after split, and
 ``--record NAME`` stores the medians under ``layers.NAME`` in
 ``BENCH_phase_engine.json``.
@@ -67,6 +68,7 @@ EXTRA_LAYERS = (
 def _child(name: str) -> None:
     """Run one traced simulation and print its JSON line."""
     import importlib
+    import resource
 
     from common import CAL_REF_S, calibrate
     from layers import LayerTracer
@@ -99,6 +101,7 @@ def _child(name: str) -> None:
         "total_time_ns": result.total_time_ns,
         "faults_read": result.faults_read,
         "evictions": result.evictions,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "layers": {k: [tracer.self_ns[k], tracer.calls[k]] for k in tracer.self_ns},
     }))
 
@@ -126,6 +129,7 @@ def profile(name: str, src: Path, repeat: int) -> dict:
         "simulated": dict(zip(("total_time_ns", "faults_read", "evictions"), results.pop())),
         "wall_s": round(median(r["wall_s"] for r in runs), 3),
         "host_speed": round(median(r["host_speed"] for r in runs), 3),
+        "peak_rss_mb": round(median(r["peak_rss_mb"] for r in runs), 1),
         "layers": {
             layer: {
                 "self_s": round(median(r["layers"].get(layer, (0, 0))[0] for r in runs) / 1e9, 3),
@@ -139,7 +143,8 @@ def profile(name: str, src: Path, repeat: int) -> dict:
 def render(name: str, prof: dict) -> str:
     lines = [
         f"{name}: traced wall {prof['wall_s']:.3f} s (median of {prof['runs']}), "
-        f"host speed {prof['host_speed']:.2f}x reference"
+        f"host speed {prof['host_speed']:.2f}x reference, "
+        f"peak RSS {prof['peak_rss_mb']:.1f} MB"
     ]
     rows = sorted(prof["layers"].items(), key=lambda kv: -kv[1]["self_s"])
     for layer, row in rows:
