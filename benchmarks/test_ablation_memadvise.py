@@ -19,7 +19,7 @@ import numpy as np
 from benchmarks.conftest import run_exhibit
 from repro.core.driver import UvmDriver
 from repro.gpu.device import GpuDeviceConfig
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.mem.advise import MemAdvise
 from repro.sim.rng import SimRng
@@ -33,18 +33,14 @@ def _run(advise, touched_pages, data_mib, gpu_mib=32, host_reads=False):
     buf = space.malloc_managed(data_mib * MiB, name="data")
     if advise is not None:
         space.mem_advise("data", advise)
-    streams = [
-        WarpStream(i, np.array([int(p)], dtype=np.int64))
-        for i, p in enumerate(touched_pages)
-    ]
-    phases = [KernelPhase(streams=streams)]
+    touched_pages = np.asarray(touched_pages, dtype=np.int64)
+    phases = [KernelPhase(streams=StreamSet(touched_pages))]
     if host_reads:
         phases.append(
             KernelPhase(
-                streams=[
-                    WarpStream(100_000 + i, np.array([int(p)], dtype=np.int64))
-                    for i, p in enumerate(touched_pages)
-                ],
+                streams=StreamSet(
+                    touched_pages, ids=100_000 + np.arange(touched_pages.size)
+                ),
                 host_before=HostAccess(pages=buf.pages(), writes=False),
             )
         )

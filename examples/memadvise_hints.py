@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.driver import UvmDriver
 from repro.gpu.device import GpuDeviceConfig
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.mem.advise import MemAdvise
 from repro.sim.rng import SimRng
@@ -32,21 +32,13 @@ def run(advise, pages, data_mib, gpu_mib=32, host_reads=False, label=""):
     buf = space.malloc_managed(data_mib * MiB, name="data")
     if advise is not None:
         space.mem_advise("data", advise)
-    phases = [
-        KernelPhase(
-            streams=[
-                WarpStream(i, np.array([int(p)], dtype=np.int64))
-                for i, p in enumerate(pages)
-            ]
-        )
-    ]
+    # one single-page stream per touched page
+    pages = np.asarray(pages, dtype=np.int64)
+    phases = [KernelPhase(streams=StreamSet(pages))]
     if host_reads:
         phases.append(
             KernelPhase(
-                streams=[
-                    WarpStream(10_000 + i, np.array([int(p)], dtype=np.int64))
-                    for i, p in enumerate(pages)
-                ],
+                streams=StreamSet(pages, ids=10_000 + np.arange(pages.size)),
                 host_before=HostAccess(pages=buf.pages(), writes=False),
             )
         )

@@ -41,7 +41,7 @@ from repro.core.service import FaultServicer
 from repro.errors import ConfigurationError, DeadlockError, SimulationError
 from repro.gpu.device import GpuDevice, GpuDeviceConfig
 from repro.gpu.dma import DmaEngine, DmaStats
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.mem.page_table import PageTable
 from repro.mem.residency import ResidencyState
@@ -166,7 +166,7 @@ class UvmDriver:
     def __init__(
         self,
         space: AddressSpace,
-        streams: list[WarpStream] | None = None,
+        streams: StreamSet | None = None,
         driver_config: DriverConfig | None = None,
         gpu_config: GpuDeviceConfig | None = None,
         cost: CostModel | None = None,
@@ -177,7 +177,7 @@ class UvmDriver:
         from repro.workloads.base import KernelPhase
 
         if phases is None:
-            phases = [KernelPhase(streams=list(streams or []))]
+            phases = [KernelPhase(streams=StreamSet([]) if streams is None else streams)]
         elif streams is not None:
             raise ConfigurationError("pass either streams or phases, not both")
         self._phases = phases

@@ -91,7 +91,7 @@ def build_driver(
     recorder: TraceRecorder = TraceRecorder() if record_trace else NullRecorder()
     return UvmDriver(
         space=space,
-        streams=build.streams if build.phases is None else None,
+        streams=build.streams,
         phases=build.phases,
         driver_config=setup.driver,
         gpu_config=setup.gpu,

@@ -9,7 +9,7 @@ Section IV-A), and stalled warps resume only on replay notifications
 """
 
 from repro.gpu.fault_buffer import FaultBuffer, FaultEntry
-from repro.gpu.warp import StreamState, WarpStream
+from repro.gpu.warp import StreamSet, StreamSetBuilder, StreamState, WarpStream
 from repro.gpu.scheduler import BlockScheduler
 from repro.gpu.tlb import UTlbArray
 from repro.gpu.dma import DmaEngine
@@ -18,6 +18,8 @@ from repro.gpu.device import GpuDevice, GpuDeviceConfig
 __all__ = [
     "FaultBuffer",
     "FaultEntry",
+    "StreamSet",
+    "StreamSetBuilder",
     "WarpStream",
     "StreamState",
     "BlockScheduler",

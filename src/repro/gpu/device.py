@@ -24,7 +24,7 @@ from repro.gpu.fault_buffer import FaultBuffer, FaultEntry
 from repro.gpu.scheduler import BlockScheduler
 from repro.gpu.soa import SoaBlockScheduler, advance_batch, span_indices
 from repro.gpu.tlb import UTlbArray
-from repro.gpu.warp import StreamState, WarpStream
+from repro.gpu.warp import StreamSet, StreamState, WarpStream
 from repro.sim.clock import SimClock
 from repro.sim.rng import SimRng
 from repro.units import GiB, MiB
@@ -110,7 +110,7 @@ class GpuDevice:
     def __init__(
         self,
         config: GpuDeviceConfig,
-        streams: list[WarpStream],
+        streams: StreamSet,
         rng: SimRng,
         total_vablocks: int = 0,
     ) -> None:
@@ -339,7 +339,7 @@ class GpuDevice:
         touched = stream.pages[start:stop]
         np.add.at(self.access_counters, touched // self._pages_per_vablock, 1)
 
-    def load_kernel(self, streams: list[WarpStream]) -> None:
+    def load_kernel(self, streams: StreamSet) -> None:
         """Launch a new kernel: fresh scheduler, persistent device state.
 
         The fault buffer, uTLB filters, and access counters live across

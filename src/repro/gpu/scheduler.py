@@ -12,10 +12,10 @@ and backfills as streams retire.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 from repro.errors import SimulationError
-from repro.gpu.warp import StreamState, WarpStream
+from repro.gpu.warp import StreamSet, StreamState, WarpStream
 from repro.sim.rng import SimRng
 
 
@@ -24,7 +24,7 @@ class BlockScheduler:
 
     def __init__(
         self,
-        streams: Sequence[WarpStream],
+        streams: StreamSet,
         rng: SimRng,
         max_active: int = 2048,
         n_sms: int = 80,
@@ -34,7 +34,7 @@ class BlockScheduler:
             raise SimulationError(f"max_active must be positive, got {max_active}")
         if n_sms <= 0:
             raise SimulationError(f"n_sms must be positive, got {n_sms}")
-        self.streams = list(streams)
+        self.streams = streams.warp_streams()
         self.max_active = max_active
         self.n_sms = n_sms
         # Dispatch order: ascending with nondeterministic local jitter.

@@ -4,9 +4,9 @@ The scalar execution model (:class:`~repro.gpu.warp.WarpStream` +
 :class:`~repro.gpu.scheduler.BlockScheduler`) pays a Python call and
 several small-array numpy dispatches per stream per phase - ~2M calls on
 an oversubscribed SGEMM run.  This module holds the *same* state in flat
-numpy arrays - one concatenated page/write array for all streams, with
-per-stream cursors into it - and advances an entire phase's wavefront
-with batched operations.
+numpy arrays - the build's :class:`~repro.gpu.warp.StreamSet` page and
+write arrays, read in place, with per-stream cursors into them - and
+advances an entire phase's wavefront with batched operations.
 
 Equivalence with the scalar engine is exact, not statistical:
 
@@ -27,13 +27,10 @@ prefetch setting.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import SimulationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import MAX_WINDOW, StreamSet
 from repro.sim.rng import SimRng
 
 # int8 state codes (mirrors repro.gpu.warp.StreamState)
@@ -42,116 +39,52 @@ RUNNABLE = 1
 STALLED = 2
 DONE = 3
 
-#: first scan window per unresolved stream; grows geometrically so short
-#: hops stay cheap while long resident runs advance at full numpy speed.
+#: first scan window per unresolved stream; grows geometrically to
+#: ``MAX_WINDOW`` so short hops stay cheap while long resident runs
+#: advance at full numpy speed.
 START_WINDOW = 64
-MAX_WINDOW = 8192  # lint: allow(units-magic-literal) scan-window entries, not bytes
-#: accesses converted from int64 to int32 at a time when the flat arrays
-#: are filled (bounds the int64 temporary; a longer stream is one chunk)
-CONVERT_CHUNK = 1 << 20
-#: page ids are stored as int32
-PAGE_ID_LIMIT = 1 << 31
 
 
 class SoaStreams:
-    """All warp-stream state as flat arrays.
+    """The run-time state of a kernel's streams, as flat arrays.
 
-    Per-stream page sequences are concatenated into ``pages_flat`` (int32)
-    / ``writes_flat``; ``start``/``end`` delimit each stream's span and
-    ``pos`` is the absolute cursor of its next access.  Streams without a
-    writes mask get an all-False span, which makes the permission check
-    ``where(writes, write_ok, read_ok)`` degenerate to ``read_ok`` -
-    byte-identical to the scalar ``check_writes`` guard.  Both arrays
-    carry ``MAX_WINDOW`` entries of padding past the last access so every
-    scan window is a full row of :meth:`windows`.
+    The accesses are the :class:`~repro.gpu.warp.StreamSet`'s own
+    stores, adopted without a copy: ``pages_flat`` / ``writes_flat`` are
+    its int32 page ids and store flags, ``start``/``end`` delimit each
+    stream's span, and :meth:`windows` are its scan windows.  What is
+    added per stream is ``pos``, the absolute cursor of its next access,
+    and the scheduler state.  A stream without stores has an all-False
+    span, which makes the permission check ``where(writes, write_ok,
+    read_ok)`` degenerate to ``read_ok``.
     """
 
-    def __init__(self, streams: Sequence[WarpStream]) -> None:
-        n = len(streams)
-        self.n = n
-        lengths = np.fromiter((len(s.pages) for s in streams), dtype=np.int64, count=n)
-        start = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.cumsum(lengths[:-1], out=start[1:])
-        self.total = int(lengths.sum()) if n else 0
-        self.start = start
-        self.end = start + lengths
-        self._pages = np.zeros(self.total + MAX_WINDOW, dtype=np.int32)
-        self._writes = np.zeros(self.total + MAX_WINDOW, dtype=bool)
-        self._fill(streams, int(lengths.max()) if n else 0)
-        self.pos = start.copy()
+    def __init__(self, streams: StreamSet) -> None:
+        self.streams = streams
+        n = self.n = len(streams)
+        self.total = streams.total
+        self.start = streams.start
+        self.end = streams.end
+        self.stream_ids = streams.ids
+        self.flops = streams.flops
+        self.pos = streams.start.copy()
         self.state = np.full(n, PENDING, dtype=np.int8)
         self.stalled_on = np.full(n, -1, dtype=np.int64)
         self.sm_id = np.full(n, -1, dtype=np.int64)
-        self.stream_ids = np.fromiter(
-            (s.stream_id for s in streams), dtype=np.int64, count=n
-        )
-        self.flops = np.fromiter(
-            (s.flops_per_access for s in streams), dtype=np.float64, count=n
-        )
         self.faults_raised = np.zeros(n, dtype=np.int64)
-        #: sliding-window views by width (see :meth:`windows`)
-        self._windows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _fill(self, streams: Sequence[WarpStream], longest: int) -> None:
-        """Copy every stream's pages and writes mask into the flat arrays.
-
-        Streams are taken a run at a time, about ``CONVERT_CHUNK``
-        accesses per run: one concatenation, a range check (an id
-        outside ``[0, 2**31)`` would wrap silently in int32) and one
-        cast per run, so there is neither a full-size int64 temporary
-        nor a numpy call per stream.
-        """
-        pages = [s.pages for s in streams]
-        blank = np.zeros(longest, dtype=bool)
-        writes = [blank[: len(s.pages)] if s.writes is None else s.writes for s in streams]
-        i, n = 0, len(streams)
-        while i < n:
-            reach = self.start[i] + CONVERT_CHUNK
-            j = max(i + 1, int(np.searchsorted(self.end, reach, side="right")))
-            lo, hi = int(self.start[i]), int(self.end[j - 1])
-            if hi > lo:
-                run = np.concatenate(pages[i:j])
-                if run.min() < 0 or run.max() >= PAGE_ID_LIMIT:
-                    raise SimulationError(
-                        f"stream page ids must lie in [0, 2**31); streams {i}..{j - 1}"
-                        f" hold [{run.min()}, {run.max()}]"
-                    )
-                self._pages[lo:hi] = run
-                np.concatenate(writes[i:j], out=self._writes[lo:hi])
-            i = j
 
     @property
     def pages_flat(self) -> np.ndarray:
         """Every stream's page ids, concatenated (int32)."""
-        return self._pages[: self.total]
+        return self.streams.pages
 
     @property
     def writes_flat(self) -> np.ndarray:
         """Every stream's writes mask, concatenated."""
-        return self._writes[: self.total]
+        return self.streams.writes
 
     def windows(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(pages, writes)`` sliding-window views ``width`` entries wide.
-
-        Row ``p`` holds the ``width`` accesses from flat position ``p``
-        on, so one fancy index gathers every stream's scan window; the
-        padding keeps each row in bounds.  The views are cached per
-        width and left out of pickles.
-        """
-        views = self._windows.get(width)
-        if views is None:
-            views = (
-                sliding_window_view(self._pages, width),
-                sliding_window_view(self._writes, width),
-            )
-            self._windows[width] = views
-        return views
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_windows"] = {}
-        return state
+        """The set's scan windows (:meth:`StreamSet.windows`)."""
+        return self.streams.windows(width)
 
 
 def advance_batch(
@@ -169,7 +102,7 @@ def advance_batch(
 
     The scan gallops: each round gathers a ``k x W`` window of upcoming
     accesses for the still-unresolved streams (one fancy index into
-    :meth:`SoaStreams.windows`), tests the access masks in one shot, and
+    :meth:`StreamSet.windows`), tests the access masks in one shot, and
     finds each stream's first miss with a single ``argmin``.  A window
     may run past its stream's end into the next stream (or the
     padding); no mask hides that tail, because a first miss at or past
@@ -241,7 +174,7 @@ class SoaBlockScheduler:
 
     def __init__(
         self,
-        streams: Sequence[WarpStream],
+        streams: StreamSet,
         rng: SimRng,
         max_active: int = 2048,
         n_sms: int = 80,
@@ -251,13 +184,12 @@ class SoaBlockScheduler:
             raise SimulationError(f"max_active must be positive, got {max_active}")
         if n_sms <= 0:
             raise SimulationError(f"n_sms must be positive, got {n_sms}")
-        self.streams = list(streams)
-        self.soa = SoaStreams(self.streams)
+        self.soa = SoaStreams(streams)
         self.max_active = max_active
         self.n_sms = n_sms
         # identical draw to the scalar scheduler: same window, same rng
         self._dispatch_order = rng.jitter_order(
-            len(self.streams), window=max(8.0, jitter * 4 * max_active)
+            self.soa.n, window=max(8.0, jitter * 4 * max_active)
         )
         self._next_dispatch = 0
         self._active = np.empty(0, dtype=np.int64)
@@ -324,7 +256,7 @@ class SoaBlockScheduler:
     def all_done(self) -> bool:
         return (
             self._next_dispatch >= self._dispatch_order.size
-            and self._n_done_total == len(self.streams)
+            and self._n_done_total == self.soa.n
         )
 
     def wake_all_stalled(self) -> int:
@@ -341,7 +273,7 @@ class SoaBlockScheduler:
 
     def progress(self) -> tuple[int, int]:
         """(streams done, total streams) - for progress reporting."""
-        return self._n_done_total, len(self.streams)
+        return self._n_done_total, self.soa.n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         done, total = self.progress()

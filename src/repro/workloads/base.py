@@ -2,7 +2,8 @@
 
 A workload knows how to (a) allocate its managed ranges into an
 :class:`~repro.mem.address_space.AddressSpace` and (b) emit the warp
-streams whose page accesses the GPU will execute.  Both happen in
+streams whose page accesses the GPU will execute, one
+:class:`~repro.gpu.warp.StreamSet` per kernel.  Both happen in
 :meth:`Workload.build`, which returns a :class:`WorkloadBuild`.
 
 Conventions:
@@ -10,8 +11,11 @@ Conventions:
 * element indices are converted to *global page indices* via the range's
   ``start_page`` plus byte arithmetic - workloads never hand-compute
   raw addresses;
-* a stream's ``writes`` mask marks stores (dirty pages must migrate back
-  on eviction, Section V-A1); read-only streams pass ``writes=None``;
+* a set's ``writes`` flags mark stores (dirty pages must migrate back on
+  eviction, Section V-A1); a read-only stream's flags are all False;
+* a build emits whole arrays where the pattern allows, and otherwise
+  appends each stream's parts to a
+  :class:`~repro.gpu.warp.StreamSetBuilder`, which concatenates once;
 * workloads are deterministic given the forked rng the builder receives.
 """
 
@@ -19,12 +23,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace, ManagedRange
 from repro.sim.rng import SimRng
 from repro.units import human_size
@@ -51,7 +55,7 @@ class HostAccess:
 class KernelPhase:
     """One kernel launch, optionally preceded by host-side accesses."""
 
-    streams: list[WarpStream]
+    streams: StreamSet
     host_before: Optional[HostAccess] = None
 
 
@@ -60,11 +64,11 @@ class WorkloadBuild:
     """The product of building a workload against an address space.
 
     Simple workloads fill ``streams`` (a single kernel); multi-kernel
-    applications with host interaction fill ``phases`` instead, and
-    ``streams`` is derived for analysis convenience.
+    applications with host interaction fill ``phases`` instead and leave
+    ``streams`` None.  :attr:`kernels` lists every kernel's set either way.
     """
 
-    streams: list[WarpStream]
+    streams: Optional[StreamSet]
     ranges: dict[str, ManagedRange] = field(default_factory=dict)
     phases: Optional[list[KernelPhase]] = None
 
@@ -72,12 +76,18 @@ class WorkloadBuild:
     def from_phases(
         cls, phases: list[KernelPhase], ranges: dict[str, ManagedRange]
     ) -> "WorkloadBuild":
-        streams = [s for phase in phases for s in phase.streams]
-        return cls(streams=streams, ranges=ranges, phases=phases)
+        return cls(streams=None, ranges=ranges, phases=phases)
+
+    @property
+    def kernels(self) -> list[StreamSet]:
+        """Every kernel's streams, in launch order."""
+        if self.phases is None:
+            return [self.streams]
+        return [phase.streams for phase in self.phases]
 
     @property
     def total_accesses(self) -> int:
-        return sum(len(s) for s in self.streams)
+        return sum(streams.total for streams in self.kernels)
 
 
 class Workload(abc.ABC):
@@ -119,17 +129,6 @@ class Workload(abc.ABC):
                 f"element accesses escape range {rng_range.name!r}"
             )
         return _dedup_consecutive(pages)
-
-    @staticmethod
-    def make_stream(
-        stream_id: int,
-        pages: np.ndarray,
-        writes: Optional[np.ndarray] = None,
-        flops: float = 0.0,
-    ) -> WarpStream:
-        """Create a stream; ``flops`` is the stream's total compute work."""
-        per_access = flops / max(len(pages), 1) if flops else 0.0
-        return WarpStream(stream_id, pages, writes, flops_per_access=per_access)
 
     def describe(self) -> str:
         return f"{self.name} ({human_size(self.required_bytes())} managed)"

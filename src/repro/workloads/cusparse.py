@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSetBuilder
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.workloads.base import Workload, WorkloadBuild, chunk_indices
@@ -79,8 +79,7 @@ class CusparseWorkload(Workload):
         wl_rng = rng.fork(self.name)
 
         nnz_per_row = max(1, self.nnz // n)
-        streams: list[WarpStream] = []
-        sid = 0
+        streams = StreamSetBuilder()
 
         # -- phase 1: dense -> CSR conversion (sequential sweep) ----------------
         dense_pages_per_row = max(1, (n * _F32) // page_size)
@@ -95,11 +94,8 @@ class CusparseWorkload(Workload):
             r_page = rowptr.start_page + np.array(
                 [(lo * _I32) // page_size], dtype=np.int64
             )
-            pages = np.concatenate([d_pages, v_pages, c_pages, r_page])
-            writes = np.zeros(pages.shape, dtype=bool)
-            writes[d_pages.size :] = True  # CSR arrays are written
-            streams.append(self.make_stream(sid, pages, writes))
-            sid += 1
+            # the CSR arrays are written
+            streams.add((d_pages, False), (v_pages, True), (c_pages, True), (r_page, True))
 
         # -- phase 2: SpMM C = S @ B (scattered B reads) ---------------------------
         b_row_bytes = self.b_cols * _F32
@@ -117,14 +113,10 @@ class CusparseWorkload(Workload):
             out_lo = (lo * b_row_bytes) // page_size
             out_hi = (hi * b_row_bytes - 1) // page_size + 1
             out_pages = cmat.start_page + np.arange(out_lo, out_hi, dtype=np.int64)
-            pages = np.concatenate([v_pages, c_pages, b_pages, out_pages])
-            writes = np.zeros(pages.shape, dtype=bool)
-            writes[pages.size - out_pages.size :] = True
-            streams.append(self.make_stream(sid, pages, writes))
-            sid += 1
+            streams.add((v_pages, False), (c_pages, False), (b_pages, False), (out_pages, True))
 
         return WorkloadBuild(
-            streams=streams,
+            streams=streams.build(),
             ranges={
                 "dense": dense,
                 "csr_vals": vals,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSetBuilder
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.units import bytes_to_pages
@@ -72,8 +72,7 @@ class CufftWorkload(Workload):
         rev = _bit_reverse_permutation(1 << (npages - 1).bit_length())
         rev = rev[rev < npages]
 
-        streams: list[WarpStream] = []
-        sid = 0
+        streams = StreamSetBuilder()
         # forward: read src, write dst; inverse: read dst, write src.
         directions = [(src, dst), (dst, src)]
         for read_rng, write_rng in directions:
@@ -83,9 +82,7 @@ class CufftWorkload(Workload):
                 write_pages = write_rng.start_page + order
                 for lo, hi in chunk_indices(npages, self.pages_per_stream):
                     # butterfly: read a group, then write the transform.
-                    pages = np.concatenate([read_pages[lo:hi], write_pages[lo:hi]])
-                    writes = np.zeros(pages.shape, dtype=bool)
-                    writes[hi - lo :] = True
-                    streams.append(self.make_stream(sid, pages, writes))
-                    sid += 1
-        return WorkloadBuild(streams=streams, ranges={"signal": src, "spectrum": dst})
+                    streams.add((read_pages[lo:hi], False), (write_pages[lo:hi], True))
+        return WorkloadBuild(
+            streams=streams.build(), ranges={"signal": src, "spectrum": dst}
+        )

@@ -28,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.soa import span_indices
+from repro.gpu.warp import StreamSetBuilder
 from repro.mem.address_space import AddressSpace
 from repro.mem.advise import MemAdvise
 from repro.sim.rng import SimRng
@@ -102,7 +103,7 @@ class BfsWorkload(Workload):
         sid = 0
         for level, frontier_size in enumerate(self._frontier_sizes()):
             frontier = np.sort(gen.choice(self.n_vertices, size=frontier_size, replace=False))
-            streams: list[WarpStream] = []
+            streams = StreamSetBuilder(first_id=sid)
             for lo, hi in chunk_indices(frontier_size, self.vertices_per_stream):
                 verts = frontier[lo:hi]
                 # sequential-ish reads of offsets + status for the chunk
@@ -114,24 +115,19 @@ class BfsWorkload(Workload):
                     gen.pareto(1.5, size=verts.size).astype(np.int64) + 1, 512
                 )
                 seg_pages = gen.integers(0, edge_pages_total, size=verts.size)
-                parts = [off_pages, st_pages]
                 span_pages = np.maximum(deg * _I64 // page_size, 0)
-                for seg, span in zip(seg_pages, span_pages):
-                    stop = min(int(seg) + int(span) + 1, edge_pages_total)
-                    parts.append(
-                        edges.start_page + np.arange(int(seg), stop, dtype=np.int64)
-                    )
+                stops = np.minimum(seg_pages + span_pages + 1, edge_pages_total)
+                seg_run = edges.start_page + span_indices(seg_pages, stops)
                 # status updates for newly discovered vertices
                 upd_pages = self.pages_of_elements(status, verts, _I32, page_size)
-                pages = np.concatenate(parts + [upd_pages])
-                writes = np.zeros(pages.shape, dtype=bool)
-                writes[pages.size - upd_pages.size :] = True
-                streams.append(self.make_stream(sid, pages, writes))
-                sid += 1
+                streams.add(
+                    (off_pages, False), (st_pages, False), (seg_run, False), (upd_pages, True)
+                )
+            sid += len(streams)
             host_before = None
             if self.host_frontier and level > 0:
                 # naive port: the host compacts the frontier each level
                 host_before = HostAccess(pages=status.pages(), writes=True)
-            phases.append(KernelPhase(streams=streams, host_before=host_before))
+            phases.append(KernelPhase(streams=streams.build(), host_before=host_before))
         ranges = {"offsets": offsets, "edges": edges, "status": status}
         return WorkloadBuild.from_phases(phases, ranges)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSetBuilder
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.units import bytes_to_pages
@@ -68,8 +68,7 @@ class HpgmgWorkload(Workload):
         level_pages = [bytes_to_pages(self._level_bytes(lv)) for lv in range(self.levels)]
         wl_rng = rng.fork(self.name)
 
-        streams: list[WarpStream] = []
-        sid = 0
+        streams = StreamSetBuilder()
 
         def emit_level_sweep(level: int, write: bool, read_level: int | None) -> None:
             """Streams sweeping a level's boxes in shuffled order.
@@ -78,7 +77,6 @@ class HpgmgWorkload(Workload):
             of another level to each box stream, modelling restriction/
             interpolation's two-level touch.
             """
-            nonlocal sid
             grid = grids[level]
             npages = level_pages[level]
             boxes = chunk_indices(npages, self.box_pages)
@@ -88,7 +86,7 @@ class HpgmgWorkload(Workload):
             for bi in order:
                 lo, hi = boxes[int(bi)]
                 own = grid.start_page + np.arange(lo, hi, dtype=np.int64)
-                parts = [own]
+                parts = [(own, write)]
                 if read_level is not None:
                     other = grids[read_level]
                     scale = level_pages[read_level] / max(npages, 1)
@@ -96,14 +94,9 @@ class HpgmgWorkload(Workload):
                     ohi = max(olo + 1, int(hi * scale))
                     ohi = min(ohi, level_pages[read_level])
                     parts.append(
-                        other.start_page + np.arange(olo, ohi, dtype=np.int64)
+                        (other.start_page + np.arange(olo, ohi, dtype=np.int64), False)
                     )
-                pages = np.concatenate(parts)
-                writes = np.zeros(pages.shape, dtype=bool)
-                if write:
-                    writes[: own.size] = True
-                streams.append(self.make_stream(sid, pages, writes))
-                sid += 1
+                streams.add(*parts)
 
         for _ in range(self.v_cycles):
             # down sweep: smooth on each level, restrict into the coarser
@@ -117,6 +110,6 @@ class HpgmgWorkload(Workload):
                 emit_level_sweep(lv, write=True, read_level=lv + 1)  # interp
                 emit_level_sweep(lv, write=True, read_level=None)  # smooth
         return WorkloadBuild(
-            streams=streams,
+            streams=streams.build(),
             ranges={f"level{lv}": g for lv, g in enumerate(grids)},
         )

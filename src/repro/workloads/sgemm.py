@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet, check_page_ids
 from repro.mem.address_space import AddressSpace
 from repro.mem.address_space import ManagedRange
 from repro.sim.rng import SimRng
@@ -53,26 +53,33 @@ class SgemmWorkload(Workload):
         """FLOPs of the multiply (Fig. 10's compute-rate numerator)."""
         return 2 * self.n**3
 
-    def _band_pages(
-        self,
-        rng_range: ManagedRange,
-        row_band: int,
-        col_band: int,
-        page_size: int,
-    ) -> np.ndarray:
-        """Pages touched, row by row, by tile ``(row_band, col_band)``.
+    def _bands(self, matrix: ManagedRange, page_size: int) -> list[list[np.ndarray]]:
+        """Pages touched, row by row, by every tile of ``matrix``, as
+        int32 ids: entry ``[r][k]`` is tile ``(r, k)``'s.
 
         Each tile row is one contiguous segment of ``tile`` elements.
         Sampling it every ``page_size`` bytes plus its last element
         names every page from the segment's first to its last, however
-        many that is; consecutive repeats collapse to one touch.
+        many that is; consecutive repeats within a tile collapse to one
+        touch.  All tiles are computed in one numpy pass.
         """
-        tile = self.tile
+        n, tile = self.n, self.tile
+        grid = n // tile
         step = max(page_size // _F32, 1)
         offsets = np.append(np.arange(0, tile - 1, step), tile - 1)
-        rows = np.arange(row_band * tile, (row_band + 1) * tile, dtype=np.int64)
-        elems = (rows[:, None] * self.n + (col_band * tile + offsets)).ravel()
-        return self.pages_of_elements(rng_range, elems, _F32, page_size)
+        firsts = np.arange(grid, dtype=np.int64) * tile
+        rows = firsts[:, None] + np.arange(tile)
+        # elems[r, k, row, offset]: one tile per line after the reshape
+        elems = rows[:, None, :, None] * n + (firsts[None, :, None, None] + offsets)
+        pages = matrix.start_page + elems.reshape(grid * grid, -1) * _F32 // page_size
+        keep = np.ones(pages.shape, dtype=bool)
+        np.not_equal(pages[:, 1:], pages[:, :-1], out=keep[:, 1:])
+        table = pages[keep]
+        check_page_ids(table)
+        table = table.astype(np.int32)
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        tiles = [table[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+        return [tiles[r * grid : (r + 1) * grid] for r in range(grid)]
 
     def build(self, space: AddressSpace, rng: SimRng) -> WorkloadBuild:
         n, tile = self.n, self.tile
@@ -83,32 +90,26 @@ class SgemmWorkload(Workload):
         page_size = space.page_size
 
         grid = n // tile
-
-        def bands(matrix: ManagedRange) -> list[list[np.ndarray]]:
-            return [
-                [self._band_pages(matrix, r, k, page_size) for k in range(grid)]
-                for r in range(grid)
-            ]
-
         # Every block of a grid row re-reads the same A bands and every
         # block of a grid column the same B bands, so each distinct band
         # is computed once and shared.
-        a_bands, b_bands, c_bands = bands(a), bands(b), bands(c)
+        a_bands, b_bands, c_bands = (self._bands(m, page_size) for m in (a, b, c))
+        a_len, b_len, c_len = (
+            np.array([[band.size for band in row] for row in m], dtype=np.int64)
+            for m in (a_bands, b_bands, c_bands)
+        )
+        # block (bi, bj) reads A row band bi and B column band bj, then writes C
+        lengths = (a_len.sum(axis=1)[:, None] + b_len.sum(axis=0)[None, :] + c_len).ravel()
         block_flops = 2 * tile * tile * n  # tile^2 outputs, n-MACs each
-        streams: list[WarpStream] = []
-        for bi in range(grid):
-            a_row = a_bands[bi]
-            for bj in range(grid):
-                # step kk reads A band (bi, kk) then B band (kk, bj)
-                parts = [
-                    band for kk in range(grid) for band in (a_row[kk], b_bands[kk][bj])
-                ]
-                c_pages = c_bands[bi][bj]
-                parts.append(c_pages)
-                pages = np.concatenate(parts)
-                writes = np.zeros(pages.shape, dtype=bool)
-                writes[pages.size - c_pages.size :] = True
-                streams.append(
-                    self.make_stream(len(streams), pages, writes, flops=block_flops)
-                )
+        streams = StreamSet.zeros(lengths, flops=block_flops / np.maximum(lengths, 1))
+        pages, writes = streams.pages, streams.writes
+        starts, ends = streams.start.tolist(), streams.end.tolist()
+        for sid in range(grid * grid):
+            bi, bj = divmod(sid, grid)
+            # step kk reads A band (bi, kk) then B band (kk, bj)
+            parts = [band for kk in range(grid) for band in (a_bands[bi][kk], b_bands[kk][bj])]
+            c_pages = c_bands[bi][bj]
+            parts.append(c_pages)
+            np.concatenate(parts, out=pages[starts[sid] : ends[sid]])
+            writes[ends[sid] - c_pages.size : ends[sid]] = True
         return WorkloadBuild(streams=streams, ranges={"A": a, "B": b, "C": c})

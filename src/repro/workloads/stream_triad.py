@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.workloads.base import Workload, WorkloadBuild
@@ -44,12 +44,12 @@ class StreamTriadWorkload(Workload):
         c = space.malloc_managed(vec_bytes, name="c")
         npages = bytes_to_pages(vec_bytes)
 
-        streams: list[WarpStream] = []
-        for i in range(npages):
-            pages = np.array(
-                [b.start_page + i, c.start_page + i, a.start_page + i],
-                dtype=np.int64,
-            )
-            writes = np.array([False, False, True])
-            streams.append(self.make_stream(i, pages, writes))
+        # stream i reads b[i] and c[i], then writes a[i]
+        i = np.arange(npages, dtype=np.int64)
+        pages = np.stack([b.start_page + i, c.start_page + i, a.start_page + i], axis=1)
+        streams = StreamSet(
+            pages.ravel(),
+            np.full(npages, 3, dtype=np.int64),
+            np.tile([False, False, True], npages),
+        )
         return WorkloadBuild(streams=streams, ranges={"a": a, "b": b, "c": c})

@@ -17,10 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
-from repro.workloads.base import Workload, WorkloadBuild, chunk_indices
+from repro.workloads.base import Workload, WorkloadBuild
 
 
 class _PageTouch(Workload):
@@ -49,12 +49,14 @@ class _PageTouch(Workload):
     def build(self, space: AddressSpace, rng: SimRng) -> WorkloadBuild:
         buf = space.malloc_managed(self.data_bytes, name="buffer")
         order = self._page_order(buf.npages, rng.fork(self.name))
-        pages = buf.start_page + order
-        streams: list[WarpStream] = []
-        for sid, (lo, hi) in enumerate(chunk_indices(len(pages), self.pages_per_stream)):
-            chunk = pages[lo:hi]
-            writes = np.full(chunk.shape, self.write, dtype=bool) if self.write else None
-            streams.append(self.make_stream(sid, chunk, writes))
+        # consecutive runs of pages_per_stream threads; the last may be short
+        n, per = order.size, self.pages_per_stream
+        lengths = np.full(-(-n // per), per, dtype=np.int64)
+        if n % per:
+            lengths[-1] = n % per
+        streams = StreamSet(
+            buf.start_page + order, lengths, np.full(n, self.write, dtype=bool)
+        )
         return WorkloadBuild(streams=streams, ranges={"buffer": buf})
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSetBuilder
 from repro.mem.address_space import AddressSpace
 from repro.mem.address_space import ManagedRange
 from repro.sim.rng import SimRng
@@ -88,7 +88,7 @@ class TealeafWorkload(Workload):
         phases: list[KernelPhase] = []
         sid = 0
         for iteration in range(self.iterations):
-            streams: list[WarpStream] = []
+            streams = StreamSetBuilder(first_id=sid)
             for row in range(0, self.n, self.rows_per_stream):
                 hi = min(row + self.rows_per_stream, self.n)
                 # stencil reads p with a one-row halo on each side
@@ -96,12 +96,9 @@ class TealeafWorkload(Workload):
                 u_pages = self._row_pages(u, row, hi, page_size)
                 r_pages = self._row_pages(r, row, hi, page_size)
                 w_pages = self._row_pages(w, row, hi, page_size)
-                pages = np.concatenate([p_pages, u_pages, r_pages, w_pages])
-                writes = np.zeros(pages.shape, dtype=bool)
                 # w is written by the operator; u and r are updated.
-                writes[p_pages.size :] = True
-                streams.append(self.make_stream(sid, pages, writes))
-                sid += 1
+                streams.add((p_pages, False), (u_pages, True), (r_pages, True), (w_pages, True))
+            sid += len(streams)
             host_before = None
             if self.host_check and iteration > 0:
                 # The host samples the residual for the convergence norm.
@@ -112,7 +109,7 @@ class TealeafWorkload(Workload):
                 host_before = HostAccess(
                     pages=r.pages()[:: space.pages_per_big_page], writes=False
                 )
-            phases.append(KernelPhase(streams=streams, host_before=host_before))
+            phases.append(KernelPhase(streams=streams.build(), host_before=host_before))
         ranges = {"u": u, "p": p, "r": r, "w": w}
         if self.iterations == 1 and not self.host_check:
             return WorkloadBuild(streams=phases[0].streams, ranges=ranges)

@@ -47,7 +47,7 @@ from repro.core.driver import DriverConfig, RunResult, UvmDriver
 from repro.core.replay import ReplayPolicyKind
 from repro.experiments.runner import ExperimentSetup, build_driver, simulate
 from repro.gpu.device import GpuDeviceConfig
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.mem.advise import MemAdvise
 from repro.sim.rng import SimRng
@@ -131,11 +131,7 @@ def touch_driver(advise, phases, writes_frac=0.0, gpu_mib=2, data_mib=4,
     if phases is None:
         writes = np.zeros(len(pages), dtype=bool)
         writes[: int(len(pages) * writes_frac)] = True
-        streams = [
-            WarpStream(i, np.array([p]), np.array([w]))
-            for i, (p, w) in enumerate(zip(pages, writes))
-        ]
-        kwargs = {"streams": streams}
+        kwargs = {"streams": StreamSet(pages, writes=writes)}
     else:
         kwargs = {"phases": phases(pages)}
     return UvmDriver(
@@ -153,8 +149,8 @@ def _two_kernels(host_writes: bool, host_pages: slice):
     """Kernel 1 reads every page, the host touches some, kernel 2 re-reads."""
 
     def phases(pages):
-        k1 = [WarpStream(i, np.array([p])) for i, p in enumerate(pages)]
-        k2 = [WarpStream(10_000 + i, np.array([p])) for i, p in enumerate(pages)]
+        k1 = StreamSet(pages)
+        k2 = StreamSet(pages, ids=10_000 + np.arange(len(pages)))
         host = HostAccess(pages=pages[host_pages], writes=host_writes)
         return [KernelPhase(streams=k1), KernelPhase(streams=k2, host_before=host)]
 
@@ -163,7 +159,8 @@ def _two_kernels(host_writes: bool, host_pages: slice):
 
 def hot_remote(pages):
     """Eight streams re-reading the whole range eight times each."""
-    return [KernelPhase(streams=[WarpStream(i, np.tile(pages, 8)) for i in range(8)])]
+    n = len(pages)
+    return [KernelPhase(streams=StreamSet(np.tile(pages, 64), np.full(8, 8 * n)))]
 
 
 def _advise_cells() -> dict[str, Callable[[], RunResult]]:

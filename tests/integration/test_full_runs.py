@@ -54,7 +54,7 @@ class TestEveryWorkloadCompletes:
         migrated page is either still resident or was moved back by a
         host fault (and counted as such); no eviction churn."""
         driver, build, result = self._run_driver(name, small_setup)
-        touched = np.unique(np.concatenate([s.pages for s in build.streams]))
+        touched = np.unique(np.concatenate([k.pages for k in build.kernels]))
         assert driver.residency.resident[touched].all()
         assert result.evictions == 0
         migrated = (

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.driver import DriverConfig, UvmDriver
 from repro.gpu.device import GpuDeviceConfig
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.mem.advise import MemAdvise
 from repro.sim.rng import SimRng
@@ -22,13 +22,9 @@ def run_touch(advise=None, writes_frac=0.0, data_mib=8, gpu_mib=32, phases=None)
         pages = buf.pages()
         writes = np.zeros(len(pages), dtype=bool)
         writes[: int(len(pages) * writes_frac)] = True
-        streams = [
-            WarpStream(i, np.array([p]), np.array([w]))
-            for i, (p, w) in enumerate(zip(pages, writes))
-        ]
         driver = UvmDriver(
             space=space,
-            streams=streams,
+            streams=StreamSet(pages, writes=writes),
             gpu_config=GpuDeviceConfig(memory_bytes=gpu_mib * MiB),
             rng=SimRng(1),
         )
@@ -88,10 +84,8 @@ class TestReadMostly:
     def test_host_reads_of_duplicates_are_free(self):
         def phases(buf):
             pages = buf.pages()
-            k1 = [WarpStream(i, np.array([p])) for i, p in enumerate(pages)]
-            k2 = [
-                WarpStream(10_000 + i, np.array([p])) for i, p in enumerate(pages)
-            ]
+            k1 = StreamSet(pages)
+            k2 = StreamSet(pages, ids=10_000 + np.arange(len(pages)))
             return [
                 KernelPhase(streams=k1),
                 KernelPhase(
@@ -109,10 +103,8 @@ class TestReadMostly:
     def test_host_writes_invalidate_gpu_copies(self):
         def phases(buf):
             pages = buf.pages()
-            k1 = [WarpStream(i, np.array([p])) for i, p in enumerate(pages)]
-            k2 = [
-                WarpStream(10_000 + i, np.array([p])) for i, p in enumerate(pages)
-            ]
+            k1 = StreamSet(pages)
+            k2 = StreamSet(pages, ids=10_000 + np.arange(len(pages)))
             return [
                 KernelPhase(streams=k1),
                 KernelPhase(
@@ -138,13 +130,9 @@ class TestMixedAdvise:
         a = space.malloc_managed(4 * MiB, name="migrate")
         b = space.malloc_managed(4 * MiB, name="pinned")
         space.mem_advise("pinned", MemAdvise.PINNED_HOST)
-        streams = [
-            WarpStream(i, np.array([p]))
-            for i, p in enumerate(np.concatenate([a.pages(), b.pages()]))
-        ]
         driver = UvmDriver(
             space=space,
-            streams=streams,
+            streams=StreamSet(np.concatenate([a.pages(), b.pages()])),
             gpu_config=GpuDeviceConfig(memory_bytes=32 * MiB),
             rng=SimRng(1),
         )

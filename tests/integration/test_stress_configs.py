@@ -12,7 +12,7 @@ from repro.core.driver import DriverConfig, UvmDriver
 from repro.core.replay import ReplayPolicyKind
 from repro.experiments.runner import ExperimentSetup, simulate
 from repro.gpu.device import GpuDeviceConfig
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.units import MiB
@@ -33,13 +33,9 @@ class TestHostileHardware:
         """A 2 MiB device: every new block allocation evicts."""
         space = AddressSpace()
         buf = space.malloc_managed(8 * MiB)
-        streams = [
-            WarpStream(i, np.array([p], dtype=np.int64))
-            for i, p in enumerate(buf.pages())
-        ]
         driver = UvmDriver(
             space=space,
-            streams=streams,
+            streams=StreamSet(buf.pages()),
             gpu_config=GpuDeviceConfig(memory_bytes=2 * MiB),
             driver_config=DriverConfig(prefetch_enabled=False),
             rng=SimRng(0),
@@ -84,7 +80,7 @@ class TestDegenerateStreams:
         pages = np.zeros(1000, dtype=np.int64)  # same page 1000 times
         driver = UvmDriver(
             space=space,
-            streams=[WarpStream(0, pages)],
+            streams=StreamSet(pages, [pages.size]),
             gpu_config=tiny_setup.gpu,
             rng=SimRng(0),
         )

@@ -64,7 +64,6 @@ def _driver(n_device, n_data, prior, policy, prefetch) -> UvmDriver:
     space.malloc_managed(n_data * 2 * MiB, name="data")
     driver = UvmDriver(
         space,
-        streams=[],
         driver_config=DriverConfig(replay_policy=policy, prefetch_enabled=prefetch),
         gpu_config=GpuDeviceConfig(memory_bytes=n_device * 2 * MiB),
         rng=SimRng(7),

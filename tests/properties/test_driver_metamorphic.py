@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.driver import DriverConfig, UvmDriver
 from repro.core.replay import ReplayPolicyKind
 from repro.gpu.device import GpuDeviceConfig
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.units import MiB
@@ -38,10 +38,7 @@ def run_once(
 ):
     space = AddressSpace()
     buf = space.malloc_managed(N_PAGES * 4096)
-    streams = [
-        WarpStream(i, np.array([buf.start_page + int(p)], dtype=np.int64))
-        for i, p in enumerate(page_order)
-    ]
+    streams = StreamSet(buf.start_page + np.asarray(page_order, dtype=np.int64))
     driver = UvmDriver(
         space=space,
         streams=streams,
@@ -101,10 +98,7 @@ def test_breakdown_always_covers_clock(seed, threshold):
     order = SimRng(seed).permutation(N_PAGES)
     space = AddressSpace()
     buf = space.malloc_managed(N_PAGES * 4096)
-    streams = [
-        WarpStream(i, np.array([buf.start_page + int(p)], dtype=np.int64))
-        for i, p in enumerate(order)
-    ]
+    streams = StreamSet(buf.start_page + np.asarray(order, dtype=np.int64))
     driver = UvmDriver(
         space=space,
         streams=streams,

@@ -37,7 +37,7 @@ from repro.core.prefetch import PrefetchDecision, TreePrefetcher
 from repro.errors import SimulationError
 from repro.gpu.soa import SoaStreams, advance_batch
 from repro.gpu.tlb import UTlbArray
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet, WarpStream
 from repro.mem.address_space import AddressSpace
 from repro.mem.leafbits import bits_of
 from repro.mem.page_table import MappingStats, PageTable
@@ -158,7 +158,7 @@ def test_compute_matches_slice_sum_reference(case):
 def _servicer(ppb: int):
     space = AddressSpace(big_page_size=ppb * PAGE_SIZE)
     space.malloc_managed(8 * MiB)
-    return UvmDriver(space, streams=[]).servicer
+    return UvmDriver(space).servicer
 
 
 @st.composite
@@ -655,7 +655,16 @@ def test_advance_batch_matches_per_stream_advance(case):
     read_ok[MISSING_PAGE] = False
     write_ok = read_ok.copy()
     write_ok[READ_ONLY_PAGE] = False
-    soa = SoaStreams(streams)
+    # the set flags a stream without a writes mask as all loads
+    soa = SoaStreams(
+        StreamSet(
+            np.concatenate([s.pages for s in streams]),
+            [len(s) for s in streams],
+            np.concatenate(
+                [np.zeros(len(s), bool) if s.writes is None else s.writes for s in streams]
+            ),
+        )
+    )
     assert soa.pages_flat.dtype == np.int32
     live = [i for i, s in enumerate(streams) if len(s)]
     for _ in range(2):  # the second pass resumes mid-stream after service

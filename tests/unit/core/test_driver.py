@@ -1,13 +1,12 @@
 """Unit tests for the top-level UVM driver loop."""
 
-import numpy as np
 import pytest
 
 from repro.core.driver import DriverConfig, UvmDriver
 from repro.core.replay import ReplayPolicyKind
 from repro.errors import ConfigurationError, SimulationError
 from repro.gpu.device import GpuDeviceConfig
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.trace.recorder import TraceRecorder
@@ -18,10 +17,7 @@ def build_driver(data_mib=4, gpu_mib=16, streams=None, recorder=None, **driver_k
     space = AddressSpace()
     buf = space.malloc_managed(data_mib * MiB)
     if streams is None:
-        streams = [
-            WarpStream(i, np.array([p], dtype=np.int64))
-            for i, p in enumerate(buf.pages())
-        ]
+        streams = StreamSet(buf.pages())
     return UvmDriver(
         space=space,
         streams=streams,
@@ -55,7 +51,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             UvmDriver(
                 space=space,
-                streams=[],
                 gpu_config=GpuDeviceConfig(memory_bytes=1 * MiB),
             )
 
@@ -65,7 +60,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             UvmDriver(
                 space=space,
-                streams=[],
                 driver_config=DriverConfig(eviction_policy="access_counter"),
             )
 
@@ -91,7 +85,7 @@ class TestRunCompletion:
             driver.run()
 
     def test_empty_stream_list_finishes_fast(self):
-        driver = build_driver(streams=[])
+        driver = build_driver(streams=StreamSet([]))
         result = driver.run()
         assert result.faults_read == 0
         assert result.total_time_ns == driver.cost.session_base_ns

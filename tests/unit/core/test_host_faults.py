@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.driver import UvmDriver
 from repro.gpu.device import GpuDeviceConfig
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.units import MiB
@@ -13,10 +13,8 @@ from repro.workloads.base import HostAccess, KernelPhase
 
 
 def page_streams(pages, base_id=0):
-    return [
-        WarpStream(base_id + i, np.array([p], dtype=np.int64))
-        for i, p in enumerate(pages)
-    ]
+    pages = np.asarray(list(pages), dtype=np.int64)
+    return StreamSet(pages, ids=base_id + np.arange(pages.size))
 
 
 def build_driver(phases, gpu_mib=16):

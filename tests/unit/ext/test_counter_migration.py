@@ -7,7 +7,7 @@ from repro.core.driver import DriverConfig, UvmDriver
 from repro.errors import ConfigurationError
 from repro.ext.counter_migration import CounterMigrationController
 from repro.gpu.device import GpuDeviceConfig
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.mem.advise import MemAdvise
 from repro.sim.rng import SimRng
@@ -63,7 +63,8 @@ class TestEndToEnd:
         buf = space.malloc_managed(4 * MiB, name="data")
         space.mem_advise("data", MemAdvise.PINNED_HOST)
         pages = buf.pages()
-        streams = [WarpStream(i, np.tile(pages, 8)) for i in range(8)]
+        # eight streams, each re-reading the whole range eight times
+        streams = StreamSet(np.tile(pages, 64), np.full(8, 8 * len(pages)))
         driver = UvmDriver(
             space=space,
             streams=streams,
@@ -100,7 +101,6 @@ class TestEndToEnd:
         with pytest.raises(ConfigurationError):
             UvmDriver(
                 space=space,
-                streams=[],
                 driver_config=DriverConfig(counter_migration=True),
                 gpu_config=GpuDeviceConfig(memory_bytes=16 * MiB),
             )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gpu.device import GpuDevice, GpuDeviceConfig
-from repro.gpu.warp import WarpStream
+from repro.gpu.warp import StreamSet
 from repro.sim.clock import SimClock
 from repro.sim.rng import SimRng
 from repro.units import MiB
@@ -35,7 +35,7 @@ class TestConfig:
 
 class TestPhases:
     def test_phase_generates_faults(self):
-        streams = [WarpStream(i, np.array([i])) for i in range(10)]
+        streams = StreamSet(np.arange(10))
         device = make_device(streams)
         clock = SimClock()
         result = device.run_phase(np.zeros(100, dtype=bool), clock)
@@ -43,19 +43,19 @@ class TestPhases:
         assert len(device.fault_buffer) == 10
 
     def test_phase_width_bounds_advancement(self):
-        streams = [WarpStream(i, np.array([i])) for i in range(100)]
+        streams = StreamSet(np.arange(100))
         device = make_device(streams, phase_width=10)
         result = device.run_phase(np.zeros(200, dtype=bool), SimClock())
         assert result.faults_enqueued == 10
 
     def test_max_streams_override(self):
-        streams = [WarpStream(i, np.array([i])) for i in range(100)]
+        streams = StreamSet(np.arange(100))
         device = make_device(streams, phase_width=50)
         result = device.run_phase(np.zeros(200, dtype=bool), SimClock(), max_streams=3)
         assert result.faults_enqueued == 3
 
     def test_resident_pages_complete_streams(self):
-        streams = [WarpStream(i, np.array([i])) for i in range(5)]
+        streams = StreamSet(np.arange(5))
         device = make_device(streams)
         resident = np.ones(10, dtype=bool)
         result = device.run_phase(resident, SimClock())
@@ -64,21 +64,21 @@ class TestPhases:
 
     def test_same_gpc_duplicates_coalesce(self):
         # many streams touching the same page; some share GPCs
-        streams = [WarpStream(i, np.array([7])) for i in range(12)]
+        streams = StreamSet(np.full(12, 7))
         device = make_device(streams, n_sms=12, n_gpcs=6)
         result = device.run_phase(np.zeros(10, dtype=bool), SimClock())
         assert result.faults_enqueued == 6  # one per GPC
         assert result.faults_coalesced == 6
 
     def test_buffer_overflow_drops(self):
-        streams = [WarpStream(i, np.array([i])) for i in range(10)]
+        streams = StreamSet(np.arange(10))
         device = make_device(streams, fault_buffer_capacity=4, n_sms=80)
         result = device.run_phase(np.zeros(100, dtype=bool), SimClock())
         assert result.faults_enqueued == 4
         assert result.faults_dropped == 6
 
     def test_flops_accumulate(self):
-        streams = [WarpStream(0, np.array([0, 1]), flops_per_access=10.0)]
+        streams = StreamSet(np.array([0, 1]), [2], flops=[10.0])
         device = make_device(streams)
         resident = np.ones(4, dtype=bool)
         result = device.run_phase(resident, SimClock())
@@ -90,10 +90,9 @@ class TestPhases:
 
         def streams():
             flops = np.random.default_rng(3).random(300) * 1e3
-            return [
-                WarpStream(i, np.arange(1 + i % 7), flops_per_access=float(f))
-                for i, f in enumerate(flops)
-            ]
+            lengths = 1 + np.arange(300) % 7
+            pages = np.concatenate([np.arange(n) for n in lengths])
+            return StreamSet(pages, lengths, flops=flops)
 
         resident = np.ones(16, dtype=bool)
         soa = make_device(streams()).run_phase(resident, SimClock())
@@ -104,7 +103,7 @@ class TestPhases:
 
 class TestReplayDelivery:
     def test_replay_wakes_and_clears_tlb(self):
-        streams = [WarpStream(i, np.array([i])) for i in range(4)]
+        streams = StreamSet(np.arange(4))
         device = make_device(streams)
         device.run_phase(np.zeros(10, dtype=bool), SimClock())
         assert device.has_stalled_streams()
@@ -116,7 +115,7 @@ class TestReplayDelivery:
 
 class TestAccessCounters:
     def test_counters_track_vablock_accesses(self):
-        streams = [WarpStream(0, np.arange(600, dtype=np.int64))]
+        streams = StreamSet(np.arange(600), [600])
         config = GpuDeviceConfig(memory_bytes=16 * MiB, track_access_counters=True)
         device = GpuDevice(config, streams, rng=SimRng(5), total_vablocks=8)
         device.set_vablock_geometry(512)
@@ -126,5 +125,5 @@ class TestAccessCounters:
         assert device.access_counters[1] == 88
 
     def test_counters_disabled_by_default(self):
-        device = make_device([WarpStream(0, np.array([0]))])
+        device = make_device(StreamSet([0]))
         assert device.access_counters is None

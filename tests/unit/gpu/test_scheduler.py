@@ -7,13 +7,14 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.gpu.scheduler import BlockScheduler
-from repro.gpu.soa import CONVERT_CHUNK, SoaBlockScheduler, advance_batch
-from repro.gpu.warp import StreamState, WarpStream
+from repro.gpu.soa import SoaBlockScheduler, advance_batch
+from repro.gpu.warp import StreamSet, StreamState
 from repro.sim.rng import SimRng
 
 
 def make_streams(n, pages_each=1):
-    return [WarpStream(i, np.full(pages_each, i, dtype=np.int64)) for i in range(n)]
+    """``n`` streams, stream ``i`` touching page ``i`` ``pages_each`` times."""
+    return StreamSet(np.repeat(np.arange(n), pages_each), np.full(n, pages_each))
 
 
 @pytest.fixture
@@ -53,28 +54,26 @@ class TestDispatch:
 
     def test_invalid_params(self, rng):
         with pytest.raises(SimulationError):
-            BlockScheduler([], rng, max_active=0)
+            BlockScheduler(make_streams(0), rng, max_active=0)
         with pytest.raises(SimulationError):
-            BlockScheduler([], rng, n_sms=0)
+            BlockScheduler(make_streams(0), rng, n_sms=0)
 
 
 class TestLifecycle:
     def test_all_done_empty(self, rng):
-        assert BlockScheduler([], rng).all_done()
+        assert BlockScheduler(make_streams(0), rng).all_done()
 
     def test_all_done_progression(self, rng):
-        streams = make_streams(3)
-        sched = BlockScheduler(streams, rng, max_active=2)
+        sched = BlockScheduler(make_streams(3), rng, max_active=2)
         sched.refill()
         assert not sched.all_done()
-        for s in streams:
+        for s in sched.streams:
             s.state = StreamState.DONE
         sched.refill()
         assert sched.all_done()
 
     def test_wake_all_stalled(self, rng):
-        streams = make_streams(4)
-        sched = BlockScheduler(streams, rng, max_active=4)
+        sched = BlockScheduler(make_streams(4), rng, max_active=4)
         sched.refill()
         resident = np.zeros(10, dtype=bool)
         for s in sched.runnable():
@@ -84,34 +83,25 @@ class TestLifecycle:
         assert len(sched.runnable()) == 4
 
     def test_progress(self, rng):
-        streams = make_streams(5)
-        sched = BlockScheduler(streams, rng, max_active=5)
+        sched = BlockScheduler(make_streams(5), rng, max_active=5)
         sched.refill()
-        streams[0].state = StreamState.DONE
+        sched.streams[0].state = StreamState.DONE
         assert sched.progress() == (1, 5)
 
 
 class TestSoaStorage:
-    """The SoA engine stores page ids as int32: out-of-range ids must be
-    rejected when the scheduler is built, never wrapped."""
+    """The SoA engine reads page ids as int32: out-of-range ids must be
+    rejected when the stream set is built, never wrapped."""
 
     @pytest.mark.parametrize("bad", [2**31, 2**40, -1])
     def test_out_of_range_page_rejected(self, rng, bad):
-        streams = make_streams(3, pages_each=4)
-        streams.append(WarpStream(3, np.array([5, bad, 6], dtype=np.int64)))
+        pages = np.concatenate([np.repeat(np.arange(3), 4), [5, bad, 6]])
         with pytest.raises(SimulationError, match=r"\[0, 2\*\*31\)"):
-            SoaBlockScheduler(streams, rng)
-
-    def test_bad_page_in_a_later_chunk_rejected(self, rng):
-        # a run of conversion chunks; the bad id is in the last one
-        long = np.zeros(CONVERT_CHUNK, dtype=np.int64)
-        streams = [WarpStream(0, long), WarpStream(1, long), WarpStream(2, np.array([-7]))]
-        with pytest.raises(SimulationError):
-            SoaBlockScheduler(streams, rng)
+            SoaBlockScheduler(StreamSet(pages, [4, 4, 4, 3]), rng)
 
     def test_largest_int32_page_kept(self, rng):
         top = 2**31 - 1
-        streams = [WarpStream(0, np.array([0, top], dtype=np.int64), np.array([False, True]))]
+        streams = StreamSet(np.array([0, top]), [2], np.array([False, True]))
         soa = SoaBlockScheduler(streams, rng).soa
         assert soa.pages_flat.dtype == np.int32
         assert soa.pages_flat.tolist() == [0, top]
@@ -120,7 +110,7 @@ class TestSoaStorage:
     def test_pickle_leaves_out_scan_windows(self, rng):
         """A checkpoint must not serialize the scan's sliding-window
         views: each would be copied out as a (accesses x width) array."""
-        streams = [WarpStream(i, np.arange(5000) % 50) for i in range(4)]
+        streams = StreamSet(np.tile(np.arange(5000) % 50, 4), [5000] * 4)
         soa = SoaBlockScheduler(streams, rng).soa
         resident = np.ones(50, dtype=bool)
         resident[49] = False

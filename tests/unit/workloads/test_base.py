@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.units import MiB
 from repro.workloads.base import (
@@ -73,22 +74,26 @@ class TestChunkIndices:
 
 
 class TestWorkloadBuild:
-    def test_from_phases_flattens_streams(self):
-        from repro.gpu.warp import WarpStream
-
-        s1 = WarpStream(0, np.array([0]))
-        s2 = WarpStream(1, np.array([1]))
+    def test_from_phases_keeps_one_set_per_kernel(self):
+        """No concatenated copy of the phases: ``kernels`` are the
+        phases' own sets, and ``streams`` is left empty."""
+        s1 = StreamSet(np.array([0]))
+        s2 = StreamSet(np.array([1, 2]), ids=np.array([1, 2]))
         build = WorkloadBuild.from_phases(
-            [KernelPhase(streams=[s1]), KernelPhase(streams=[s2])], ranges={}
+            [KernelPhase(streams=s1), KernelPhase(streams=s2)], ranges={}
         )
-        assert build.streams == [s1, s2]
-        assert build.total_accesses == 2
+        assert build.streams is None
+        assert build.kernels[0] is s1 and build.kernels[1] is s2
+        assert build.total_accesses == 3
         assert len(build.phases) == 2
+
+    def test_single_kernel_build_lists_its_set(self):
+        s = StreamSet(np.arange(4), [1, 3])
+        build = WorkloadBuild(streams=s)
+        assert build.kernels == [s]
+        assert build.total_accesses == 4
 
     def test_host_access_defaults(self):
         access = HostAccess(pages=np.array([1, 2]))
         assert access.writes is False
 
-    def test_make_stream_spreads_flops(self):
-        stream = Workload.make_stream(0, np.arange(4), flops=100.0)
-        assert stream.flops_per_access == 25.0

@@ -44,10 +44,9 @@ class TestStructure:
         # touches and the scatter is visible at page granularity
         _, _, b = build(rng, avg_degree=256)
         edges = b.ranges["edges"]
-        stream = b.phases[0].streams[0]
-        e_pages = stream.pages[
-            (stream.pages >= edges.start_page) & (stream.pages < edges.end_page_aligned)
-        ]
+        streams = b.phases[0].streams
+        pages = streams.pages[streams.span(0)]
+        e_pages = pages[(pages >= edges.start_page) & (pages < edges.end_page_aligned)]
         assert e_pages.size > 4
         gaps = np.abs(np.diff(np.sort(e_pages)))
         assert (gaps > 1).any()  # data-dependent scatter
@@ -55,8 +54,8 @@ class TestStructure:
     def test_status_written(self, rng):
         _, _, b = build(rng)
         status = b.ranges["status"]
-        s = b.phases[0].streams[0]
-        written = s.pages[s.writes]
+        s = b.phases[0].streams
+        written = s.pages[s.span(0)][s.writes[s.span(0)]]
         assert written.size > 0
         assert (written >= status.start_page).all()
 
@@ -74,7 +73,8 @@ class TestStructure:
     def test_deterministic(self):
         a = build(SimRng(6))[2]
         b = build(SimRng(6))[2]
-        assert a.streams[0].pages.tolist() == b.streams[0].pages.tolist()
+        first_a, first_b = a.phases[0].streams, b.phases[0].streams
+        assert first_a.pages[first_a.span(0)].tolist() == first_b.pages[first_b.span(0)].tolist()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

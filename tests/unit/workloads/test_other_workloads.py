@@ -33,10 +33,11 @@ class TestStreamTriad:
         space = AddressSpace()
         build = StreamTriadWorkload(6 * MiB).build(space, rng)
         a = build.ranges["a"]
-        for stream in build.streams[:10]:
-            assert len(stream) == 3
-            assert stream.writes.tolist() == [False, False, True]
-            assert a.contains_page(int(stream.pages[2]))
+        s = build.streams
+        for i in range(10):
+            assert s.end[i] - s.start[i] == 3
+            assert s.writes[s.span(i)].tolist() == [False, False, True]
+            assert a.contains_page(int(s.pages[s.span(i)][2]))
 
     def test_too_small_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -59,7 +60,7 @@ class TestCufft:
         the forward+inverse pair."""
         space = AddressSpace()
         build = CufftWorkload(1 * MiB, passes_per_direction=1).build(space, rng)
-        written = np.unique(np.concatenate([s.pages[s.writes] for s in build.streams]))
+        written = np.unique(build.streams.pages[build.streams.writes])
         n_pages = build.ranges["signal"].npages
         assert written.size == 2 * n_pages  # both buffers written once each
 
@@ -68,7 +69,7 @@ class TestCufft:
         cuFFT has by far the fewest faults per byte in Table I)."""
         space = AddressSpace()
         build = CufftWorkload(1 * MiB).build(space, rng)
-        unique = np.unique(np.concatenate([s.pages for s in build.streams])).size
+        unique = np.unique(build.streams.pages).size
         assert build.total_accesses > 2 * unique
 
 
@@ -84,8 +85,8 @@ class TestTealeaf:
         build = wl.build(space, rng)
         # interior stream index 1 covers rows 8..16 but reads p rows 7..17
         p = build.ranges["p"]
-        s = build.streams[1]
-        p_pages = s.pages[(s.pages >= p.start_page) & (s.pages < p.end_page_aligned)]
+        pages = build.streams.pages[build.streams.span(1)]
+        p_pages = pages[(pages >= p.start_page) & (pages < p.end_page_aligned)]
         row_bytes = 256 * 8
         first_byte = (int(p_pages.min()) - p.start_page) * 4096
         assert first_byte < 8 * row_bytes  # reaches into row 7
@@ -93,7 +94,7 @@ class TestTealeaf:
     def test_iterations_multiply_streams(self, rng):
         one = TealeafWorkload(n=256, iterations=1).build(AddressSpace(), rng)
         three = TealeafWorkload(n=256, iterations=3).build(AddressSpace(), rng)
-        assert len(three.streams) == 3 * len(one.streams)
+        assert sum(len(k) for k in three.kernels) == 3 * len(one.streams)
 
     def test_invalid_grid(self):
         with pytest.raises(ConfigurationError):
@@ -110,7 +111,7 @@ class TestHpgmg:
     def test_v_cycle_touches_every_level(self, rng):
         space = AddressSpace()
         build = HpgmgWorkload(fine_n=256, levels=3, v_cycles=1).build(space, rng)
-        touched = np.unique(np.concatenate([s.pages for s in build.streams]))
+        touched = np.unique(build.streams.pages)
         for i in range(3):
             rng_i = build.ranges[f"level{i}"]
             assert ((touched >= rng_i.start_page) & (touched < rng_i.end_page)).any()
@@ -122,11 +123,8 @@ class TestHpgmg:
         wl = HpgmgWorkload(fine_n=512, levels=2, v_cycles=1, box_pages=2)
         build = wl.build(space, rng)
         lvl1 = build.ranges["level1"]
-        firsts = [
-            int(s.pages[0])
-            for s in build.streams
-            if lvl1.contains_page(int(s.pages[0]))
-        ]
+        starts = build.streams.pages[build.streams.start]
+        firsts = [int(p) for p in starts if lvl1.contains_page(int(p))]
         displacement = np.abs(np.diff(firsts))
         assert displacement.mean() > 2  # not a clean sequential sweep
 
@@ -152,7 +150,7 @@ class TestCusparse:
         space = AddressSpace()
         build = CusparseWorkload(n=512, rows_per_stream=64).build(space, rng)
         dense = build.ranges["dense"]
-        first = build.streams[0].pages
+        first = build.streams.pages[build.streams.span(0)]
         d_pages = first[(first >= dense.start_page) & (first < dense.end_page)]
         assert np.array_equal(d_pages, np.sort(d_pages))
 
@@ -161,13 +159,11 @@ class TestCusparse:
         wl = CusparseWorkload(n=1024, density=0.02)
         build = wl.build(space, rng)
         b = build.ranges["B"]
-        spmm_streams = build.streams[len(build.streams) // 2 :]
-        b_pages = np.concatenate(
-            [
-                s.pages[(s.pages >= b.start_page) & (s.pages < b.end_page_aligned)]
-                for s in spmm_streams[:4]
-            ]
-        )
+        # the first four SpMM streams, which follow the conversion's
+        s = build.streams
+        half = len(s) // 2
+        pages = s.pages[s.start[half] : s.end[half + 3]]
+        b_pages = pages[(pages >= b.start_page) & (pages < b.end_page_aligned)]
         diffs = np.abs(np.diff(b_pages.astype(np.int64)))
         assert (diffs > 1).mean() > 0.3  # scattered, not a sweep
 

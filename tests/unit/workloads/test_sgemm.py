@@ -32,25 +32,23 @@ class TestStructure:
     def test_streams_touch_all_three_matrices(self, build):
         wl, space, b = build
         a, bm, c = b.ranges["A"], b.ranges["B"], b.ranges["C"]
-        pages = b.streams[0].pages
+        pages = b.streams.pages[b.streams.span(0)]
         assert ((pages >= a.start_page) & (pages < a.end_page)).any()
         assert ((pages >= bm.start_page) & (pages < bm.end_page)).any()
         assert ((pages >= c.start_page) & (pages < c.end_page)).any()
 
     def test_only_c_pages_written(self, build):
         _, _, b = build
-        for stream in b.streams:
-            c_range = b.ranges["C"]
-            written = stream.pages[stream.writes]
-            assert (written >= c_range.start_page).all()
-            assert (written < c_range.end_page_aligned).all()
+        c_range = b.ranges["C"]
+        written = b.streams.pages[b.streams.writes]
+        assert (written >= c_range.start_page).all()
+        assert (written < c_range.end_page_aligned).all()
 
     def test_full_coverage_of_c(self, build):
         """Every page of C is written by some block."""
         _, _, b = build
         c = b.ranges["C"]
-        written = np.concatenate([s.pages[s.writes] for s in b.streams])
-        covered = np.unique(written)
+        covered = np.unique(b.streams.pages[b.streams.writes])
         expected = np.arange(c.start_page, c.start_page + c.npages)
         assert np.array_equal(np.intersect1d(covered, expected), expected)
 
@@ -59,8 +57,11 @@ class TestStructure:
         reuse the paper highlights."""
         wl, _, b = build
         grid = wl.n // wl.tile
-        first_row_blocks = b.streams[:grid]
-        a_pages = [set(s.pages[: len(s.pages) // 2].tolist()) for s in first_row_blocks]
+        s = b.streams
+        a_pages = [
+            set(s.pages[s.start[i] : (s.start[i] + s.end[i]) // 2].tolist())
+            for i in range(grid)
+        ]
         shared = set.intersection(*a_pages)
         assert shared, "grid-row blocks must share A band pages"
 
@@ -69,7 +70,7 @@ class TestStructure:
         them is touched, not only the first and last."""
         wl = SgemmWorkload(n=4096, tile=4096)
         b = wl.build(AddressSpace(), SimRng(0))
-        pages = np.concatenate([s.pages for s in b.streams])
+        pages = b.streams.pages
         for name in ("A", "B", "C"):
             rng = b.ranges[name]
             expected = np.arange(rng.start_page, rng.start_page + rng.npages)
@@ -81,7 +82,8 @@ class TestStructure:
 
     def test_flops_attributed_to_streams(self, build):
         wl, _, b = build
-        total = sum(s.flops_per_access * len(s) for s in b.streams)
+        s = b.streams
+        total = sum(s.flops * (s.end - s.start))
         assert total == pytest.approx(wl.flops, rel=0.01)
 
     def test_required_bytes(self):
@@ -91,12 +93,13 @@ class TestStructure:
 def build_digest(n: int, tile: int) -> str:
     """sha256 over every stream's id, pages, write mask and per-access FLOPs."""
     built = SgemmWorkload(n=n, tile=tile).build(AddressSpace(), SimRng(0))
+    s = built.streams
     digest = hashlib.sha256()
-    for stream in built.streams:
-        digest.update(struct.pack("<q", stream.stream_id))
-        digest.update(np.ascontiguousarray(stream.pages, dtype="<i8").tobytes())
-        digest.update(np.ascontiguousarray(stream.writes, dtype=bool).tobytes())
-        digest.update(struct.pack("<d", stream.flops_per_access))
+    for i in range(len(s)):
+        digest.update(struct.pack("<q", s.ids[i]))
+        digest.update(np.ascontiguousarray(s.pages[s.span(i)], dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(s.writes[s.span(i)], dtype=bool).tobytes())
+        digest.update(struct.pack("<d", s.flops[i]))
     return digest.hexdigest()
 
 

@@ -24,21 +24,21 @@ class TestRegular:
     def test_one_stream_per_page_in_order(self, space, rng):
         build = RegularAccess(2 * MiB).build(space, rng)
         assert len(build.streams) == 512
-        pages = [int(s.pages[0]) for s in build.streams]
-        assert pages == list(range(512))
+        assert build.streams.start.tolist() == list(range(512))
+        assert build.streams.pages.tolist() == list(range(512))
 
     def test_writes_marked(self, space, rng):
         build = RegularAccess(8 * 4096).build(space, rng)
-        assert all(s.writes.all() for s in build.streams)
+        assert build.streams.writes.all()
 
     def test_read_only_variant(self, space, rng):
         build = RegularAccess(8 * 4096, write=False).build(space, rng)
-        assert all(s.writes is None for s in build.streams)
+        assert not build.streams.writes.any()
 
     def test_pages_per_stream_chunks(self, space, rng):
         build = RegularAccess(2 * MiB, pages_per_stream=128).build(space, rng)
         assert len(build.streams) == 4
-        assert len(build.streams[0]) == 128
+        assert (build.streams.end - build.streams.start).tolist() == [128] * 4
 
     def test_invalid_sizes(self):
         with pytest.raises(ConfigurationError):
@@ -50,18 +50,18 @@ class TestRegular:
 class TestRandom:
     def test_covers_every_page_exactly_once(self, space, rng):
         build = RandomAccess(2 * MiB).build(space, rng)
-        pages = sorted(int(s.pages[0]) for s in build.streams)
-        assert pages == list(range(512))
+        assert len(build.streams) == 512
+        assert sorted(build.streams.pages.tolist()) == list(range(512))
 
     def test_order_is_shuffled(self, space, rng):
         build = RandomAccess(2 * MiB).build(space, rng)
-        pages = [int(s.pages[0]) for s in build.streams]
+        pages = build.streams.pages.tolist()
         assert pages != sorted(pages)
 
     def test_deterministic_under_seed(self):
         def pages_with_seed(seed):
             build = RandomAccess(1 * MiB).build(AddressSpace(), SimRng(seed))
-            return [int(s.pages[0]) for s in build.streams]
+            return build.streams.pages.tolist()
 
         assert pages_with_seed(3) == pages_with_seed(3)
         assert pages_with_seed(3) != pages_with_seed(4)
