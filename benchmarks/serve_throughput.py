@@ -1,19 +1,19 @@
 """Serve-layer throughput benchmark: cold vs tuned vs resubmission.
 
 Measures end-to-end jobs/sec of :class:`SimulationService` on a 64-job
-repeat-heavy mix (16 unique specs spanning 4 batch signatures, each
-submitted 4 times) under three configurations:
+repeat-heavy mix (16 unique specs - 4 workloads x 4 driver/cost
+variants - each submitted 4 times) under three configurations:
 
-* ``cold``    - every job computed solo: ``batch_max=1``, memory tier
-  off, sweep memo off, and a fresh store per repeat wave so nothing is
-  ever reused.  This is the per-job full-compute path a cache-less
-  service would pay for the whole mix.
-* ``batched`` - one tuned service: persistent workers, batched dispatch
-  (``batch_max=8``) and the in-memory result tier.  Each unique spec is
-  simulated once (every run builds its workload afresh); its repeats
-  are answered at submit, from the memory tier once the first result
-  was fetched.  Result reuse is nearly all of the gain over ``cold``.
-* ``warm``    - the same 64-job mix resubmitted to the tuned service:
+* ``cold``  - every job computed: memory tier off, sweep memo off, and
+  a fresh store per repeat wave so nothing is ever reused.  This is the
+  per-job full-compute path a cache-less service would pay for the
+  whole mix.
+* ``tuned`` - one service with persistent workers and the in-memory
+  result tier.  Each unique spec is simulated once (every run builds
+  its workload afresh); its repeats are answered at submit, from the
+  memory tier once the first result was fetched.  Result reuse is
+  nearly all of the gain over ``cold``.
+* ``warm``  - the same 64-job mix resubmitted to the tuned service:
   pure result-tier hits at submit.
 
 Every job's result document is fetched after its wait, as a client
@@ -22,7 +22,7 @@ checksummed disk store otherwise (``cache.mem_hits`` against
 ``cache.disk_hits``; a submit answered from a tier counts there too).
 
 Writes ``BENCH_serve_throughput.json`` at the repo root and, with
-``--check``, exits non-zero when batched throughput is below
+``--check``, exits non-zero when tuned throughput is below
 ``--min-speedup`` (default 3.0) times cold throughput - the CI
 perf-smoke budget.
 
@@ -64,8 +64,8 @@ DATA_MIB = 48
 GPU_MIB = 32
 REPEATS = 4
 
-#: spec variants per workload; distinct content keys, one batch
-#: signature per workload (driver/cost overrides apply post-build).
+#: spec variants per workload: distinct content keys, one build per
+#: workload (driver/cost overrides apply post-build).
 VARIANTS = (
     {},
     {"driver": {"prefetch_enabled": False}},
@@ -90,12 +90,9 @@ def unique_specs() -> list[JobSpec]:
     return specs
 
 
-def service_config(
-    batch_max: int, mem_cache_mb: int, shard_name: str | None = None
-) -> ServiceConfig:
+def service_config(mem_cache_mb: int, shard_name: str | None = None) -> ServiceConfig:
     return ServiceConfig(
         n_workers=1,
-        batch_max=batch_max,
         mem_cache_mb=mem_cache_mb,
         sweep_cache_dir="",  # isolate the serve tiers from the sweep memo
         checkpoint_every_phases=0,
@@ -119,31 +116,29 @@ def run_wave(svc: SimulationService, specs: list[JobSpec]) -> None:
 
 
 def bench_cold(specs: list[JobSpec], scratch: Path) -> float:
-    """Each repeat wave on a fresh store: 64 solo full computes."""
+    """Each repeat wave on a fresh store: 64 full computes."""
     t0 = time.perf_counter()
     for wave in range(REPEATS):
         with SimulationService(
-            str(scratch / f"cold-{wave}"), service_config(1, 0)
+            str(scratch / f"cold-{wave}"), service_config(0)
         ) as svc:
             run_wave(svc, specs)
     return time.perf_counter() - t0
 
 
-def bench_batched(specs: list[JobSpec], scratch: Path) -> tuple[float, float, dict]:
-    """One tuned service: batched mix, then a warm resubmission."""
-    with SimulationService(
-        str(scratch / "batched"), service_config(8, 64)
-    ) as svc:
+def bench_tuned(specs: list[JobSpec], scratch: Path) -> tuple[float, float, dict]:
+    """One tuned service: the mix, then a warm resubmission."""
+    with SimulationService(str(scratch / "tuned"), service_config(64)) as svc:
         t0 = time.perf_counter()
         for _ in range(REPEATS):
             run_wave(svc, specs)
-        batched_s = time.perf_counter() - t0
+        tuned_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         for _ in range(REPEATS):
             run_wave(svc, specs)
         warm_s = time.perf_counter() - t0
         counters = dict(svc.metrics()["counters"])
-    return batched_s, warm_s, counters
+    return tuned_s, warm_s, counters
 
 
 def bench_gateway(specs: list[JobSpec], scratch: Path) -> tuple[float, dict]:
@@ -167,7 +162,7 @@ def bench_gateway(specs: list[JobSpec], scratch: Path) -> tuple[float, dict]:
         for i in range(FLEET_SHARDS):
             svc = SimulationService(
                 str(scratch / f"fleet-shard{i}"),
-                service_config(8, 64, shard_name=f"shard{i}"),
+                service_config(64, shard_name=f"shard{i}"),
             ).start()
             server = serve_http(svc, "127.0.0.1", 0)
             shards.append((svc, server))
@@ -215,7 +210,7 @@ def run_fleet_benchmark(args: argparse.Namespace) -> int:
     n_jobs = len(specs) * REPEATS
     with tempfile.TemporaryDirectory(prefix="uvmrepro-bench-") as tmp:
         scratch = Path(tmp)
-        print(f"cold: {n_jobs} solo jobs ({len(specs)} unique x {REPEATS}) ...")
+        print(f"cold: {n_jobs} jobs ({len(specs)} unique x {REPEATS}) ...")
         cold_s = bench_cold(specs, scratch)
         print(f"  {cold_s:.2f}s  ({n_jobs / cold_s:.2f} jobs/s)")
         print(
@@ -231,9 +226,9 @@ def run_fleet_benchmark(args: argparse.Namespace) -> int:
             "Fleet-gateway throughput on the 64-job repeat-heavy mix "
             "(16 unique specs, each submitted 4 times) submitted over "
             "HTTP through the consistent-hash gateway fronting "
-            f"{FLEET_SHARDS} tuned service shards (batch_max=8, memory "
-            "tier on), against the single-shard cold baseline (solo "
-            "dispatch, all tiers off, fresh store per wave). Shared "
+            f"{FLEET_SHARDS} tuned service shards (memory tier on), "
+            "against the single-shard cold baseline (all tiers off, "
+            "fresh store per wave). Shared "
             "2-vCPU VM: the fleet win is key affinity (repeats are "
             "answered from their shard's store), not CPU "
             "parallelism. Compare ratios, not absolutes."
@@ -241,7 +236,6 @@ def run_fleet_benchmark(args: argparse.Namespace) -> int:
         "mix": {
             "jobs": n_jobs,
             "unique_specs": len(specs),
-            "batch_signatures": len(WORKLOADS),
             "repeats": REPEATS,
             "data_bytes": DATA_MIB * MiB,
             "gpu_memory_bytes": GPU_MIB * MiB,
@@ -250,9 +244,7 @@ def run_fleet_benchmark(args: argparse.Namespace) -> int:
         "fleet": {
             "shards": FLEET_SHARDS,
             "vnodes": 64,
-            "shard_config": {
-                "n_workers": 1, "batch_max": 8, "mem_cache_mb": 64
-            },
+            "shard_config": {"n_workers": 1, "mem_cache_mb": 64},
             "transport": "http (client -> gateway -> shard)",
         },
         "results": {
@@ -288,11 +280,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1 when batched speedup is below --min-speedup",
+        help="exit 1 when tuned speedup is below --min-speedup",
     )
     parser.add_argument(
         "--min-speedup", type=float, default=3.0,
-        help="required batched-vs-cold throughput ratio (default 3.0)",
+        help="required tuned-vs-cold throughput ratio (default 3.0)",
     )
     parser.add_argument(
         "--gateway", action="store_true",
@@ -319,26 +311,26 @@ def main(argv: list[str] | None = None) -> int:
     n_jobs = len(specs) * REPEATS
     with tempfile.TemporaryDirectory(prefix="uvmrepro-bench-") as tmp:
         scratch = Path(tmp)
-        print(f"cold: {n_jobs} solo jobs ({len(specs)} unique x {REPEATS}) ...")
+        print(f"cold: {n_jobs} jobs ({len(specs)} unique x {REPEATS}) ...")
         cold_s = bench_cold(specs, scratch)
         print(f"  {cold_s:.2f}s  ({n_jobs / cold_s:.2f} jobs/s)")
-        print("batched: same mix, one tuned service (batches + result reuse) ...")
-        batched_s, warm_s, counters = bench_batched(specs, scratch)
-        print(f"  {batched_s:.2f}s  ({n_jobs / batched_s:.2f} jobs/s)")
+        print("tuned: same mix, one tuned service (result reuse) ...")
+        tuned_s, warm_s, counters = bench_tuned(specs, scratch)
+        print(f"  {tuned_s:.2f}s  ({n_jobs / tuned_s:.2f} jobs/s)")
         print("warm: resubmission, pure store hits ...")
         print(f"  {warm_s:.2f}s  ({n_jobs / warm_s:.2f} jobs/s)")
 
-    speedup = (n_jobs / batched_s) / (n_jobs / cold_s)
+    speedup = (n_jobs / tuned_s) / (n_jobs / cold_s)
     doc = {
         "description": (
             "Serve-layer throughput on a 64-job repeat-heavy mix "
-            "(16 unique specs = 4 batch signatures x 4 driver/cost "
-            "variants, each submitted 4 times); every job's result "
-            "document is fetched after its wait, as clients do. cold = "
-            "solo dispatch, all tiers off, fresh store per wave (64 full "
-            "computes, each result read back from disk); batched = one "
-            "tuned service (persistent workers, batch_max=8, in-memory "
-            "result tier) that simulates each unique spec once, answers "
+            "(16 unique specs = 4 workloads x 4 driver/cost variants, "
+            "each submitted 4 times); every job's result document is "
+            "fetched after its wait, as clients do. cold = all tiers "
+            "off, fresh store per wave (64 full computes, each result "
+            "read back from disk); tuned = one service (persistent "
+            "workers, in-memory result tier) that simulates each unique "
+            "spec once, answers "
             "repeats at submit and serves fetches from the memory tier "
             "after the first disk read of each result; warm = the same "
             "mix resubmitted to that service. cache.mem_hits and "
@@ -349,23 +341,22 @@ def main(argv: list[str] | None = None) -> int:
         "mix": {
             "jobs": n_jobs,
             "unique_specs": len(specs),
-            "batch_signatures": len(WORKLOADS),
             "repeats": REPEATS,
             "data_bytes": DATA_MIB * MiB,
             "gpu_memory_bytes": GPU_MIB * MiB,
             "workloads": list(WORKLOADS),
         },
-        "config": {"n_workers": 1, "batch_max": 8, "mem_cache_mb": 64},
+        "config": {"n_workers": 1, "mem_cache_mb": 64},
         "results": {
             "cold": {"wall_seconds": round(cold_s, 3),
                      "jobs_per_sec": round(n_jobs / cold_s, 3)},
-            "batched": {"wall_seconds": round(batched_s, 3),
-                        "jobs_per_sec": round(n_jobs / batched_s, 3)},
+            "tuned": {"wall_seconds": round(tuned_s, 3),
+                      "jobs_per_sec": round(n_jobs / tuned_s, 3)},
             "warm": {"wall_seconds": round(warm_s, 3),
                      "jobs_per_sec": round(n_jobs / warm_s, 3)},
         },
-        "speedup_batched_vs_cold": round(speedup, 2),
-        "budget": {"min_speedup_batched_vs_cold": args.min_speedup},
+        "speedup_tuned_vs_cold": round(speedup, 2),
+        "budget": {"min_speedup_tuned_vs_cold": args.min_speedup},
         "tuned_service_counters": {
             key: counters.get(key, 0)
             for key in (
@@ -376,10 +367,10 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
     args.output.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"speedup (batched vs cold): {speedup:.2f}x  -> {args.output}")
+    print(f"speedup (tuned vs cold): {speedup:.2f}x  -> {args.output}")
     if args.check and speedup < args.min_speedup:
         print(
-            f"FAIL: batched speedup {speedup:.2f}x below budget "
+            f"FAIL: tuned speedup {speedup:.2f}x below budget "
             f"{args.min_speedup:.2f}x",
             file=sys.stderr,
         )

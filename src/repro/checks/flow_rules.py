@@ -172,7 +172,6 @@ def _determinism_spec() -> TaintSpec:
                 attrs=(
                     "spec_digest",
                     "cache_key",
-                    "batch_signature",
                     "stable_hash",
                     "content_key",
                 ),

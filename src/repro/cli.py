@@ -423,7 +423,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_timeout_s=args.drain_timeout,
         journal_path=args.journal_path,
         mem_cache_mb=args.mem_cache_mb,
-        batch_max=args.batch_max,
         shard_name=args.shard_name,
     )
     service = SimulationService(args.store_dir, config).start()
@@ -930,13 +929,6 @@ def main(argv: list[str] | None = None) -> int:
         type=_non_negative_int,
         default=64,
         help="in-memory result cache budget in MiB (0 disables the hot tier)",
-    )
-    serve_p.add_argument(
-        "--batch-max",
-        type=_positive_int,
-        default=8,
-        help="max same-signature jobs dispatched to one worker as a "
-        "batch (1 restores solo dispatch)",
     )
     serve_p.add_argument(
         "--shard-name",

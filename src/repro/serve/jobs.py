@@ -142,18 +142,6 @@ class JobSpec:
         workload, setup = self.build()
         return sweep_cache_key(workload, setup, self.record_trace)
 
-    def batch_signature(self) -> tuple:
-        """What :meth:`Workload.build` output depends on.
-
-        Jobs sharing this signature are dispatched to one worker as one
-        batch (each member still builds afresh): the workload name +
-        size determine the access pattern, the seed feeds the build's
-        rng fork, and the granule shapes the address space.  Driver/GPU/
-        cost overrides, trace recording, and priority are applied after
-        the build, so they deliberately do not participate.
-        """
-        return (self.workload, self.data_bytes, self.seed, self.vablock_bytes)
-
     # -- materialization ------------------------------------------------------
     def build_setup(self) -> ExperimentSetup:
         setup = ExperimentSetup(seed=self.seed)

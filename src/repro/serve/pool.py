@@ -1,9 +1,9 @@
 """Supervised ``multiprocessing`` worker pool.
 
 Each worker is a separate OS process with its *own* depth-1 task queue,
-so the supervisor always knows exactly which jobs a worker holds - the
+so the supervisor always knows exactly which job a worker holds - the
 property that makes death/timeout recovery exact: when a worker dies or
-is killed, its assigned jobs (and only those) are requeued.  Each worker
+is killed, its assigned job (and only that one) is recovered.  Each worker
 also has its own one-way result pipe carrying small completion messages
 back, written synchronously: a worker SIGKILLed mid-message can only
 tear its own pipe, which the supervisor drops with it.  (A queue shared
@@ -14,12 +14,9 @@ result documents go through the on-disk
 large payloads never transit a pipe.
 
 Workers are *warm*: one process serves many tasks, so its start and
-imports are paid once.  A task is a **batch** - a list of job members
-sharing a workload/setup build signature - and saves only dispatch
-round trips: the worker executes members sequentially, each building
-its workload afresh.  Each member reports its own started/done/error
-message, so the supervisor tracks per-member timeouts, retries, and
-death recovery exactly as it did for solo jobs.
+imports are paid once.  A task is one job, ``(job_id, attempt,
+spec_dict, key)``; the worker builds its workload afresh, runs it, and
+reports started and then done/error/chaos on its pipe.
 
 Workers execute jobs through
 :func:`repro.experiments.runner.execute_job` - the same cache-aware code
@@ -36,7 +33,7 @@ import queue
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 #: seconds an idle worker waits for a task before checking that its
 #: supervisor is still alive; a task handed over meanwhile is taken at
@@ -67,7 +64,7 @@ def worker_main(
     cache_dir: Optional[str],
     checkpoint_every: int = 256,
 ) -> None:
-    """Worker process body: pull one batch at a time, run its members, report.
+    """Worker process body: pull one job at a time, run it, report.
 
     ``results`` is the write end of this worker's result pipe.
 
@@ -110,30 +107,20 @@ def worker_main(
             continue
         if task is None:
             return
-        # a task is a batch of members sharing a build signature; they
-        # run sequentially, each reporting its own started/done/error
-        # message.
-        for member in task:
-            _run_member(
-                worker_id, results, store, cache_dir, checkpoint_every, plan, member
-            )
+        _run_job(worker_id, results, store, cache_dir, checkpoint_every, plan, task)
 
 
-def _run_member(
+def _run_job(
     worker_id: int,
     results,
     store,
     cache_dir: Optional[str],
     checkpoint_every: int,
     plan,
-    member: tuple,
+    task: tuple,
 ) -> None:
-    """Execute one batch member and report its outcome (worker-side).
-
-    Split out of :func:`worker_main` so each member gets its own
-    try/except: a member's reported error (or injected fault) must not
-    take down the siblings queued behind it on the same worker.
-    """
+    """Execute one job and report its outcome (worker-side); a reported
+    error or injected fault leaves the worker serving."""
     from repro.chaos import plan as chaos_plan
     from repro.chaos.injector import model_injection
     from repro.chaos.process import apply_process_faults, checkpoint_kill_hook
@@ -144,7 +131,7 @@ def _run_member(
     from repro.sim.engine import SimulationCheckpointer
     from repro.experiments.runner import checkpoint_path, execute_job, simulate
 
-    job_id, attempt, spec_dict, key = member
+    job_id, attempt, spec_dict, key = task
     results.send((MSG_STARTED, worker_id, job_id, attempt, {}))
     trial = attempt - 1
     t0 = time.perf_counter_ns()
@@ -276,16 +263,9 @@ class WorkerHandle:
     task_queue: Any
     #: read end of the worker's result pipe.
     results: Any
-    #: batch members assigned to this worker: job_id -> attempt.
-    #: Members are removed one by one as their completion messages
-    #: drain; empty = idle.
-    assignments: dict[str, int] = field(default_factory=dict)
-    #: the member the worker is executing right now (first member at
-    #: assign time, refreshed by each MSG_STARTED).  Death/timeout
-    #: charges only this member; unstarted siblings requeue free.
-    active_job: Optional[str] = None
-    #: monotonic-clock deadline for the *active member*, re-armed on
-    #: every member start (0 = no deadline).
+    #: the job this worker holds as ``(job_id, attempt)``; None = idle.
+    assignment: Optional[tuple[str, int]] = None
+    #: monotonic-clock deadline for the held attempt (0 = no deadline).
     deadline: float = 0.0
     jobs_done: int = field(default=0)
     #: the result pipe read EOF or a torn message: the worker is gone
@@ -294,7 +274,7 @@ class WorkerHandle:
 
     @property
     def idle(self) -> bool:
-        return not self.assignments
+        return self.assignment is None
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -420,30 +400,22 @@ class WorkerPool:
     def assign(
         self,
         handle: WorkerHandle,
-        members: Sequence[tuple[str, int, dict, str]],
+        task: tuple[str, int, dict, str],
         timeout_s: float,
     ) -> None:
-        """Hand a batch of ``(job_id, attempt, spec_dict, key)`` members
-        to an idle worker.  The per-attempt timeout applies to each
-        member separately: the deadline is armed here for the first
-        member and re-armed by the supervisor on every MSG_STARTED."""
-        if not members:
-            raise ValueError("assign() needs at least one batch member")
-        for job_id, attempt, _spec, _key in members:
-            handle.assignments[job_id] = attempt
-        handle.active_job = members[0][0]
+        """Hand one ``(job_id, attempt, spec_dict, key)`` task to an idle
+        worker and arm the attempt's deadline."""
+        job_id, attempt, _spec, _key = task
+        handle.assignment = (job_id, attempt)
         # monotonic: a wall-clock step (NTP, DST) must not expire jobs
         handle.deadline = time.monotonic() + timeout_s if timeout_s > 0 else 0.0
-        handle.task_queue.put(list(members))
+        handle.task_queue.put(task)
 
-    def release(self, handle: WorkerHandle, job_id: str) -> None:
-        """One member finished (done/error/chaos): drop its assignment."""
-        handle.assignments.pop(job_id, None)
+    def release(self, handle: WorkerHandle) -> None:
+        """The held job finished (done/error/chaos): the worker is idle."""
+        handle.assignment = None
+        handle.deadline = 0.0
         handle.jobs_done += 1
-        if handle.active_job == job_id:
-            handle.active_job = None
-        if not handle.assignments:
-            handle.deadline = 0.0
 
     def alive_count(self) -> int:
         return sum(1 for h in self.workers.values() if h.alive())

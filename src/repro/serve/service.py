@@ -142,9 +142,6 @@ class ServiceConfig:
     journal_path: Optional[str] = None
     #: in-memory result cache budget (MiB); 0 disables the hot tier.
     mem_cache_mb: int = 64
-    #: max queued jobs sharing one workload/setup signature dispatched
-    #: to a worker as one batch; 1 restores solo dispatch.
-    batch_max: int = 8
     #: identity of this instance inside a fleet (reported by /healthz,
     #: targeted by the ``process.shard_kill`` chaos point); None when
     #: running solo.
@@ -153,8 +150,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.mem_cache_mb < 0:
             raise ConfigurationError("mem_cache_mb must be >= 0")
-        if self.batch_max < 1:
-            raise ConfigurationError("batch_max must be >= 1")
         if self.queue_high_watermark < 1:
             raise ConfigurationError("queue_high_watermark must be >= 1")
         if not 0 <= self.queue_low_watermark <= self.queue_high_watermark:
@@ -560,10 +555,7 @@ class SimulationService:
     def cancel(self, job_id: str) -> bool:
         """Cancel a queued or running job; False if already terminal.
 
-        Cancelling a member of a running batch kills the whole worker
-        (the worker executes members sequentially and cannot skip one),
-        so its sibling members requeue immediately with their
-        dispatch-time attempt refunded.
+        Cancelling a running job kills its worker; a fresh one replaces it.
         """
         with self._lock:
             record = self._jobs.get(job_id)
@@ -572,16 +564,8 @@ class SimulationService:
             if record.state.terminal:
                 return False
             if record.state is JobState.RUNNING and record.worker_id is not None:
-                handle = self.pool.workers.get(record.worker_id)
-                siblings = []
-                if handle is not None:
-                    siblings = [j for j in handle.assignments if j != job_id]
                 self._kill_and_respawn(record.worker_id)
-                for sibling_id in siblings:
-                    sibling = self._jobs.get(sibling_id)
-                    if sibling is not None and sibling.state is JobState.RUNNING:
-                        self._requeue_unstarted(sibling)
-                self._wake()  # the fresh worker can take the siblings
+                self._wake()  # the fresh worker can take a queued job
             elif record.state is JobState.QUEUED:
                 self._queued -= 1
                 self._update_shedding()
@@ -651,7 +635,6 @@ class SimulationService:
                 "mem_cache_bytes": cache_stats.size_bytes,
                 "mem_cache_max_bytes": cache_stats.max_bytes,
                 "mem_cache_evictions": cache_stats.evictions,
-                "batch_max": self.config.batch_max,
                 "queue_depth": sum(1 for s in states if s is JobState.QUEUED),
                 "jobs_in_flight": sum(1 for s in states if s is JobState.RUNNING),
                 "jobs_total": len(states),
@@ -710,22 +693,15 @@ class SimulationService:
                 current = (
                     handle is not None
                     and record is not None
-                    and handle.assignments.get(job_id) == attempt
+                    and handle.assignment == (job_id, attempt)
                     and record.state is JobState.RUNNING
                 )
                 if not current:
                     continue
                 if kind == MSG_STARTED:
                     record.started_at = time.time()
-                    # this member is now the one on the clock: re-arm
-                    # the per-attempt deadline for it.
-                    handle.active_job = job_id
-                    if self.config.job_timeout_s > 0:
-                        handle.deadline = (
-                            time.monotonic() + self.config.job_timeout_s
-                        )
                     continue
-                self.pool.release(handle, job_id)
+                self.pool.release(handle)
                 if kind == MSG_DONE:
                     if detail.get("sweep_cache_hit"):
                         self.telemetry.count(tm.CACHE_HITS_SWEEP)
@@ -751,57 +727,39 @@ class SimulationService:
     def _check_workers(self) -> None:
         now = time.monotonic()  # handle.deadline is monotonic
         for worker_id, handle in list(self.pool.workers.items()):
+            held = handle.assignment
             if not handle.alive():
-                assignments = dict(handle.assignments)
                 self.pool.respawn(worker_id)
                 self.telemetry.count(tm.WORKER_RESPAWNS)
-                if assignments:
+                if held is not None:
                     self.telemetry.count(tm.WORKER_DEATHS)
-                    self._recover_batch(assignments, "worker process died")
-            elif handle.assignments and handle.deadline and now > handle.deadline:
-                assignments = dict(handle.assignments)
+                    self._recover_job(held[0], "worker process died")
+            elif held is not None and handle.deadline and now > handle.deadline:
                 self.telemetry.count(tm.JOBS_TIMED_OUT)
                 self._kill_and_respawn(worker_id)
-                self._recover_batch(
-                    assignments,
-                    f"attempt exceeded {self.config.job_timeout_s}s timeout",
+                self._recover_job(
+                    held[0], f"attempt exceeded {self.config.job_timeout_s}s timeout"
                 )
 
-    def _recover_batch(
-        self,
-        assignments: dict[str, int],
-        reason: str,
-    ) -> None:
-        """Recover the members a dead/killed worker was holding.
+    def _recover_job(self, job_id: str, reason: str) -> None:
+        """Recover the job a dead/killed worker was holding.
 
-        Members execute in assignment order and every result is durably
-        stored *before* its completion message is sent, so the batch
-        decomposes deterministically even when the per-member progress
-        messages died with the worker (a SIGKILL can land between the
-        store write and the message, or tear the message):
+        The worker stores a result durably *before* it sends the
+        completion message, and a SIGKILL can land between the two (or
+        tear the message):
 
-        * a member whose result already reached the store finished -
-          only the message was lost.  Finalize it as DONE.
-        * the first remaining member was the one executing; only it is
-          charged: a death count against the poison breaker, then retry
-          with backoff (or terminal failure).
-        * later siblings merely sat in the dead worker's queue - they
-          requeue immediately with the dispatch-time attempt refunded,
-          no backoff, no death count.
+        * a result that already reached the store means the job
+          finished - only the message was lost.  Finalize it as DONE.
+        * otherwise the attempt is charged: a death count against the
+          poison breaker, then retry with backoff (or terminal failure).
         """
-        charged = False
-        for job_id in assignments:
-            record = self._jobs.get(job_id)
-            if record is None or record.state is not JobState.RUNNING:
-                continue
-            if self.store.contains(record.key):
-                self._finish(record, JobState.DONE)
-            elif not charged:
-                charged = True
-                if not self._note_infra_death(record):
-                    self._retry_or_fail(record, reason)
-            else:
-                self._requeue_unstarted(record)
+        record = self._jobs.get(job_id)
+        if record is None or record.state is not JobState.RUNNING:
+            return
+        if self.store.contains(record.key):
+            self._finish(record, JobState.DONE)
+        elif not self._note_infra_death(record):
+            self._retry_or_fail(record, reason)
 
     def _dispatch(self) -> None:
         if self._draining:
@@ -811,49 +769,38 @@ class SimulationService:
             return
         now = time.monotonic()  # not_before is monotonic (retry backoff)
         deferred: list[tuple[int, int, str]] = []
-        while idle and self._heap:
-            batch = self._take_batch(now, deferred)
-            if not batch:
+        while idle:
+            record = self._pop_ready(now, deferred)
+            if record is None:
                 break
             handle = idle.pop()
-            members = []
-            for record in batch:
-                record.attempts += 1
-                record.state = JobState.RUNNING
-                record.started_at = time.time()  # refined per MSG_STARTED
-                record.worker_id = handle.worker_id
-                self._queued -= 1
-                self._journal_record(record)
-                members.append(
-                    (record.job_id, record.attempts, record.spec.to_dict(), record.key)
-                )
-                self.telemetry.event(
-                    record.job_id,
-                    "running",
-                    attempt=record.attempts,
-                    worker_id=handle.worker_id,
-                    batch_size=len(batch),
-                )
-            self.pool.assign(handle, members, self.config.job_timeout_s)
+            record.attempts += 1
+            record.state = JobState.RUNNING
+            record.started_at = time.time()  # refined by MSG_STARTED
+            record.worker_id = handle.worker_id
+            self._queued -= 1
+            self._journal_record(record)
+            self.telemetry.event(
+                record.job_id,
+                "running",
+                attempt=record.attempts,
+                worker_id=handle.worker_id,
+            )
+            self.pool.assign(
+                handle,
+                (record.job_id, record.attempts, record.spec.to_dict(), record.key),
+                self.config.job_timeout_s,
+            )
         for entry in deferred:
             heapq.heappush(self._heap, entry)
         self._update_shedding()
 
-    def _take_batch(
+    def _pop_ready(
         self, now: float, deferred: list[tuple[int, int, str]]
-    ) -> list[JobRecord]:
-        """Pop the next dispatchable job plus queued jobs sharing its
-        build signature, up to ``batch_max`` (lock held).
-
-        The head job is strictly priority/FIFO order, as before; the
-        rest of the batch is gathered by scanning the heap and pushing
-        non-matching entries back, so the only reordering batching
-        introduces is same-signature jobs riding along early - a
-        deliberate throughput-for-strict-FIFO trade bounded by
-        ``batch_max``.  Backoff-deferred jobs land in ``deferred`` (the
-        caller re-pushes them after the dispatch round).
-        """
-        head: Optional[JobRecord] = None
+    ) -> Optional[JobRecord]:
+        """Pop the next dispatchable job in priority/FIFO order (lock
+        held).  Backoff-deferred jobs land in ``deferred`` (the caller
+        re-pushes them after the dispatch round)."""
         while self._heap:
             entry = heapq.heappop(self._heap)
             record = self._jobs.get(entry[2])
@@ -862,52 +809,8 @@ class SimulationService:
             if record.not_before > now:
                 deferred.append(entry)
                 continue
-            head = record
-            break
-        if head is None:
-            return []
-        batch = [head]
-        if self.config.batch_max > 1:
-            signature = head.spec.batch_signature()
-            skipped: list[tuple[int, int, str]] = []
-            while self._heap and len(batch) < self.config.batch_max:
-                entry = heapq.heappop(self._heap)
-                record = self._jobs.get(entry[2])
-                if record is None or record.state is not JobState.QUEUED:
-                    continue
-                if (
-                    record.not_before > now
-                    or record.spec.batch_signature() != signature
-                ):
-                    skipped.append(entry)
-                    continue
-                batch.append(record)
-            for entry in skipped:
-                heapq.heappush(self._heap, entry)
-        return batch
-
-    def _requeue_unstarted(self, record: JobRecord) -> None:
-        """Return a never-started batch sibling to the queue (lock held).
-
-        The dispatch-time attempt is refunded: the member never ran, so
-        charging it would burn retry budget (and skew backoff) for work
-        a *different* job's failure interrupted.
-        """
-        record.attempts -= 1
-        record.state = JobState.QUEUED
-        record.worker_id = None
-        record.not_before = 0.0
-        self._queued += 1
-        self._journal_record(record)
-        heapq.heappush(
-            self._heap, (record.spec.priority, next(self._seq), record.job_id)
-        )
-        self.telemetry.event(
-            record.job_id,
-            "requeued",
-            batch_sibling=True,
-            attempts=record.attempts,
-        )
+            return record
+        return None
 
     # -- internal transitions (lock held) ------------------------------------
     def _kill_and_respawn(self, worker_id: int) -> None:

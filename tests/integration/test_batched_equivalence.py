@@ -1,5 +1,5 @@
-"""Integration: batched execution in warm processes is bit-identical to
-solo execution.
+"""Integration: execution in warm processes and through the result
+tiers is bit-identical to solo execution.
 
 Three layers of proof:
 
@@ -10,14 +10,13 @@ Three layers of proof:
   leak into the next,
 * sweep level - a pooled ``run_sweep`` returns the same results as
   point-by-point solo simulation,
-* service level - a ``batch_max > 1`` service with the memory tier
-  enabled stores byte-identical result documents to a solo
-  (``batch_max=1``, memory tier off) service, under the UVMSAN
-  invariant sanitizer,
+* service level - a service whose in-memory result tier serves the
+  reads returns byte-identical result documents to one with the tier
+  off, under the UVMSAN invariant sanitizer,
 
-plus the recovery contract: a worker dying mid-batch charges only the
-member it was executing; unstarted siblings requeue with their
-dispatch-time attempt refunded and every member still completes.
+plus the recovery contract: a worker killed at the start of each job's
+first attempt costs that job one attempt and one death, and every job
+still completes.
 """
 
 import json
@@ -96,10 +95,10 @@ def stripped(doc: dict) -> dict:
     return doc
 
 
-class TestServiceBatchedEquivalence:
+class TestMemoryTierEquivalence:
     def specs(self):
-        # four distinct keys sharing one build signature, so a batched
-        # service runs them as one batch.
+        # four distinct keys of one workload: driver and cost overrides
+        # that change the result, not the build.
         base = dict(
             workload="sgemm", data_bytes=DATA_MIB * MiB,
             gpu={"memory_bytes": GPU_MIB * MiB},
@@ -111,12 +110,13 @@ class TestServiceBatchedEquivalence:
             JobSpec(**base, cost={"driver_wakeup_ns": 9_500}),
         ]
 
-    def run_service(self, root, batch_max, mem_cache_mb):
+    def run_service(self, root, mem_cache_mb):
+        """Each job's result as its second read returns it, and the
+        service's ``cache.mem_hits``."""
         config = ServiceConfig(
             n_workers=1,
             retry_backoff_s=0.05,
             sweep_cache_dir="",  # no memo: force real computation
-            batch_max=batch_max,
             mem_cache_mb=mem_cache_mb,
         )
         docs = {}
@@ -126,30 +126,32 @@ class TestServiceBatchedEquivalence:
                 final = svc.wait(record.job_id, timeout=300.0)
                 assert final.state is JobState.DONE, final.error
             for record in records:
+                svc.result_doc(record.job_id)  # a disk read fills the tier
                 docs[record.key] = svc.result_doc(record.job_id)
-        return docs
+            mem_hits = svc.metrics()["counters"].get("cache.mem_hits", 0)
+        return docs, mem_hits
 
-    def test_batched_docs_bit_identical_to_solo(self, tmp_path, monkeypatch):
+    def test_docs_bit_identical_to_off(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UVMREPRO_SANITIZE", "1")
-        solo = self.run_service(tmp_path / "solo", batch_max=1, mem_cache_mb=0)
-        batched = self.run_service(tmp_path / "batched", batch_max=8, mem_cache_mb=64)
-        assert set(solo) == set(batched)
-        for key in solo:
-            assert stripped(solo[key]) == stripped(batched[key])
+        off, off_hits = self.run_service(tmp_path / "tier-off", mem_cache_mb=0)
+        on, on_hits = self.run_service(tmp_path / "tier-on", mem_cache_mb=64)
+        assert (off_hits, on_hits) == (0, len(self.specs()))
+        assert set(off) == set(on)
+        for key in off:
+            assert stripped(off[key]) == stripped(on[key])
 
 
-class TestDeathMidBatch:
-    def test_worker_death_mid_batch_charges_only_active_member(self, tmp_path):
-        """A worker SIGKILLed at member start: the active member is
-        retried (one attempt consumed, one death counted against its
-        key); unstarted siblings requeue with the attempt refunded; the
-        journal stays consistent and every member completes."""
+class TestDeathAtStart:
+    def test_first_start_kill_costs_one_attempt(self, tmp_path):
+        """A worker SIGKILLed at the start of every job's first attempt:
+        each job is retried once (one attempt consumed, one death counted
+        against its key), the journal stays consistent and every job
+        completes."""
         plan = {
             "seed": 11,
             "faults": [
                 # kill the worker at the start of every key's first
-                # attempt: each dispatch round loses exactly one member,
-                # siblings requeue, and attempt 2 is clean.
+                # attempt; attempt 2 is clean.
                 {"point": "process.worker_kill", "args": {"at": "start"},
                  "probability": 1.0, "attempts": 1}
             ],
@@ -162,7 +164,6 @@ class TestDeathMidBatch:
                 retry_backoff_s=0.05,
                 max_retries=3,
                 sweep_cache_dir="",
-                batch_max=4,
                 mem_cache_mb=0,
             )
             base = dict(
@@ -173,30 +174,22 @@ class TestDeathMidBatch:
                 JobSpec(**base, seed=0x5EED, cost={"driver_wakeup_ns": ns})
                 for ns in (9_000, 9_100, 9_200, 9_300)
             ]
-            assert len({s.batch_signature() for s in specs}) == 1
             store_dir = tmp_path / "store"
             with SimulationService(str(store_dir), config) as svc:
                 records = [svc.submit(spec) for spec in specs]
                 for record in records:
                     final = svc.wait(record.job_id, timeout=300.0)
                     assert final.state is JobState.DONE, final.error
-                    # own kill consumed attempt 1, attempt 2 succeeded;
-                    # sibling requeues refunded their dispatch attempts.
+                    # its kill consumed attempt 1, attempt 2 succeeded
                     assert final.attempts == 2
                 counters = svc.metrics()["counters"]
-                # exactly one death per key - unstarted siblings were
-                # never charged, so nothing approached the poison
-                # breaker (threshold 3) and nothing terminally failed.
+                # exactly one death per key, so nothing approached the
+                # poison breaker (threshold 3) and nothing terminally
+                # failed.
                 assert counters["workers.deaths"] == len(specs)
                 assert counters["jobs.completed"] == len(specs)
                 assert counters.get("jobs.poisoned", 0) == 0
                 assert counters.get("jobs.failed", 0) == 0
-                events = svc.telemetry.events_since(0, limit=10_000)
-                sibling_requeues = [
-                    e for e in events
-                    if e["state"] == "requeued" and e.get("batch_sibling")
-                ]
-                assert sibling_requeues, "no sibling was ever requeued mid-batch"
         finally:
             if old is None:
                 os.environ.pop("UVMREPRO_CHAOS", None)

@@ -5,15 +5,20 @@ leaves the service alive, the job is retried and completes, and the
 retry is visible in ``/metrics``.
 """
 
+import json
 import os
 import signal
 import time
 
 import pytest
 
+from repro.chaos import ENV_VAR
+from repro.chaos.plan import PROCESS_HANG, FaultPlan, FaultSpec, set_active_plan
+from repro.experiments.runner import simulate
 from repro.serve.http_api import serve_http
 from repro.serve.client import ServiceClient
 from repro.serve.jobs import JobSpec, JobState
+from repro.serve.results import result_to_doc
 from repro.serve.service import ServiceConfig, SimulationService
 from repro.units import MiB
 
@@ -85,6 +90,39 @@ class TestWorkerDeathRecovery:
                 assert client.metrics()["gauges"]["workers_alive"] == 1
             finally:
                 server.shutdown()
+
+    def test_result_stored_before_the_death_finishes_the_job(
+        self, tmp_path, monkeypatch
+    ):
+        """The worker died after its result reached the store but before
+        its done message: the job is done on attempt 1, with no retry and
+        no death charged to its key, and serves the stored document."""
+        spec = JobSpec(**FAST_SPEC)
+        doc = result_to_doc(simulate(*spec.build()), extra={"planted": True})
+        # the worker hangs at the start of attempt 1, so the job is still
+        # in flight when the kill lands
+        hang = FaultPlan(
+            faults=(FaultSpec(point=PROCESS_HANG, args={"hang_s": 3600.0}),)
+        )
+        monkeypatch.setenv(ENV_VAR, hang.to_json())
+        try:
+            # threshold 1: one death charged to the key would poison it
+            with make_service(tmp_path, poison_threshold=1) as svc:
+                record = svc.submit(spec)
+                handle = wait_running(svc, record)
+                svc.store.store(record.key, doc)
+                os.kill(handle.process.pid, signal.SIGKILL)
+
+                final = svc.wait(record.job_id, timeout=60.0)
+                assert final.state is JobState.DONE
+                assert final.attempts == 1
+                counters = svc.metrics()["counters"]
+                assert counters["workers.deaths"] == 1
+                assert counters.get("jobs.retried", 0) == 0
+                assert counters.get("jobs.poisoned", 0) == 0
+                assert svc.result_doc(record.job_id) == json.loads(json.dumps(doc))
+        finally:
+            set_active_plan(None, reset=True)
 
     def test_retries_are_bounded(self, tmp_path):
         """A job whose worker dies on every attempt eventually FAILs."""

@@ -54,10 +54,12 @@ class TestLoadKernel:
 
     def test_kernels_get_distinct_scheduler_randomness(self):
         device = make_device(StreamSet(np.arange(64)))
+        order_a = list(device.scheduler._dispatch_order)
         resident = np.ones(100, dtype=bool)
         while not device.kernel_finished():
             device.run_phase(resident, SimClock())
         device.load_kernel(StreamSet(np.arange(64)))
-        dispatch_a = device.scheduler._dispatch_order
+        order_b = list(device.scheduler._dispatch_order)
         # a fresh jitter stream per kernel: not forced to repeat kernel 1
-        assert len(dispatch_a) == 64
+        assert sorted(order_b) == list(range(64))
+        assert order_b != order_a
