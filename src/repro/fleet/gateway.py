@@ -290,6 +290,10 @@ class FleetGateway:
         for thread in (self._prober, self._replication):
             if thread is not None:
                 thread.join(timeout=timeout)
+        for client in [h.client for h in self._handles()] + list(
+            self._replication_clients.values()
+        ):
+            client.close()
         self.membership.close()
 
     def __enter__(self) -> "FleetGateway":
@@ -311,6 +315,8 @@ class FleetGateway:
         for name, member in routable.items():
             handle = self._shards.get(name)
             if handle is None or handle.spec.url != member.url:
+                if handle is not None:
+                    handle.client.close()
                 self._shards[name] = ShardHandle(
                     ShardSpec(name, member.url),
                     ServiceClient(
@@ -321,7 +327,7 @@ class FleetGateway:
                     ),
                 )
         for name in [n for n in self._shards if n not in routable]:
-            del self._shards[name]
+            self._shards.pop(name).client.close()
         active = set(self.membership.active_names())
         if active != set(self._ring.nodes):
             self._ring = HashRing(active, vnodes=self.config.vnodes)

@@ -1,9 +1,19 @@
-"""Python client for the simulation service (stdlib ``urllib`` only).
+"""Python client for the simulation service (stdlib ``http.client`` only).
 
 Mirrors the HTTP surface one-to-one and raises
 :class:`ServiceClientError` with the server's error message on non-2xx
 responses, so CLI verbs and tests get clean failures instead of raw
-``HTTPError`` tracebacks.
+transport tracebacks.
+
+Connections are kept alive: each endpoint has a thread-safe pool of
+idle HTTP/1.1 connections, a request borrows one (or opens one) and
+hands it back once the response body has been read in full, so a
+caller's requests - and every hop the fleet gateway forwards through
+its shard clients - share a TCP connection instead of opening one
+each.  A request that fails on a *reused* connection before any
+response byte arrives (the peer closed the connection while it sat
+idle) is sent once more on a fresh connection; that resend is neither
+an attempt nor a backoff.  Any other failure discards the connection.
 
 Every request is bounded: connection establishment by
 ``connect_timeout_s``, each subsequent socket read by ``timeout_s``
@@ -37,13 +47,13 @@ of paying the penalty twice (see
 
 from __future__ import annotations
 
-import functools
 import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+from email.message import Message
 from typing import Any, Optional, Sequence, Union
+from urllib.parse import urlsplit
 
 from repro.chaos.network import CALLER_HEADER, local_endpoint, network_injector
 from repro.errors import ReproError
@@ -93,34 +103,65 @@ class ServiceOverloadedError(ServiceClientError):
 LONG_POLL_S = 1.0
 
 
-class _SplitTimeoutConnection(http.client.HTTPConnection):
-    """HTTPConnection with distinct connect and read timeouts.
+class _ConnectionPool:
+    """Idle keep-alive connections to one endpoint, shared by threads.
 
-    Stdlib applies one ``timeout`` to the connect *and* every read; the
-    requests-style split needs the socket's timeout re-armed after the
-    connection is up.
+    A borrowed connection belongs to one request until it is handed
+    back (its response read in full) or closed (anything else).  The
+    pool holds at most as many connections as requests ran at once.
     """
 
-    def __init__(self, *args, read_timeout: Optional[float] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._read_timeout = read_timeout
-
-    def connect(self) -> None:
-        super().connect()
-        if self._read_timeout is not None:
-            self.sock.settimeout(self._read_timeout)
-
-
-class _SplitTimeoutHandler(urllib.request.HTTPHandler):
-    def __init__(self, read_timeout: float) -> None:
-        super().__init__()
-        self._read_timeout = read_timeout
-
-    def http_open(self, req):
-        factory = functools.partial(
-            _SplitTimeoutConnection, read_timeout=self._read_timeout
+    def __init__(
+        self, url: str, connect_timeout_s: float, read_timeout_s: float
+    ) -> None:
+        parts = urlsplit(url)
+        self._factory = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
         )
-        return self.do_open(factory, req)
+        self._netloc = parts.netloc
+        #: the endpoint's path, prefixed to every request path.
+        self.prefix = parts.path
+        self._connect_timeout_s = connect_timeout_s
+        self._read_timeout_s = read_timeout_s
+        self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
+        self._closed = False
+
+    def connect(self) -> http.client.HTTPConnection:
+        """A fresh connection: the connect is bounded by the connect
+        timeout, every later read by the read timeout."""
+        conn = self._factory(self._netloc, timeout=self._connect_timeout_s)
+        try:
+            conn.connect()
+        except BaseException:
+            conn.close()
+            raise
+        conn.sock.settimeout(self._read_timeout_s)
+        return conn
+
+    def acquire(self) -> tuple[http.client.HTTPConnection, bool]:
+        """``(connection, reused)``: the most recently returned idle
+        connection, else a fresh one."""
+        with self._lock:
+            if self._idle:
+                return self._idle.pop(), True
+        return self.connect(), False
+
+    def release(self, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
 
 class ServiceClient:
@@ -162,14 +203,62 @@ class ServiceClient:
         #: and across every endpoint of a multi-endpoint client.
         self.backoff_budget_s = max(0.0, float(backoff_budget_s))
         self._rng = SimRng(retry_seed).fork("client-retry")
-        self._opener = urllib.request.build_opener(_SplitTimeoutHandler(timeout_s))
+        self._pools = tuple(
+            _ConnectionPool(url, connect_timeout_s, timeout_s)
+            for url in self.endpoints
+        )
 
     @property
     def base_url(self) -> str:
         """The endpoint currently in use (sticky until a failover)."""
         return self.endpoints[self._active]
 
+    def close(self) -> None:
+        """Close every pooled connection.
+
+        Safe while other threads still use the client: a request in
+        flight closes its connection when it ends, and later requests
+        still work, each on a connection that is closed after it.
+        """
+        for pool in self._pools:
+            pool.close()
+
     # -- transport ------------------------------------------------------------
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        headers: dict[str, str],
+    ) -> tuple[int, Message, bytes]:
+        """One exchange with the active endpoint on a pooled connection:
+        ``(status, headers, body)`` of its response, whatever the status."""
+        pool = self._pools[self._active]
+        conn, reused = pool.acquire()
+        try:
+            try:
+                conn.request(method, pool.prefix + path, body, headers)
+                response = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # the peer closed this connection while it sat idle: no
+                # response byte came back, so nothing answered the
+                # request - send it once more on a fresh connection.
+                conn.close()
+                conn = pool.connect()
+                conn.request(method, pool.prefix + path, body, headers)
+                response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            pool.release(conn)
+        return response.status, response.headers, data
+
     def _backoff(self, attempt: int) -> float:
         """Exponential backoff with jitter in [0.5x, 1.5x) of the step."""
         step = self.retry_backoff_s * (2**attempt)
@@ -216,83 +305,71 @@ class ServiceClient:
         error is raised immediately instead of sleeping.
         """
         body = None if payload is None else json.dumps(payload).encode("utf-8")
+        headers = {"Content-Type": "application/json"} if body else {}
+        caller = local_endpoint()
+        if caller is not None:
+            # self-identify so a peer's inbound network.partition rules
+            # can match this endpoint by name.
+            headers[CALLER_HEADER] = caller
         last_error: Optional[ServiceClientError] = None
         spent = max(0.0, float(budget_spent_s))
         # extra endpoints buy extra attempts (one each), not extra
         # budget: the failover pass over N gateways still shares one
         # backoff_budget_s and one retry schedule.
         total_attempts = self.retries + len(self.endpoints)
-        caller = local_endpoint()
         for attempt in range(total_attempts):
-            headers = {"Content-Type": "application/json"} if body else {}
-            if caller is not None:
-                # self-identify so a peer's inbound network.partition
-                # rules can match this endpoint by name.
-                headers[CALLER_HEADER] = caller
-            request = urllib.request.Request(
-                self.base_url + path, data=body, method=method, headers=headers
-            )
             retry_after = 0.0
             failed_over = False
             try:
                 injector = network_injector()
                 if injector is not None:
-                    # raises before the socket opens when this endpoint's
-                    # outbound link is cut; lands in the unreachable
-                    # branch below like a real refused connect.
+                    # raises before a connection is used when this
+                    # endpoint's outbound link is cut; lands in the
+                    # unreachable branch below like a real refused connect.
                     injector.check_connect(self.base_url)
-                # the urlopen timeout arms the *connect*; the handler
-                # re-arms the socket with the read timeout afterwards.
-                with self._opener.open(
-                    request, timeout=self.connect_timeout_s
-                ) as response:
-                    return json.loads(response.read().decode("utf-8")), spent
-            except urllib.error.HTTPError as exc:
-                detail, message = error_detail(exc)
-                overloaded = exc.code in (429, 503)
+                status, reply_headers, data = self._exchange(
+                    method, path, body, headers
+                )
+            except (http.client.HTTPException, OSError) as exc:
+                # connection refused / reset / timed out, or the peer
+                # vanished mid-response (a SIGKILLed gateway surfaces as
+                # RemoteDisconnected or IncompleteRead): treat all of
+                # these as "endpoint unreachable" and retry - with
+                # several endpoints, immediately elsewhere.
+                # Re-submission is safe: job creation is
+                # content-addressed, so a duplicate costs at most one
+                # cache-hit job record.
+                last_error = ServiceClientError(
+                    0, f"cannot reach {self.base_url}: {exc}"
+                )
+                if attempt >= total_attempts - 1:
+                    raise last_error from exc
+                if self._fail_over():
+                    continue  # next endpoint now; no sleep for a dead peer
+            else:
+                if 200 <= status < 300:
+                    return json.loads(data.decode("utf-8")), spent
+                detail, message = error_detail(status, data)
+                overloaded = status in (429, 503)
                 if overloaded:
                     # admission control answered before creating any
                     # state, so every method is safe to retry; honour the
                     # server's pacing hint over our own backoff.  With
                     # several endpoints a 503 also fails over: a sibling
                     # gateway may be admitting while this one sheds.
-                    retry_after = retry_after_hint(exc.headers, detail)
+                    retry_after = retry_after_hint(reply_headers, detail)
                     last_error = ServiceOverloadedError(
-                        exc.code,
+                        status,
                         message,
                         retry_after_s=retry_after or 1.0,
                         detail=detail,
                     )
                     failed_over = self._fail_over()
                 else:
-                    last_error = ServiceClientError(exc.code, message, detail=detail)
-                retryable = overloaded or (
-                    method == "GET" and 500 <= exc.code < 600
-                )
+                    last_error = ServiceClientError(status, message, detail=detail)
+                retryable = overloaded or (method == "GET" and 500 <= status < 600)
                 if not retryable or attempt >= total_attempts - 1:
-                    raise last_error from exc
-            except (
-                urllib.error.URLError,
-                http.client.HTTPException,
-                OSError,
-            ) as exc:
-                # connection refused / reset / timed out, or the peer
-                # vanished mid-response (a SIGKILLed gateway surfaces as
-                # RemoteDisconnected, which urllib does *not* wrap in
-                # URLError): treat all of these as "endpoint unreachable"
-                # and retry - with several endpoints, immediately
-                # elsewhere.  Re-submission is safe: job creation is
-                # content-addressed, so a duplicate costs at most one
-                # cache-hit job record.
-                last_error = ServiceClientError(
-                    0,
-                    f"cannot reach {self.base_url}: "
-                    f"{getattr(exc, 'reason', exc)}",
-                )
-                if attempt >= total_attempts - 1:
-                    raise last_error from exc
-                if self._fail_over():
-                    continue  # next endpoint now; no sleep for a dead peer
+                    raise last_error
             remaining = self.backoff_budget_s - spent
             if remaining <= 0.0:
                 raise last_error

@@ -32,7 +32,7 @@ import os
 import queue
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 #: seconds an idle worker waits for a task before checking that its
@@ -267,7 +267,6 @@ class WorkerHandle:
     assignment: Optional[tuple[str, int]] = None
     #: monotonic-clock deadline for the held attempt (0 = no deadline).
     deadline: float = 0.0
-    jobs_done: int = field(default=0)
     #: the result pipe read EOF or a torn message: the worker is gone
     #: and its pipe, forever readable, must not wake the supervisor.
     results_eof: bool = False
@@ -415,7 +414,6 @@ class WorkerPool:
         """The held job finished (done/error/chaos): the worker is idle."""
         handle.assignment = None
         handle.deadline = 0.0
-        handle.jobs_done += 1
 
     def alive_count(self) -> int:
         return sum(1 for h in self.workers.values() if h.alive())

@@ -6,7 +6,8 @@ surface (:mod:`repro.serve.http_api`), its client
 (:mod:`repro.fleet.gateway`) all speak:
 
 * :class:`JsonRequestHandler` - a :class:`BaseHTTPRequestHandler` with
-  the service's conventions baked in: HTTP/1.1 keep-alive with Nagle off,
+  the service's conventions baked in: HTTP/1.1 keep-alive with Nagle off
+  (ending with the server: nothing is answered once it is closed),
   quiet logging (telemetry is the observable surface), JSON bodies with
   explicit ``Content-Length``, ``{"error": ...}`` error envelopes, and
   ``Retry-After``-bearing overload responses,
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.error
 from email.message import Message
 from http.server import BaseHTTPRequestHandler
 from typing import Any, Mapping, Optional, Union
@@ -48,6 +48,20 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     # -- plumbing -------------------------------------------------------------
     def log_message(self, fmt: str, *args) -> None:  # pragma: no cover
         pass  # quiet by default; telemetry is the observable surface
+
+    def parse_request(self) -> bool:
+        """Refuse, unanswered, every request that arrives after the
+        server was closed with ``server_close()``.
+
+        A kept-alive connection's handler thread outlives the listening
+        socket; without this check a closed (killed) server would keep
+        answering the peers that already hold a connection, and a
+        gateway would never see it as unreachable.
+        """
+        if self.server.socket.fileno() < 0:
+            self.close_connection = True
+            return False
+        return super().parse_request()
 
     def network_fault_precheck(self) -> bool:
         """True when an armed partition drops this request unanswered.
@@ -129,23 +143,20 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             raise ConfigurationError(f"invalid JSON body: {exc}") from exc
 
 
-def error_detail(exc: urllib.error.HTTPError) -> tuple[dict[str, Any], str]:
-    """Decode a non-2xx response body into ``(detail dict, message)``.
+def error_detail(status: int, body: bytes) -> tuple[dict[str, Any], str]:
+    """Decode a non-2xx response into ``(detail dict, message)``.
 
     The detail is the parsed ``{"error": ..., "retry_after_s": ...}``
-    envelope when the body is valid JSON, else ``{}``; the message is
-    the server's ``error`` field, falling back to the stringified
-    exception for non-JSON bodies (proxies, raw stdlib errors).
+    envelope when the body is a JSON object, else ``{}``; the message is
+    the server's ``error`` field, falling back to the status for other
+    bodies (proxies, raw stdlib errors).
     """
-    detail: dict[str, Any] = {}
     try:
-        parsed = json.loads(exc.read().decode("utf-8"))
-        if isinstance(parsed, dict):
-            detail = parsed
-        message = detail.get("error", str(exc))
-    except Exception:
-        message = str(exc)
-    return detail, str(message)
+        parsed = json.loads(body.decode("utf-8"))
+    except ValueError:  # not UTF-8, or not JSON
+        parsed = None
+    detail: dict[str, Any] = parsed if isinstance(parsed, dict) else {}
+    return detail, str(detail.get("error", f"HTTP Error {status}"))
 
 
 def retry_after_hint(
