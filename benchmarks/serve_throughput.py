@@ -14,9 +14,9 @@ variants - each submitted 4 times) under three configurations:
   memory tier once the first result was fetched.  Result reuse is
   nearly all of the gain over ``cold``.
 * ``warm``  - the same 64-job mix resubmitted to the tuned service:
-  pure result-tier hits at submit.  One pass takes about 0.1 s, so it
-  is timed :data:`WARM_PASSES` times and recorded as the median and
-  quartiles of the per-pass rate.
+  pure result-tier hits at submit.  One pass takes a few tens of
+  milliseconds, so it is timed :data:`WARM_PASSES` times and recorded
+  as the median and quartiles of the per-pass rate.
 
 Every job's result document is fetched after its wait, as a client
 does; a fetch reads the memory tier when it holds the result and the
@@ -66,7 +66,7 @@ FLEET_SHARDS = 3
 DATA_MIB = 48
 GPU_MIB = 32
 REPEATS = 4
-#: timed resubmission passes of the warm phase (one is ~0.1 s: noise).
+#: timed resubmission passes of the warm phase (one alone is noise).
 WARM_PASSES = 15
 
 #: spec variants per workload: distinct content keys, one build per
@@ -135,8 +135,8 @@ def bench_tuned(
     specs: list[JobSpec], scratch: Path
 ) -> tuple[float, list[float], dict]:
     """One tuned service: the mix, then :data:`WARM_PASSES` timed
-    resubmissions of it.  The counters are taken after the first
-    resubmission, the point every earlier record took them at."""
+    resubmissions of it.  The counters describe the mix plus the first
+    resubmission."""
     with SimulationService(str(scratch / "tuned"), service_config(64)) as svc:
         t0 = time.perf_counter()
         for _ in range(REPEATS):
