@@ -13,7 +13,8 @@ from repro.core.batch import FaultBatch
 from repro.core.prefetch import TreePrefetcher
 from repro.core.preprocess import preprocess_batch
 from repro.gpu.fault_buffer import FaultEntry
-from repro.gpu.warp import WarpStream
+from repro.gpu.soa import SoaStreams, advance_batch
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.mem.residency import ResidencyState
 from repro.units import MiB
@@ -75,11 +76,13 @@ def test_warp_stream_advance_throughput(benchmark):
     rng = np.random.default_rng(2)
     pages = rng.integers(0, 16384, size=100_000).astype(np.int64)
     resident = np.ones(16384, dtype=bool)
-    resident[pages[-1]] = False  # one miss at the very end
+    resident[pages[-1]] = False  # one missing page, wherever it first appears
+    streams = StreamSet(pages, [pages.size])
+    one = np.array([0])
 
     def op():
-        stream = WarpStream(0, pages)
-        return stream.advance(resident)
+        _, _, miss = advance_batch(SoaStreams(streams), one, resident)
+        return miss[0]
 
     missing = benchmark(op)
     assert missing == pages[-1]

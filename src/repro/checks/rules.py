@@ -242,82 +242,6 @@ class IntNanosecondRule(Rule):
                     )
 
 
-class EngineParityRule(Rule):
-    """The SoA and scalar scheduler engines must not drift apart.
-
-    ``GpuDevice`` drives both engines through one contract; the
-    equivalence suite proves behavioural identity, but only for the
-    methods it exercises.  This rule pins the *surface*: the contract
-    methods must exist in both classes with identical signatures, so a
-    change to one engine forces the matching change (or a conscious
-    contract revision here) in the other.
-    """
-
-    name = "engine-parity"
-    description = (
-        "public contract of SoaBlockScheduler (gpu/soa.py) must match "
-        "BlockScheduler (gpu/scheduler.py)"
-    )
-    scope = ("src/repro/gpu/soa.py",)
-
-    _SCALAR_RELPATH = "scheduler.py"
-    _CLASSES = ("BlockScheduler", "SoaBlockScheduler")
-    #: the methods GpuDevice calls on whichever engine is configured.
-    _CONTRACT = (
-        "__init__",
-        "refill",
-        "has_stalled",
-        "all_done",
-        "wake_all_stalled",
-        "progress",
-    )
-
-    @staticmethod
-    def _class_methods(tree: ast.Module, class_name: str) -> dict[str, str] | None:
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == class_name:
-                methods: dict[str, str] = {}
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        returns = (
-                            ast.unparse(item.returns) if item.returns else ""
-                        )
-                        methods[item.name] = f"({ast.unparse(item.args)}) -> {returns}"
-                return methods
-        return None
-
-    def check(self, module: ParsedModule) -> Iterator[Violation]:
-        scalar_path = module.abspath.parent / self._SCALAR_RELPATH
-        if not scalar_path.exists():
-            yield self.violation(
-                module, module.tree, f"scalar reference {scalar_path.name} not found"
-            )
-            return
-        scalar_tree = ast.parse(scalar_path.read_text(encoding="utf-8"))
-        scalar = self._class_methods(scalar_tree, self._CLASSES[0])
-        soa = self._class_methods(module.tree, self._CLASSES[1])
-        if scalar is None or soa is None:
-            missing = self._CLASSES[0] if scalar is None else self._CLASSES[1]
-            yield self.violation(module, module.tree, f"class {missing} not found")
-            return
-        for method in self._CONTRACT:
-            if method not in scalar or method not in soa:
-                where = "scalar" if method not in scalar else "SoA"
-                yield self.violation(
-                    module,
-                    module.tree,
-                    f"contract method {method}() missing from the {where} engine",
-                )
-                continue
-            if scalar[method] != soa[method]:
-                yield self.violation(
-                    module,
-                    module.tree,
-                    f"signature drift on {method}(): scalar {scalar[method]!r} "
-                    f"vs SoA {soa[method]!r}",
-                )
-
-
 class MutableDefaultRule(Rule):
     """Mutable default arguments are shared across calls - forbid them."""
 
@@ -375,7 +299,6 @@ def default_rules() -> list[Rule]:
         RngRule(),
         MagicLiteralRule(),
         IntNanosecondRule(),
-        EngineParityRule(),
         MutableDefaultRule(),
         BareExceptRule(),
     ]

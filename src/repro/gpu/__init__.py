@@ -9,8 +9,7 @@ Section IV-A), and stalled warps resume only on replay notifications
 """
 
 from repro.gpu.fault_buffer import FaultBuffer, FaultEntry
-from repro.gpu.warp import StreamSet, StreamSetBuilder, StreamState, WarpStream
-from repro.gpu.scheduler import BlockScheduler
+from repro.gpu.warp import StreamSet, StreamSetBuilder
 from repro.gpu.tlb import UTlbArray
 from repro.gpu.dma import DmaEngine
 from repro.gpu.device import GpuDevice, GpuDeviceConfig
@@ -20,9 +19,6 @@ __all__ = [
     "FaultEntry",
     "StreamSet",
     "StreamSetBuilder",
-    "WarpStream",
-    "StreamState",
-    "BlockScheduler",
     "UTlbArray",
     "DmaEngine",
     "GpuDevice",

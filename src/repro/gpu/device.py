@@ -1,10 +1,11 @@
 """The GPU device: execution phases that produce the fault workload.
 
 :class:`GpuDevice` ties the per-component models together: the block
-scheduler advances warp streams against the current residency state; every
-miss goes through the per-GPC uTLB filter and, if not coalesced, into the
-hardware fault buffer.  The driver (in :mod:`repro.core.driver`) then
-consumes that buffer - the exact producer/consumer split of Fig. 2.
+scheduler (:mod:`repro.gpu.soa`) advances a phase's warp streams against
+the current residency state; every miss goes through the per-GPC uTLB
+filter and, if not coalesced, into the hardware fault buffer.  The driver
+(in :mod:`repro.core.driver`) then consumes that buffer - the exact
+producer/consumer split of Fig. 2.
 
 A *GPU phase* is one pass in which every runnable stream advances to its
 next far-fault (or completion).  Between phases the driver services
@@ -20,11 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu.fault_buffer import FaultBuffer, FaultEntry
-from repro.gpu.scheduler import BlockScheduler
+from repro.gpu.fault_buffer import FaultBuffer
 from repro.gpu.soa import SoaBlockScheduler, advance_batch, span_indices
 from repro.gpu.tlb import UTlbArray
-from repro.gpu.warp import StreamSet, StreamState, WarpStream
+from repro.gpu.warp import StreamSet
 from repro.sim.clock import SimClock
 from repro.sim.rng import SimRng
 from repro.units import GiB, MiB
@@ -70,11 +70,6 @@ class GpuDeviceConfig:
     #: the runnable set): warps interleave nondeterministically but the
     #: dispatch wavefront is roughly preserved.
     phase_jitter: float = 0.1
-    #: execution engine: "soa" is the vectorized struct-of-arrays phase
-    #: engine (:mod:`repro.gpu.soa`); "scalar" is the per-stream
-    #: reference implementation.  Results are bit-identical; "scalar"
-    #: exists for the equivalence suite and debugging.
-    engine: str = "soa"
 
     def __post_init__(self) -> None:
         if self.memory_bytes <= 0:
@@ -83,10 +78,6 @@ class GpuDeviceConfig:
             raise ConfigurationError("need at least one SM per GPC")
         if self.phase_width <= 0:
             raise ConfigurationError("phase_width must be positive")
-        if self.engine not in ("soa", "scalar"):
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; expected 'soa' or 'scalar'"
-            )
 
 
 @dataclass
@@ -116,10 +107,7 @@ class GpuDevice:
     ) -> None:
         self.config = config
         self.rng = rng.fork("gpu")
-        self._scheduler_cls = (
-            SoaBlockScheduler if config.engine == "soa" else BlockScheduler
-        )
-        self.scheduler = self._scheduler_cls(
+        self.scheduler = SoaBlockScheduler(
             streams,
             rng=self.rng.fork("scheduler"),
             max_active=config.max_active_streams,
@@ -168,87 +156,14 @@ class GpuDevice:
         permission-aware access checks (read-mostly duplication);
         ``remote`` marks zero-copy pages so their traffic can be charged
         to the interconnect.
+
+        The selected streams advance as one batch (:func:`advance_batch`):
+        within a phase they read only the residency masks, which nothing
+        mutates mid-phase, so each advance is independent of the others.
+        Their faults are then emitted in the jittered visit order, since
+        uTLB coalescing and buffer-capacity drops are stateful and depend
+        on that order.
         """
-        if self.config.engine == "soa":
-            return self._run_phase_soa(read_ok, clock, max_streams, write_ok, remote)
-        return self._run_phase_scalar(read_ok, clock, max_streams, write_ok, remote)
-
-    def _run_phase_scalar(
-        self,
-        read_ok: np.ndarray,
-        clock: SimClock,
-        max_streams: int | None,
-        write_ok: np.ndarray | None,
-        remote: np.ndarray | None,
-    ) -> GpuPhaseResult:
-        """Reference implementation: one stream at a time."""
-        result = GpuPhaseResult()
-        self.scheduler.refill()
-        runnable = self.scheduler.runnable()
-        if not runnable:
-            return result
-        budget = self.config.phase_width if max_streams is None else max_streams
-        if budget <= 0:
-            return result
-        order = self.rng.jitter_order(
-            len(runnable),
-            window=max(4.0, self.config.phase_jitter * self.config.max_active_streams),
-            limit=budget,
-        )
-        for idx in order:
-            stream = runnable[int(idx)]
-            if stream.state is not StreamState.RUNNABLE:
-                continue
-            pos_before = stream.pos
-            missing = stream.advance(read_ok, write_ok=write_ok)
-            self._record_accesses(stream, pos_before, stream.pos)
-            retired = stream.pos - pos_before
-            result.accesses_retired += retired
-            if stream.flops_per_access:
-                result.flops_retired += retired * stream.flops_per_access
-            if remote is not None and retired:
-                result.remote_accesses += int(
-                    remote[stream.pages[pos_before : stream.pos]].sum()
-                )
-            if missing is None:
-                result.streams_completed += 1
-                continue
-            if not self.utlb.should_raise(stream.sm_id, missing):
-                result.faults_coalesced += 1
-                continue
-            entry = FaultEntry(
-                page=missing,
-                is_write=stream.next_is_write(),
-                timestamp_ns=clock.now,
-                gpc_id=self.utlb.gpc_of_sm(stream.sm_id),
-                utlb_id=self.utlb.gpc_of_sm(stream.sm_id),
-                stream_id=stream.stream_id,
-                sm_id=stream.sm_id,
-            )
-            if self.fault_buffer.try_push(entry):
-                result.faults_enqueued += 1
-            else:
-                # Buffer full: the hardware drops the record; the warp
-                # stays stalled and will re-walk after the next replay,
-                # so forget the uTLB pending state to allow the re-raise.
-                self.utlb.forget(stream.sm_id, missing)
-                result.faults_dropped += 1
-        # Completed streams free SM slots; backfill for the next phase.
-        self.scheduler.refill()
-        return result
-
-    def _run_phase_soa(
-        self,
-        read_ok: np.ndarray,
-        clock: SimClock,
-        max_streams: int | None,
-        write_ok: np.ndarray | None,
-        remote: np.ndarray | None,
-    ) -> GpuPhaseResult:
-        """Vectorized phase: batch-advance the wavefront, then emit
-        faults sequentially in the same jittered order as the scalar
-        loop (uTLB coalescing and buffer-capacity drops are stateful and
-        order-dependent; the advances themselves are independent)."""
         result = GpuPhaseResult()
         sched = self.scheduler
         sched.refill()
@@ -271,9 +186,9 @@ class GpuDevice:
         flops = soa.flops[sel]
         nz = np.flatnonzero(flops)
         if nz.size:
-            # accumulate in visit order, skipping zero-FLOP streams, so
-            # the float sum is bitwise-identical to the scalar loop
-            # (add.accumulate adds strictly left to right, unlike sum)
+            # accumulate in visit order, skipping zero-FLOP streams:
+            # add.accumulate adds strictly left to right (unlike sum), so
+            # the float total is the per-stream loop's, bit for bit
             contrib = retired[nz] * flops[nz]
             result.flops_retired = float(np.add.accumulate(contrib)[-1])
         if result.accesses_retired and (
@@ -297,7 +212,7 @@ class GpuDevice:
             f_rows = np.flatnonzero(~done_mask)
             f_ids = sel[f_rows]
             f_pages = miss[f_rows]
-            sched.mark_stalled(f_ids, f_pages)
+            sched.mark_stalled(f_ids)
             utlb = self.utlb
             f_sms = soa.sm_id[f_ids]
             f_gpcs = (f_sms // utlb.sms_per_gpc) % utlb.n_gpcs
@@ -329,16 +244,6 @@ class GpuDevice:
         sched.refill()
         return result
 
-    def _record_accesses(self, stream: WarpStream, start: int, stop: int) -> None:
-        if self.access_counters is None or stop <= start:
-            return
-        if self._pages_per_vablock is None:
-            raise ConfigurationError(
-                "access counters enabled but VABlock geometry not set"
-            )
-        touched = stream.pages[start:stop]
-        np.add.at(self.access_counters, touched // self._pages_per_vablock, 1)
-
     def load_kernel(self, streams: StreamSet) -> None:
         """Launch a new kernel: fresh scheduler, persistent device state.
 
@@ -348,7 +253,7 @@ class GpuDevice:
         """
         if not self.scheduler.all_done():
             raise ConfigurationError("loading a kernel while one is still running")
-        self.scheduler = self._scheduler_cls(
+        self.scheduler = SoaBlockScheduler(
             streams,
             rng=self.rng.fork(f"scheduler-k{self._kernel_counter}"),
             max_active=self.config.max_active_streams,

@@ -21,8 +21,9 @@ The simulator models:
   stores duplicates because deduplication is the *driver's* job.
 
 The storage is literally the circular buffer the docs describe: parallel
-field arrays indexed by a head/size ring.  Producers push scalar fields
-(:meth:`FaultBuffer.push_fields`); the driver drains whole batches as
+field arrays indexed by a head/size ring.  The GPU pushes a phase's
+records as field arrays (:meth:`FaultBuffer.push_arrays`, the batch form
+of :meth:`FaultBuffer.push_fields`); the driver drains whole batches as
 field arrays (:meth:`FaultBuffer.drain_arrays`) so pre-processing never
 materializes per-entry objects.  :class:`FaultEntry` remains the
 per-entry view for tests and analysis code.

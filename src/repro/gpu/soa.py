@@ -1,28 +1,27 @@
-"""Struct-of-arrays (SoA) phase engine: the vectorized GPU hot path.
+"""Struct-of-arrays (SoA) phase engine: how the GPU advances its warps.
 
-The scalar execution model (:class:`~repro.gpu.warp.WarpStream` +
-:class:`~repro.gpu.scheduler.BlockScheduler`) pays a Python call and
-several small-array numpy dispatches per stream per phase - ~2M calls on
-an oversubscribed SGEMM run.  This module holds the *same* state in flat
-numpy arrays - the build's :class:`~repro.gpu.warp.StreamSet` page and
-write arrays, read in place, with per-stream cursors into them - and
-advances an entire phase's wavefront with batched operations.
+A kernel's warp streams live in flat numpy arrays - the build's
+:class:`~repro.gpu.warp.StreamSet` page and write arrays, read in place,
+with per-stream cursors into them - and a whole phase's wavefront
+advances with batched operations instead of a Python call per stream.
 
-Equivalence with the scalar engine is exact, not statistical:
+The batching is exact, not statistical:
 
 * within one phase the selected streams are independent (advancing one
   stream reads only the shared residency masks, which the phase does not
   mutate), so batch-advancing them and then emitting faults sequentially
-  in the original jittered order produces the identical fault sequence,
-* the scheduler consumes the identical RNG draws (one ``jitter_order``
-  at construction, nothing else), dispatches in the same order, and
-  assigns the same round-robin SM ids,
-* uTLB coalescing and fault-buffer capacity drops are applied in the
-  emission loop exactly as the scalar loop interleaves them.
+  in the jittered visit order gives the fault sequence a
+  stream-at-a-time loop gives,
+* the scheduler consumes one ``jitter_order`` draw at construction and
+  nothing else, dispatches in that order, and assigns round-robin SM
+  ids,
+* uTLB coalescing and fault-buffer capacity drops follow the per-entry
+  raise / push / forget loop exactly
+  (:meth:`~repro.gpu.tlb.UTlbArray.raise_batch`).
 
-``tests/integration/test_engine_equivalence.py`` pins this down against
-the scalar reference for every workload family x replay policy x
-prefetch setting.
+``tests/properties/test_reference_oracles.py`` pins the scan and the
+raise against their loop forms, and the golden-counter matrix
+(``tests/golden.py``) pins whole runs bit for bit.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ from repro.errors import SimulationError
 from repro.gpu.warp import MAX_WINDOW, StreamSet
 from repro.sim.rng import SimRng
 
-# int8 state codes (mirrors repro.gpu.warp.StreamState)
-PENDING = 0
-RUNNABLE = 1
-STALLED = 2
-DONE = 3
+# int8 stream state codes
+PENDING = 0  # not yet scheduled onto an SM
+RUNNABLE = 1  # scheduled, can advance
+STALLED = 2  # waiting on a far-fault replay
+DONE = 3  # all accesses retired
 
 #: first scan window per unresolved stream; grows geometrically to
 #: ``MAX_WINDOW`` so short hops stay cheap while long resident runs
@@ -68,9 +67,7 @@ class SoaStreams:
         self.flops = streams.flops
         self.pos = streams.start.copy()
         self.state = np.full(n, PENDING, dtype=np.int8)
-        self.stalled_on = np.full(n, -1, dtype=np.int64)
         self.sm_id = np.full(n, -1, dtype=np.int64)
-        self.faults_raised = np.zeros(n, dtype=np.int64)
 
     @property
     def pages_flat(self) -> np.ndarray:
@@ -162,14 +159,19 @@ def span_indices(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 
 
 class SoaBlockScheduler:
-    """Array-backed block scheduler, RNG- and order-identical to the
-    scalar :class:`~repro.gpu.scheduler.BlockScheduler`.
+    """Dispatches a kernel's streams onto SMs with bounded occupancy.
 
-    Instead of rebuilding the active/runnable lists with O(active) list
-    comprehensions every phase, it maintains the runnable set
-    incrementally: the device reports completions and stalls
-    (:meth:`mark_done` / :meth:`mark_stalled`), and the scheduler only
-    compacts its active array when something actually finished.
+    Section IV-B (Fig. 7, "regular" pattern): *"the GPU scheduler will
+    prefer lower-numbered blocks during access, but there is no fixed
+    ordering due to the nondeterminism of the GPU parallelism."*  Streams
+    therefore dispatch in an order that is mostly ascending with seeded
+    local jitter, at most ``max_active`` are resident on SMs at once
+    (occupancy limit), SM ids are assigned round-robin, and retired
+    streams are backfilled.
+
+    The runnable set is kept incrementally: the device reports
+    completions and stalls (:meth:`mark_done` / :meth:`mark_stalled`),
+    and the active array is compacted only when something finished.
     """
 
     def __init__(
@@ -187,7 +189,8 @@ class SoaBlockScheduler:
         self.soa = SoaStreams(streams)
         self.max_active = max_active
         self.n_sms = n_sms
-        # identical draw to the scalar scheduler: same window, same rng
+        # the reorder window is physical (bounded by how many blocks are
+        # in flight), so it scales with occupancy rather than grid size
         self._dispatch_order = rng.jitter_order(
             self.soa.n, window=max(8.0, jitter * 4 * max_active)
         )
@@ -225,17 +228,12 @@ class SoaBlockScheduler:
 
     # -- device feedback ----------------------------------------------------
     def mark_done(self, ids: np.ndarray) -> None:
-        soa = self.soa
-        soa.state[ids] = DONE
-        soa.stalled_on[ids] = -1
+        self.soa.state[ids] = DONE
         self._n_done_active += int(ids.size)
         self._n_done_total += int(ids.size)
 
-    def mark_stalled(self, ids: np.ndarray, pages: np.ndarray) -> None:
-        soa = self.soa
-        soa.state[ids] = STALLED
-        soa.stalled_on[ids] = pages
-        soa.faults_raised[ids] += 1
+    def mark_stalled(self, ids: np.ndarray) -> None:
+        self.soa.state[ids] = STALLED
         self._n_stalled += int(ids.size)
 
     # -- queries ------------------------------------------------------------
@@ -260,22 +258,24 @@ class SoaBlockScheduler:
         )
 
     def wake_all_stalled(self) -> int:
-        """Broadcast replay: every stalled warp retries (Section III-E)."""
+        """Deliver a replay notification: every stalled warp retries.
+
+        Replays are broadcast - "the replay will cause all faulting warps
+        to resume, even if the faults are not satisfied" (Section III-E);
+        a retried access whose page is still missing faults again (the
+        paper's duplicate-fault mechanism).  Returns the number woken.
+        """
         if self._n_stalled == 0:
             return 0
         soa = self.soa
         act = self._active
         ids = act[soa.state[act] == STALLED]
         soa.state[ids] = RUNNABLE
-        soa.stalled_on[ids] = -1
         self._n_stalled = 0
         return int(ids.size)
 
-    def progress(self) -> tuple[int, int]:
-        """(streams done, total streams) - for progress reporting."""
-        return self._n_done_total, self.soa.n
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        done, total = self.progress()
         active = self._active.size - self._n_done_active
-        return f"SoaBlockScheduler(done={done}/{total}, active={active})"
+        return (
+            f"SoaBlockScheduler(done={self._n_done_total}/{self.soa.n}, active={active})"
+        )

@@ -13,11 +13,11 @@ exactly how duplicate faults reach the driver across replays.
 
 The pending filters are stored as one flat boolean array with a cell
 per (page, GPC) pair, ``page * n_gpcs + gpc``, lazily sized to the
-highest page seen.  The SoA engine tests and updates a whole phase's
+highest page seen.  The phase engine tests and updates a whole phase's
 fault batch with vectorized gathers on that array instead of a Python
-set probe per access (:meth:`UTlbArray.raise_batch`).  The scalar
-methods (:meth:`should_raise` / :meth:`forget`) operate on the same
-array, so both engines observe identical coalescing state.  Growing
+set probe per access (:meth:`UTlbArray.raise_batch`).  The per-entry
+methods (:meth:`should_raise_gpc` / :meth:`forget_gpc`) operate on the
+same array; they are the loop that ``raise_batch`` replays.  Growing
 the page range appends cells, so a cell index stays valid, and every
 raise records the cells it sets: a replay clears just those instead
 of the whole array.
@@ -57,23 +57,12 @@ class UTlbArray:
         grown[: self._pending.size] = self._pending
         self._pending = grown
 
-    def gpc_of_sm(self, sm_id: int) -> int:
-        """GPC owning a given SM (round-robin placement)."""
-        if sm_id < 0:
-            raise ConfigurationError(f"invalid SM id {sm_id}")
-        return (sm_id // self.sms_per_gpc) % self.n_gpcs
-
-    def should_raise(self, sm_id: int, page: int) -> bool:
-        """Whether a miss on ``page`` from ``sm_id`` emits a fault entry.
+    def should_raise_gpc(self, gpc: int, page: int) -> bool:
+        """Whether a miss on ``page`` from GPC ``gpc`` emits a fault entry.
 
         Returns False when this GPC's uTLB already has the page pending
         (the access is coalesced onto the outstanding fault).
         """
-        return self.should_raise_gpc(self.gpc_of_sm(sm_id), page)
-
-    def should_raise_gpc(self, gpc: int, page: int) -> bool:
-        """Like :meth:`should_raise` with the GPC already resolved (the
-        SoA engine precomputes GPC ids for a whole phase in one shot)."""
         self._ensure_pages(page)
         cell = page * self.n_gpcs + gpc
         if self._pending[cell]:
@@ -143,16 +132,13 @@ class UTlbArray:
         self.raised += n_push
         return push_mask, n_coalesced, n_dropped
 
-    def forget(self, sm_id: int, page: int) -> None:
+    def forget_gpc(self, gpc: int, page: int) -> None:
         """Drop a pending entry (the fault-buffer push was dropped).
 
         Without this the uTLB would coalesce the warp's re-raise after
         the next replay onto a fault record that never reached the
         buffer, losing the access forever.
         """
-        self.forget_gpc(self.gpc_of_sm(sm_id), page)
-
-    def forget_gpc(self, gpc: int, page: int) -> None:
         cell = page * self.n_gpcs + gpc
         if cell < self._pending.size and self._pending[cell]:
             self._pending[cell] = False

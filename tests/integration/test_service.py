@@ -141,6 +141,10 @@ class TestServiceSemantics:
         with pytest.raises(ServiceClientError) as excinfo:
             client.submit({"workload": "random", "data_bytes": MiB, "bogus": 1})
         assert excinfo.value.status == 400
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit({"workload": "random", "data_bytes": MiB, "gpu": {"engine": "scalar"}})
+        assert excinfo.value.status == 400
+        assert "bad gpu overrides" in str(excinfo.value)
 
     def test_event_stream_is_incremental(self, service):
         svc, client = service

@@ -18,7 +18,7 @@ field of every result must match:
   residency transitions over global page-index arrays,
 * ``jitter_order(..., limit=k)`` is the full stable order cut at ``k``,
 * :func:`reference_raise` is the per-entry raise / push / forget loop,
-* :meth:`WarpStream.advance` is the per-stream scan,
+* :func:`reference_advance` is the per-access stream scan,
 * the FLOP total is Python's left-to-right float sum.
 
 Geometries span the flexible-granularity range: 16-512 leaves per
@@ -37,7 +37,7 @@ from repro.core.prefetch import PrefetchDecision, TreePrefetcher
 from repro.errors import SimulationError
 from repro.gpu.soa import SoaStreams, advance_batch
 from repro.gpu.tlb import UTlbArray
-from repro.gpu.warp import StreamSet, WarpStream
+from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.mem.leafbits import bits_of
 from repro.mem.page_table import MappingStats, PageTable
@@ -627,7 +627,7 @@ MISSING_PAGE, READ_ONLY_PAGE = 0, 31
 @st.composite
 def scan_case(draw):
     streams = []
-    for sid in range(draw(st.integers(min_value=1, max_value=5))):
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
         length = draw(st.sampled_from(EDGE_LENGTHS))
         # resident pages only; long streams come from a seeded generator
         rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
@@ -643,8 +643,20 @@ def scan_case(draw):
             at = draw(st.sampled_from([0, 62, 63, 64, 65, 319, 320, 321, length - 1]))
             pages[min(at, length - 1)] = draw(st.sampled_from([MISSING_PAGE, READ_ONLY_PAGE]))
         writes = rng.random(length) < 0.5 if draw(st.booleans()) else None
-        streams.append(WarpStream(sid, pages, writes))
+        streams.append((pages, writes))
     return streams, draw(st.booleans())
+
+
+def reference_advance(pages, writes, pos: int, read_ok, write_ok):
+    """One stream's scan, access by access from ``pos``: a load needs
+    ``read_ok``, a store ``write_ok`` (``read_ok`` when that is None).
+    Returns ``(position, page)`` of the first miss, or ``(len, None)``
+    when the stream runs to completion."""
+    for i in range(pos, len(pages)):
+        store = writes is not None and write_ok is not None and writes[i]
+        if not (write_ok if store else read_ok)[pages[i]]:
+            return i, int(pages[i])
+    return len(pages), None
 
 
 @given(scan_case())
@@ -658,15 +670,16 @@ def test_advance_batch_matches_per_stream_advance(case):
     # the set flags a stream without a writes mask as all loads
     soa = SoaStreams(
         StreamSet(
-            np.concatenate([s.pages for s in streams]),
-            [len(s) for s in streams],
+            np.concatenate([pages for pages, _ in streams]),
+            [len(pages) for pages, _ in streams],
             np.concatenate(
-                [np.zeros(len(s), bool) if s.writes is None else s.writes for s in streams]
+                [np.zeros(len(p), bool) if w is None else w for p, w in streams]
             ),
         )
     )
     assert soa.pages_flat.dtype == np.int32
-    live = [i for i, s in enumerate(streams) if len(s)]
+    cursors = [0] * len(streams)
+    live = [i for i, (pages, _) in enumerate(streams) if len(pages)]
     for _ in range(2):  # the second pass resumes mid-stream after service
         sel = np.array([i for i in live if soa.pos[i] < soa.end[i]], dtype=np.int64)
         if not sel.size:
@@ -675,13 +688,13 @@ def test_advance_batch_matches_per_stream_advance(case):
             soa, sel, read_ok, write_ok if check_writes else None
         )
         for row, i in enumerate(sel.tolist()):
-            stream = streams[i]
-            assert pos0[row] == soa.start[i] + stream.pos
-            page = stream.advance(read_ok, write_ok if check_writes else None)
+            pages, writes = streams[i]
+            assert pos0[row] == soa.start[i] + cursors[i]
+            cursors[i], page = reference_advance(
+                pages, writes, cursors[i], read_ok, write_ok if check_writes else None
+            )
             assert miss[row] == (-1 if page is None else page)
-            assert pos1[row] == soa.start[i] + stream.pos
-            if page is not None:
-                stream.wake()
+            assert pos1[row] == soa.start[i] + cursors[i]
         # the driver services the misses: pages become resident and writable
         read_ok[:] = True
         write_ok[:] = True

@@ -183,70 +183,6 @@ def test_int_ns_round_guard_accepted(tmp_path):
     assert report.violations == []
 
 
-# -- engine-parity ------------------------------------------------------------
-_SCALAR_ENGINE = """
-class BlockScheduler:
-    def __init__(self, streams, rng, jitter: float = 0.08):
-        pass
-
-    def refill(self, read_ok):
-        pass
-
-    def has_stalled(self) -> bool:
-        return False
-
-    def all_done(self) -> bool:
-        return True
-
-    def wake_all_stalled(self) -> int:
-        return 0
-
-    def progress(self) -> tuple:
-        return ()
-"""
-
-_SOA_ENGINE_OK = _SCALAR_ENGINE.replace("BlockScheduler", "SoaBlockScheduler")
-
-
-def _write_engines(root: Path, soa_source: str) -> LintReport:
-    gpu = root / "src/repro/gpu"
-    gpu.mkdir(parents=True, exist_ok=True)
-    (gpu / "scheduler.py").write_text(_SCALAR_ENGINE, encoding="utf-8")
-    (gpu / "soa.py").write_text(soa_source, encoding="utf-8")
-    return lint_paths(root, paths=[gpu / "soa.py"])
-
-
-def test_engine_parity_matching_surfaces(tmp_path):
-    report = _write_engines(tmp_path, _SOA_ENGINE_OK)
-    assert report.violations == []
-
-
-def test_engine_parity_signature_drift(tmp_path):
-    drifted = _SOA_ENGINE_OK.replace("jitter: float = 0.08", "jitter: float = 0.5")
-    report = _write_engines(tmp_path, drifted)
-    assert rules_hit(report) == {"engine-parity"}
-    assert "signature drift on __init__()" in report.violations[0].message
-
-
-def test_engine_parity_missing_method(tmp_path):
-    gutted = _SOA_ENGINE_OK.replace(
-        "    def wake_all_stalled(self) -> int:\n        return 0\n", ""
-    )
-    report = _write_engines(tmp_path, gutted)
-    assert any(
-        "wake_all_stalled() missing from the SoA engine" in v.message
-        for v in report.violations
-    )
-
-
-def test_engine_parity_missing_scalar_file(tmp_path):
-    gpu = tmp_path / "src/repro/gpu"
-    gpu.mkdir(parents=True)
-    (gpu / "soa.py").write_text(_SOA_ENGINE_OK, encoding="utf-8")
-    report = lint_paths(tmp_path, paths=[gpu / "soa.py"])
-    assert rules_hit(report) == {"engine-parity"}
-
-
 # -- generic rules ------------------------------------------------------------
 def test_mutable_default_flagged(tmp_path):
     report = lint_snippet(
@@ -368,13 +304,6 @@ def test_repo_is_lint_clean():
     assert baseline == {}, "baseline must stay empty; fix or waive new findings"
     diff = diff_against_baseline(report.violations, baseline)
     assert diff.new == [], "\n".join(v.render() for v in diff.new)
-
-
-def test_repo_engine_parity_holds():
-    """The real SoA engine matches the real scalar engine's contract."""
-    soa = REPO_ROOT / "src/repro/gpu/soa.py"
-    report = lint_paths(REPO_ROOT, paths=[soa])
-    assert [v for v in report.violations if v.rule == "engine-parity"] == []
 
 
 # -- CLI verb -----------------------------------------------------------------

@@ -85,20 +85,18 @@ class TestPhases:
         assert result.flops_retired == 20.0
 
     def test_flops_sum_matches_scalar_engine_bitwise(self):
-        """Awkward per-access FLOPs: any sum but the scalar engine's
-        left-to-right one (pairwise, reordered) rounds differently."""
+        """Awkward per-access FLOPs: any sum but the left-to-right one in
+        visit order (pairwise, reordered) rounds differently.  The pinned
+        total is the one the retired per-stream scalar engine gave, and
+        the phase engine matched, on this exact input."""
+        flops = np.random.default_rng(3).random(300) * 1e3
+        lengths = 1 + np.arange(300) % 7
+        pages = np.concatenate([np.arange(n) for n in lengths])
+        streams = StreamSet(pages, lengths, flops=flops)
 
-        def streams():
-            flops = np.random.default_rng(3).random(300) * 1e3
-            lengths = 1 + np.arange(300) % 7
-            pages = np.concatenate([np.arange(n) for n in lengths])
-            return StreamSet(pages, lengths, flops=flops)
-
-        resident = np.ones(16, dtype=bool)
-        soa = make_device(streams()).run_phase(resident, SimClock())
-        scalar = make_device(streams(), engine="scalar").run_phase(resident, SimClock())
-        assert soa.streams_completed == scalar.streams_completed == 300
-        assert soa.flops_retired.hex() == scalar.flops_retired.hex()
+        result = make_device(streams).run_phase(np.ones(16, dtype=bool), SimClock())
+        assert result.streams_completed == 300
+        assert result.flops_retired.hex() == "0x1.2b546a47aaa66p+19"
 
 
 class TestReplayDelivery:

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.gpu.scheduler import BlockScheduler
-from repro.gpu.soa import SoaBlockScheduler, advance_batch
-from repro.gpu.warp import StreamSet, StreamState
+from repro.gpu.soa import RUNNABLE, STALLED, SoaBlockScheduler, advance_batch
+from repro.gpu.warp import StreamSet
 from repro.sim.rng import SimRng
 
 
@@ -24,69 +23,70 @@ def rng():
 
 class TestDispatch:
     def test_occupancy_limit(self, rng):
-        sched = BlockScheduler(make_streams(100), rng, max_active=10)
+        sched = SoaBlockScheduler(make_streams(100), rng, max_active=10)
         assert sched.refill() == 10
-        assert len(sched.active()) == 10
+        assert sched.runnable_ids().size == 10
 
     def test_backfill_after_completion(self, rng):
         streams = make_streams(20)
-        sched = BlockScheduler(streams, rng, max_active=10)
+        sched = SoaBlockScheduler(streams, rng, max_active=10)
         sched.refill()
-        for s in sched.active()[:3]:
-            s.state = StreamState.DONE
+        sched.mark_done(sched.runnable_ids()[:3])
         dispatched = sched.refill()
         assert dispatched == 3
-        assert len(sched.active()) == 10
+        assert sched.runnable_ids().size == 10
 
     def test_dispatch_prefers_low_indices(self, rng):
         """Low-numbered blocks dispatch (mostly) first (Section IV-B)."""
         streams = make_streams(1000)
-        sched = BlockScheduler(streams, rng, max_active=100, jitter=0.05)
+        sched = SoaBlockScheduler(streams, rng, max_active=100, jitter=0.05)
         sched.refill()
-        ids = [s.stream_id for s in sched.active()]
+        ids = sched.soa.stream_ids[sched.runnable_ids()]
         assert np.mean(ids) < 200  # far below the 500 a shuffle would give
 
     def test_sm_assignment_round_robin(self, rng):
-        sched = BlockScheduler(make_streams(8), rng, max_active=8, n_sms=4)
+        sched = SoaBlockScheduler(make_streams(8), rng, max_active=8, n_sms=4)
         sched.refill()
-        sms = sorted(s.sm_id for s in sched.active())
+        sms = sorted(sched.soa.sm_id[sched.runnable_ids()].tolist())
         assert sms == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_invalid_params(self, rng):
         with pytest.raises(SimulationError):
-            BlockScheduler(make_streams(0), rng, max_active=0)
+            SoaBlockScheduler(make_streams(0), rng, max_active=0)
         with pytest.raises(SimulationError):
-            BlockScheduler(make_streams(0), rng, n_sms=0)
+            SoaBlockScheduler(make_streams(0), rng, n_sms=0)
 
 
 class TestLifecycle:
     def test_all_done_empty(self, rng):
-        assert BlockScheduler(make_streams(0), rng).all_done()
+        assert SoaBlockScheduler(make_streams(0), rng).all_done()
 
     def test_all_done_progression(self, rng):
-        sched = BlockScheduler(make_streams(3), rng, max_active=2)
+        sched = SoaBlockScheduler(make_streams(3), rng, max_active=2)
         sched.refill()
         assert not sched.all_done()
-        for s in sched.streams:
-            s.state = StreamState.DONE
+        sched.mark_done(sched.runnable_ids())
+        assert not sched.all_done()  # the third stream was never dispatched
+        sched.refill()
+        sched.mark_done(sched.runnable_ids())
         sched.refill()
         assert sched.all_done()
 
     def test_wake_all_stalled(self, rng):
-        sched = BlockScheduler(make_streams(4), rng, max_active=4)
+        sched = SoaBlockScheduler(make_streams(4), rng, max_active=4)
         sched.refill()
         resident = np.zeros(10, dtype=bool)
-        for s in sched.runnable():
-            s.advance(resident)
-        assert len(sched.stalled()) == 4
+        ids = sched.runnable_ids()
+        _, _, miss = advance_batch(sched.soa, ids, resident)
+        assert miss.tolist() == sched.soa.stream_ids[ids].tolist()
+        sched.mark_stalled(ids)
+        assert sched.has_stalled()
+        assert sched.runnable_ids().size == 0
+        assert (sched.soa.state[ids] == STALLED).all()
         assert sched.wake_all_stalled() == 4
-        assert len(sched.runnable()) == 4
-
-    def test_progress(self, rng):
-        sched = BlockScheduler(make_streams(5), rng, max_active=5)
-        sched.refill()
-        sched.streams[0].state = StreamState.DONE
-        assert sched.progress() == (1, 5)
+        assert not sched.has_stalled()
+        assert sched.runnable_ids().tolist() == ids.tolist()
+        assert (sched.soa.state[ids] == RUNNABLE).all()
 
 
 class TestSoaStorage:

@@ -9,7 +9,6 @@ from repro.core.driver import UvmDriver
 from repro.errors import SimulationError
 from repro.experiments.runner import ExperimentSetup
 from repro.gpu.device import GpuDevice, GpuDeviceConfig
-from repro.gpu.scheduler import BlockScheduler
 from repro.gpu.soa import SoaBlockScheduler
 from repro.gpu.warp import MAX_WINDOW, StreamSet, StreamSetBuilder
 from repro.mem.address_space import AddressSpace
@@ -133,25 +132,9 @@ class TestBuilder:
 
 
 class TestEngines:
-    def test_scalar_scheduler_streams_are_the_sets_slices(self):
-        s = StreamSet(
-            np.arange(7),
-            [3, 0, 4],
-            np.array([0, 1, 0, 1, 1, 0, 0], dtype=bool),
-            ids=[5, 6, 10_000],
-            flops=[1.5, 0.0, 2.5],
-        )
-        streams = BlockScheduler(s, SimRng(1)).streams
-        assert [w.stream_id for w in streams] == [5, 6, 10_000]
-        for i, w in enumerate(streams):
-            assert w.pages.tolist() == s.pages[s.span(i)].tolist()
-            assert w.writes.tolist() == s.writes[s.span(i)].tolist()
-            assert w.flops_per_access == s.flops[i]
-
-    @pytest.mark.parametrize("engine", ["soa", "scalar"])
-    def test_zero_length_streams_complete_without_faults(self, engine):
+    def test_zero_length_streams_complete_without_faults(self):
         s = StreamSet(np.array([1, 2, 3]), [0, 2, 0, 1, 0])
-        config = GpuDeviceConfig(memory_bytes=16 * MiB, engine=engine)
+        config = GpuDeviceConfig(memory_bytes=16 * MiB)
         device = GpuDevice(config, s, rng=SimRng(5))
         result = device.run_phase(np.ones(8, dtype=bool), SimClock())
         assert result.streams_completed == 5
@@ -162,7 +145,7 @@ class TestEngines:
     def test_soa_scheduler_keeps_no_per_stream_objects(self):
         sched = SoaBlockScheduler(StreamSet(np.arange(5)), SimRng(1))
         assert not hasattr(sched, "streams")
-        assert sched.progress() == (0, 5)
+        assert sched.soa.n == 5
 
 
 def driver_for(name, data_mib=16, gpu_mib=8, seed=4):

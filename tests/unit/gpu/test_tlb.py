@@ -1,9 +1,15 @@
 """Unit tests for uTLB fault coalescing."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.gpu.device import GpuDevice, GpuDeviceConfig
 from repro.gpu.tlb import UTlbArray
+from repro.gpu.warp import StreamSet
+from repro.sim.clock import SimClock
+from repro.sim.rng import SimRng
+from repro.units import MiB
 
 
 @pytest.fixture
@@ -13,53 +19,56 @@ def tlbs():
 
 class TestCoalescing:
     def test_first_miss_raises(self, tlbs):
-        assert tlbs.should_raise(sm_id=0, page=10)
+        assert tlbs.should_raise_gpc(gpc=0, page=10)
         assert tlbs.raised == 1
 
     def test_same_gpc_same_page_coalesced(self, tlbs):
-        tlbs.should_raise(0, 10)
-        assert not tlbs.should_raise(1, 10)  # SM 1 shares GPC 0
+        tlbs.should_raise_gpc(0, 10)
+        assert not tlbs.should_raise_gpc(0, 10)  # another SM of GPC 0
         assert tlbs.coalesced == 1
 
     def test_different_gpc_duplicates(self, tlbs):
         """Cross-GPC misses produce duplicate fault entries - the driver
         cannot tell (fault source erasure)."""
-        assert tlbs.should_raise(0, 10)
-        assert tlbs.should_raise(4, 10)  # SM 4 is on GPC 1
+        assert tlbs.should_raise_gpc(0, 10)
+        assert tlbs.should_raise_gpc(1, 10)
         assert tlbs.raised == 2
 
     def test_different_pages_not_coalesced(self, tlbs):
-        assert tlbs.should_raise(0, 10)
-        assert tlbs.should_raise(0, 11)
+        assert tlbs.should_raise_gpc(0, 10)
+        assert tlbs.should_raise_gpc(0, 11)
 
-    def test_gpc_of_sm(self, tlbs):
-        assert tlbs.gpc_of_sm(0) == 0
-        assert tlbs.gpc_of_sm(3) == 0
-        assert tlbs.gpc_of_sm(4) == 1
-
-    def test_negative_sm_rejected(self, tlbs):
-        with pytest.raises(ConfigurationError):
-            tlbs.gpc_of_sm(-1)
+    def test_gpc_of_sm(self):
+        """A fault record carries the GPC owning its SM: SMs are placed
+        on GPCs in blocks of ``n_sms // n_gpcs``."""
+        config = GpuDeviceConfig(memory_bytes=16 * MiB, n_sms=12, n_gpcs=3)
+        device = GpuDevice(config, StreamSet(np.arange(12)), rng=SimRng(5))
+        device.run_phase(np.zeros(12, dtype=bool), SimClock())
+        out = device.fault_buffer.drain_arrays(10**9, 64)
+        gpcs, utlbs, sms = out[3], out[4], out[6]
+        assert sorted(sms.tolist()) == list(range(12))
+        assert gpcs.tolist() == (sms // 4).tolist()
+        assert utlbs.tolist() == gpcs.tolist()
 
 
 class TestReplayInteraction:
     def test_replay_clears_pending(self, tlbs):
-        tlbs.should_raise(0, 10)
+        tlbs.should_raise_gpc(0, 10)
         tlbs.on_replay()
         assert tlbs.pending_total() == 0
         # unsatisfied access re-walks and re-raises: the duplicate path
-        assert tlbs.should_raise(0, 10)
+        assert tlbs.should_raise_gpc(0, 10)
 
     def test_forget_allows_re_raise_without_replay(self, tlbs):
         """Dropped buffer pushes must not leave a poisoned pending set."""
-        tlbs.should_raise(0, 10)
-        tlbs.forget(0, 10)
-        assert tlbs.should_raise(0, 10)
+        tlbs.should_raise_gpc(0, 10)
+        tlbs.forget_gpc(0, 10)
+        assert tlbs.should_raise_gpc(0, 10)
 
     def test_forget_adjusts_raised_count(self, tlbs):
-        tlbs.should_raise(0, 10)
-        tlbs.forget(0, 10)
-        tlbs.should_raise(0, 10)
+        tlbs.should_raise_gpc(0, 10)
+        tlbs.forget_gpc(0, 10)
+        tlbs.should_raise_gpc(0, 10)
         assert tlbs.raised == 1
 
     def test_invalid_config(self):

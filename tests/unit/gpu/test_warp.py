@@ -1,10 +1,21 @@
-"""Unit tests for warp streams."""
+"""Unit tests for warp-stream semantics on the phase engine.
+
+A stream retires accesses until its first miss, stalls there, and
+retries the access only after a replay (Section III-E); a retried
+access whose page is still missing faults again.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
-from repro.gpu.warp import StreamState, WarpStream
+from repro.gpu.device import GpuDevice, GpuDeviceConfig
+from repro.gpu.soa import STALLED, SoaStreams, advance_batch
+from repro.gpu.warp import StreamSet
+from repro.sim.clock import SimClock
+from repro.sim.rng import SimRng
+from repro.units import MiB
+
+ONE = np.array([0])
 
 
 @pytest.fixture
@@ -12,86 +23,113 @@ def resident():
     return np.zeros(100, dtype=bool)
 
 
+def one_stream(pages, writes=None):
+    return StreamSet(np.asarray(pages), [len(pages)], writes)
+
+
+def device_for(pages, writes=None):
+    config = GpuDeviceConfig(memory_bytes=16 * MiB)
+    return GpuDevice(config, one_stream(pages, writes), rng=SimRng(5))
+
+
+def drained(device):
+    """``(pages, writes)`` of every fault record in the device's buffer."""
+    out = device.fault_buffer.drain_arrays(10**9, 1 << 20)
+    return (out[0].tolist(), out[1].tolist()) if out else ([], [])
+
+
 class TestAdvance:
     def test_stalls_on_first_miss(self, resident):
         resident[:5] = True
-        stream = WarpStream(0, np.arange(10))
-        missing = stream.advance(resident)
-        assert missing == 5
-        assert stream.state is StreamState.STALLED
-        assert stream.stalled_on == 5
-        assert stream.accesses_retired == 5
+        device = device_for(np.arange(10))
+        result = device.run_phase(resident, SimClock())
+        assert result.accesses_retired == 5
+        assert result.faults_enqueued == 1
+        assert drained(device)[0] == [5]
+        assert device.scheduler.soa.state.tolist() == [STALLED]
+        assert device.has_stalled_streams()
 
     def test_completes_when_all_resident(self, resident):
         resident[:] = True
-        stream = WarpStream(0, np.arange(10))
-        assert stream.advance(resident) is None
-        assert stream.state is StreamState.DONE
-        assert stream.remaining == 0
+        soa = SoaStreams(one_stream(np.arange(10)))
+        pos0, pos1, miss = advance_batch(soa, ONE, resident)
+        assert (pos0.tolist(), pos1.tolist(), miss.tolist()) == ([0], [10], [-1])
+        assert soa.pos.tolist() == [10]
 
     def test_wake_then_refault_same_page(self, resident):
-        stream = WarpStream(0, np.array([3]))
-        assert stream.advance(resident) == 3
-        stream.wake()
-        assert stream.state is StreamState.RUNNABLE
-        assert stream.advance(resident) == 3  # duplicate fault
-        assert stream.faults_raised == 2
+        """An unserviced page faults again after the replay: a duplicate."""
+        device = device_for([3])
+        assert device.run_phase(resident, SimClock()).faults_enqueued == 1
+        assert device.deliver_replay() == 1
+        assert device.run_phase(resident, SimClock()).faults_enqueued == 1
+        assert drained(device)[0] == [3, 3]
 
     def test_wake_then_proceed_when_serviced(self, resident):
-        stream = WarpStream(0, np.array([3, 7]))
-        stream.advance(resident)
+        device = device_for([3, 7])
+        device.run_phase(resident, SimClock())
         resident[3] = True
-        stream.wake()
-        assert stream.advance(resident) == 7
+        device.deliver_replay()
+        result = device.run_phase(resident, SimClock())
+        assert result.accesses_retired == 1
+        assert drained(device)[0] == [3, 7]
 
     def test_advance_while_stalled_rejected(self, resident):
-        stream = WarpStream(0, np.array([3]))
-        stream.advance(resident)
-        with pytest.raises(SimulationError):
-            stream.advance(resident)
+        """A phase advances no stalled stream: it waits for the replay."""
+        device = device_for([3])
+        device.run_phase(resident, SimClock())
+        resident[3] = True
+        again = device.run_phase(resident, SimClock())
+        assert (again.accesses_retired, again.streams_completed) == (0, 0)
+        assert again.faults_enqueued + again.faults_coalesced == 0
+        device.deliver_replay()
+        assert device.run_phase(resident, SimClock()).streams_completed == 1
 
     def test_chunked_scan_matches_full_scan(self, resident):
-        resident[:50] = True
-        resident[60:] = True
-        pages = np.arange(100)
-        small = WarpStream(0, pages)
-        assert small.advance(resident, scan_chunk=7) == 50
+        """The scan's growing windows find the miss a one-shot scan finds,
+        also where it lies past the first window or on a window edge."""
+        pages = np.arange(100).repeat(4)  # 400 accesses: windows 64, 256, ...
+        for miss_page in (10, 15, 16, 50, 63, 64, 80, 99):
+            resident[:] = True
+            resident[miss_page] = False
+            soa = SoaStreams(one_stream(pages))
+            _, pos1, miss = advance_batch(soa, ONE, resident)
+            assert pos1[0] == int(np.argmin(resident[pages]))
+            assert miss[0] == miss_page
 
     def test_reuse_pattern_retires_fast(self, resident):
         """Reuse-heavy streams (GEMM-like) advance over resident pages."""
         resident[:4] = True
-        pages = np.array([0, 1, 2, 3, 0, 1, 2, 3, 4])
-        stream = WarpStream(0, pages)
-        assert stream.advance(resident) == 4
-        assert stream.accesses_retired == 8
+        soa = SoaStreams(one_stream([0, 1, 2, 3, 0, 1, 2, 3, 4]))
+        pos0, pos1, miss = advance_batch(soa, ONE, resident)
+        assert miss.tolist() == [4]
+        assert (pos1 - pos0).tolist() == [8]
 
 
 class TestWrites:
     def test_next_is_write(self, resident):
-        stream = WarpStream(0, np.array([0, 1]), writes=np.array([True, False]))
-        stream.advance(resident)
-        assert stream.next_is_write() is True
+        device = device_for([0, 1], writes=np.array([True, False]))
+        device.run_phase(resident, SimClock())
+        assert drained(device) == ([0], [True])
 
     def test_no_writes_default(self, resident):
-        stream = WarpStream(0, np.array([0]))
-        stream.advance(resident)
-        assert stream.next_is_write() is False
+        device = device_for([0])
+        device.run_phase(resident, SimClock())
+        assert drained(device) == ([0], [False])
 
-    def test_writes_shape_mismatch_rejected(self):
-        with pytest.raises(SimulationError):
-            WarpStream(0, np.array([0, 1]), writes=np.array([True]))
-
-
-class TestShape:
-    def test_non_1d_rejected(self):
-        with pytest.raises(SimulationError):
-            WarpStream(0, np.zeros((2, 2), dtype=np.int64))
-
-    def test_flops_per_access(self):
-        stream = WarpStream(0, np.arange(4), flops_per_access=2.5)
-        assert stream.flops_per_access == 2.5
-
-    def test_len_and_next_page(self):
-        stream = WarpStream(0, np.array([9, 8]))
-        assert len(stream) == 2
-        assert stream.next_page() == 9
+    def test_store_to_read_only_page_is_an_upgrade_miss(self, resident):
+        """A store to a resident but read-only page misses (the
+        read-duplication collapse path); a load of it retires."""
+        resident[:] = True
+        write_ok = resident.copy()
+        write_ok[1] = False
+        writes = np.array([False, True, False])
+        soa = SoaStreams(one_stream([1, 1, 2], writes))
+        _, pos1, miss = advance_batch(soa, ONE, resident, write_ok)
+        assert (pos1.tolist(), miss.tolist()) == ([1], [1])
+        # without write permissions every resident access retires
+        soa = SoaStreams(one_stream([1, 1, 2], writes))
+        assert advance_batch(soa, ONE, resident)[2].tolist() == [-1]
+        device = device_for([1, 1, 2], writes)
+        result = device.run_phase(resident, SimClock(), write_ok=write_ok)
+        assert result.accesses_retired == 1
+        assert drained(device) == ([1], [True])
