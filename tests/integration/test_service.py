@@ -142,7 +142,9 @@ class TestServiceSemantics:
             client.submit({"workload": "random", "data_bytes": MiB, "bogus": 1})
         assert excinfo.value.status == 400
         with pytest.raises(ServiceClientError) as excinfo:
-            client.submit({"workload": "random", "data_bytes": MiB, "gpu": {"engine": "scalar"}})
+            client.submit(
+                {"workload": "random", "data_bytes": MiB, "gpu": {"engine": "scalar"}}
+            )
         assert excinfo.value.status == 400
         assert "bad gpu overrides" in str(excinfo.value)
 

@@ -48,11 +48,8 @@ class TestValidation:
             s.build_setup()
         # the GPU has one phase engine: an "engine" key would only give
         # an identical simulation a cache key of its own
-        s = JobSpec.from_dict(
-            {"workload": "random", "data_bytes": 4 * MiB, "gpu": {"engine": "scalar"}}
-        )
         with pytest.raises(ConfigurationError, match="bad gpu overrides"):
-            s.cache_key()
+            spec(gpu={"engine": "scalar"}).cache_key()
 
 
 class TestRoundTrip:
