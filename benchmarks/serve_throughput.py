@@ -4,24 +4,22 @@ Measures end-to-end jobs/sec of :class:`SimulationService` on a 64-job
 repeat-heavy mix (16 unique specs - 4 workloads x 4 driver/cost
 variants - each submitted 4 times) under three configurations:
 
-* ``cold``  - every job computed: memory tier off, sweep memo off, and
-  a fresh store per repeat wave so nothing is ever reused.  This is the
+* ``cold``  - every job computed: sweep memo off and a fresh service
+  and store per repeat wave, so nothing is ever reused.  This is the
   per-job full-compute path a cache-less service would pay for the
   whole mix.
-* ``tuned`` - one service with persistent workers and the in-memory
-  result tier.  Each unique spec is simulated once (every run builds
-  its workload afresh); its repeats are answered at submit, from the
-  memory tier once the first result was fetched.  Result reuse is
+* ``tuned`` - one service with persistent workers.  Each unique spec is
+  simulated once (every run builds its workload afresh); its repeats
+  are answered at submit from the result store.  Result reuse is
   nearly all of the gain over ``cold``.
 * ``warm``  - the same 64-job mix resubmitted to the tuned service:
-  pure result-tier hits at submit.  One pass takes a few tens of
-  milliseconds, so it is timed :data:`WARM_PASSES` times and recorded
-  as the median and quartiles of the per-pass rate.
+  pure store hits at submit.  One pass takes tens of milliseconds, so
+  it is timed :data:`WARM_PASSES` times and recorded as the median and
+  quartiles of the per-pass rate.
 
 Every job's result document is fetched after its wait, as a client
-does; a fetch reads the memory tier when it holds the result and the
-checksummed disk store otherwise (``cache.mem_hits`` against
-``cache.disk_hits``; a submit answered from a tier counts there too).
+does.  Every submit hit and every fetch reads the store and verifies
+the document's checksum (``cache.disk_hits`` counts both).
 
 Writes ``BENCH_serve_throughput.json`` at the repo root and, with
 ``--check``, exits non-zero when tuned throughput is below
@@ -95,11 +93,10 @@ def unique_specs() -> list[JobSpec]:
     return specs
 
 
-def service_config(mem_cache_mb: int, shard_name: str | None = None) -> ServiceConfig:
+def service_config(shard_name: str | None = None) -> ServiceConfig:
     return ServiceConfig(
         n_workers=1,
-        mem_cache_mb=mem_cache_mb,
-        sweep_cache_dir="",  # isolate the serve tiers from the sweep memo
+        sweep_cache_dir="",  # isolate the result store from the sweep memo
         checkpoint_every_phases=0,
         retry_backoff_s=0.05,
         shard_name=shard_name,
@@ -125,7 +122,7 @@ def bench_cold(specs: list[JobSpec], scratch: Path) -> float:
     t0 = time.perf_counter()
     for wave in range(REPEATS):
         with SimulationService(
-            str(scratch / f"cold-{wave}"), service_config(0)
+            str(scratch / f"cold-{wave}"), service_config()
         ) as svc:
             run_wave(svc, specs)
     return time.perf_counter() - t0
@@ -137,7 +134,7 @@ def bench_tuned(
     """One tuned service: the mix, then :data:`WARM_PASSES` timed
     resubmissions of it.  The counters describe the mix plus the first
     resubmission."""
-    with SimulationService(str(scratch / "tuned"), service_config(64)) as svc:
+    with SimulationService(str(scratch / "tuned"), service_config()) as svc:
         t0 = time.perf_counter()
         for _ in range(REPEATS):
             run_wave(svc, specs)
@@ -174,7 +171,7 @@ def bench_gateway(specs: list[JobSpec], scratch: Path) -> tuple[float, dict]:
         for i in range(FLEET_SHARDS):
             svc = SimulationService(
                 str(scratch / f"fleet-shard{i}"),
-                service_config(64, shard_name=f"shard{i}"),
+                service_config(shard_name=f"shard{i}"),
             ).start()
             server = serve_http(svc, "127.0.0.1", 0)
             shards.append((svc, server))
@@ -238,9 +235,9 @@ def run_fleet_benchmark(args: argparse.Namespace) -> int:
             "Fleet-gateway throughput on the 64-job repeat-heavy mix "
             "(16 unique specs, each submitted 4 times) submitted over "
             "HTTP through the consistent-hash gateway fronting "
-            f"{FLEET_SHARDS} tuned service shards (memory tier on), "
-            "against the single-shard cold baseline (all tiers off, "
-            "fresh store per wave). Shared "
+            f"{FLEET_SHARDS} tuned service shards, against the "
+            "single-shard cold baseline (sweep memo off, fresh store "
+            "per wave). Shared "
             "2-vCPU VM: the fleet win is key affinity (repeats are "
             "answered from their shard's store), not CPU "
             "parallelism. Compare ratios, not absolutes."
@@ -256,7 +253,7 @@ def run_fleet_benchmark(args: argparse.Namespace) -> int:
         "fleet": {
             "shards": FLEET_SHARDS,
             "vnodes": 64,
-            "shard_config": {"n_workers": 1, "mem_cache_mb": 64},
+            "shard_config": {"n_workers": 1},
             "transport": "http (client -> gateway -> shard)",
         },
         "results": {
@@ -272,7 +269,6 @@ def run_fleet_benchmark(args: argparse.Namespace) -> int:
             for key in (
                 "fleet.jobs_routed", "fleet.reroutes", "fleet.probes",
                 "fleet.shard_down", "jobs.submitted", "simulations.run",
-                "cache.mem_hits",
             )
         },
     }
@@ -301,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--gateway", action="store_true",
         help="benchmark the 3-shard fleet gateway against cold instead "
-        "of the single-service tiers",
+        "of the single-service tuned and warm passes",
     )
     parser.add_argument(
         "--min-fleet-speedup", type=float, default=2.0,
@@ -344,19 +340,17 @@ def main(argv: list[str] | None = None) -> int:
             "Serve-layer throughput on a 64-job repeat-heavy mix "
             "(16 unique specs = 4 workloads x 4 driver/cost variants, "
             "each submitted 4 times); every job's result document is "
-            "fetched after its wait, as clients do. cold = all tiers "
-            "off, fresh store per wave (64 full computes, each result "
-            "read back from disk); tuned = one service (persistent "
-            "workers, in-memory result tier) that simulates each unique "
-            "spec once, answers "
-            "repeats at submit and serves fetches from the memory tier "
-            "after the first disk read of each result; warm = the same "
-            f"mix resubmitted to that service, timed over {WARM_PASSES} "
-            "passes (median pass; jobs/s median and quartiles). "
-            "cache.mem_hits and cache.disk_hits count submits and fetches "
-            "answered by each tier, after the tuned mix and the first "
-            "warm pass. Wall times from a shared 2-vCPU VM (noisy - compare "
-            "ratios, not absolutes)."
+            "fetched after its wait, as clients do. cold = sweep memo "
+            "off, fresh service and store per wave (64 full computes); "
+            "tuned = one service (persistent workers) that simulates "
+            "each unique spec once and answers repeats at submit from "
+            "the store; warm = the same mix resubmitted to that service, "
+            f"timed over {WARM_PASSES} passes (median pass; jobs/s "
+            "median and quartiles). Every submit hit and every fetch "
+            "reads the store and verifies the checksum; cache.disk_hits "
+            "counts both, after the tuned mix and the first warm pass. "
+            "Wall times from a shared 2-vCPU VM (noisy - compare ratios, "
+            "not absolutes)."
         ),
         "mix": {
             "jobs": n_jobs,
@@ -366,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
             "gpu_memory_bytes": GPU_MIB * MiB,
             "workloads": list(WORKLOADS),
         },
-        "config": {"n_workers": 1, "mem_cache_mb": 64},
+        "config": {"n_workers": 1},
         "results": {
             "cold": {"wall_seconds": round(cold_s, 3),
                      "jobs_per_sec": round(n_jobs / cold_s, 3)},
@@ -385,8 +379,7 @@ def main(argv: list[str] | None = None) -> int:
             key: counters.get(key, 0)
             for key in (
                 "jobs.submitted", "jobs.completed", "simulations.run",
-                "cache.hits.store", "cache.mem_hits", "cache.disk_hits",
-                "cache.misses",
+                "cache.hits.store", "cache.disk_hits", "cache.misses",
             )
         },
     }

@@ -34,7 +34,7 @@ _BUILTIN_NAMES = frozenset(dir(builtins))
 def module_name_for(relpath: str) -> str:
     """Dotted module name of a repo-relative posix path.
 
-    ``src/repro/serve/cache.py`` -> ``repro.serve.cache``;
+    ``src/repro/serve/store.py`` -> ``repro.serve.store``;
     package ``__init__.py`` files name the package itself.
     """
     parts = relpath.split("/")

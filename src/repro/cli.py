@@ -422,7 +422,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         poison_threshold=args.poison_threshold,
         drain_timeout_s=args.drain_timeout,
         journal_path=args.journal_path,
-        mem_cache_mb=args.mem_cache_mb,
         shard_name=args.shard_name,
     )
     service = SimulationService(args.store_dir, config).start()
@@ -923,12 +922,6 @@ def main(argv: list[str] | None = None) -> int:
         "--journal-path",
         default=None,
         help="write-ahead job journal file (default: <store-dir>/journal.jsonl)",
-    )
-    serve_p.add_argument(
-        "--mem-cache-mb",
-        type=_non_negative_int,
-        default=64,
-        help="in-memory result cache budget in MiB (0 disables the hot tier)",
     )
     serve_p.add_argument(
         "--shard-name",

@@ -1,7 +1,7 @@
 """The fleet gateway: a consistent-hash sharded tier over the serve layer.
 
 :class:`FleetGateway` fronts N independent :class:`~repro.serve.service.
-SimulationService` shards - each with its own journal, store, and cache
+SimulationService` shards - each with its own journal and result store
 - and speaks the *same* JSON-over-HTTP surface as a single service, so
 :class:`~repro.serve.client.ServiceClient` (and every CLI verb) works
 unmodified against a gateway URL.
@@ -11,8 +11,8 @@ Routing: a submission's :meth:`~repro.serve.jobs.JobSpec.spec_digest`
 process) lands on a :class:`~repro.fleet.ring.HashRing` with virtual
 nodes, so each shard owns ~1/N of the key space and membership changes
 remap only ~1/N of the keys.  All requests for one content key hit one
-shard, which is what makes the shard-local result store and memory
-tier behave like a fleet-wide cache.
+shard, which is what makes the shard-local result stores behave like
+one fleet-wide cache.
 
 Health: a background prober sweeps every shard's ``/readyz``:
 

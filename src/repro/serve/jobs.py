@@ -118,9 +118,6 @@ class JobSpec:
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 
-    def with_priority(self, priority: int) -> "JobSpec":
-        return replace(self, priority=priority)
-
     # -- canonical identity ---------------------------------------------------
     def canonical_json(self) -> str:
         """Deterministic JSON of the content fields (no scheduling hints)."""

@@ -65,7 +65,6 @@ from repro.chaos.process import journal_kill_hook, shard_kill_hook
 from repro.errors import ConfigurationError, CorruptResultError, ReproError
 from repro.experiments.runner import _resolve_cache_dir
 from repro.serve import telemetry as tm
-from repro.serve.cache import LruCache
 from repro.serve.journal import JobJournal
 from repro.serve.jobs import JobRecord, JobSpec, JobState
 from repro.serve.pool import MSG_CHAOS, MSG_DONE, MSG_ERROR, MSG_STARTED, WorkerPool
@@ -140,16 +139,12 @@ class ServiceConfig:
     shed_retry_after_s: float = 1.0
     #: write-ahead journal path (None = ``<store_dir>/journal.jsonl``).
     journal_path: Optional[str] = None
-    #: in-memory result cache budget (MiB); 0 disables the hot tier.
-    mem_cache_mb: int = 64
     #: identity of this instance inside a fleet (reported by /healthz,
     #: targeted by the ``process.shard_kill`` chaos point); None when
     #: running solo.
     shard_name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.mem_cache_mb < 0:
-            raise ConfigurationError("mem_cache_mb must be >= 0")
         if self.queue_high_watermark < 1:
             raise ConfigurationError("queue_high_watermark must be >= 1")
         if not 0 <= self.queue_low_watermark <= self.queue_high_watermark:
@@ -173,9 +168,6 @@ class SimulationService:
         self.config = config or ServiceConfig()
         self.store = ResultStore(store_dir)
         self.telemetry = Telemetry()
-        #: hot tier over the result store; holds only validated documents.
-        self.result_cache = LruCache(self.config.mem_cache_mb * 1024 * 1024)
-        self._evictions_reported = 0
         self.journal = JobJournal(
             self.config.journal_path
             or os.path.join(store_dir, "journal.jsonl")
@@ -250,12 +242,11 @@ class SimulationService:
                 continue
             record.worker_id = None
             record.not_before = 0.0
-            if self.store.contains(record.key):
+            if self._stored(record.key):
                 record.state = JobState.DONE
                 record.cache_hit = True
                 record.finished_at = time.time()
                 self.telemetry.count(tm.CACHE_HITS_STORE)
-                self.telemetry.count(tm.CACHE_DISK_HITS)
                 self.telemetry.count(tm.JOBS_COMPLETED)
                 self.telemetry.event(
                     record.job_id, "done", cache_hit=True, replayed=True
@@ -446,17 +437,13 @@ class SimulationService:
                 self.telemetry.count(tm.JOBS_SUBMITTED)
                 self._finish(record, JobState.POISONED)
             return record
-        mem_hit = key in self.result_cache
-        if mem_hit or self.store.contains(key):
+        if self._stored(key):
             record.cache_hit = True
             with self._lock:
                 record.job_id = f"job-{next(self._seq):08d}"
                 self._jobs[record.job_id] = record
                 self.telemetry.count(tm.JOBS_SUBMITTED)
                 self.telemetry.count(tm.CACHE_HITS_STORE)
-                self.telemetry.count(
-                    tm.CACHE_MEM_HITS if mem_hit else tm.CACHE_DISK_HITS
-                )
                 self._finish(record, JobState.DONE)
             return record
         with self._lock:
@@ -497,34 +484,44 @@ class SimulationService:
     def result_doc(self, job_id: str) -> Optional[dict[str, Any]]:
         """The stored result document of a DONE job (None until then).
 
-        Tiered read: the in-memory LRU answers first
-        (``cache.mem_hits``); otherwise the on-disk store is read and -
-        only after it validated the checksum - the document is memoized
-        for the next probe (``cache.disk_hits``).  A corrupt entry
-        raises :class:`~repro.errors.CorruptResultError` *after* the
-        store has quarantined it, and is never memoized, so
-        resubmitting the same spec recomputes instead of serving the
-        bad document from memory.
+        Every fetch reads the store and verifies the document's
+        checksum.  A corrupt entry raises
+        :class:`~repro.errors.CorruptResultError` *after* the store has
+        quarantined it, so resubmitting the same spec recomputes.
         """
         record = self.get(job_id)
         if record.state is not JobState.DONE:
             return None
-        doc = self.result_cache.get(record.key)
-        if doc is not None:
-            self.telemetry.count(tm.CACHE_MEM_HITS)
-            return doc
-        try:
-            doc = self.store.get(record.key)
-        except KeyError:
+        doc = self._read_result(record.key)
+        if doc is None:
             self.telemetry.count(tm.CACHE_MISSES)
+        return doc
+
+    def _read_result(self, key: str) -> Optional[dict[str, Any]]:
+        """The verified stored document of ``key`` (None when absent).
+
+        The one result path: submit probes, journal replay and fetches
+        all read here, so a read the store answers counts
+        ``cache.disk_hits`` and a corrupt entry counts
+        ``results.quarantined`` before its error propagates.
+        """
+        try:
+            doc = self.store.get(key)
+        except KeyError:
             return None
         except CorruptResultError:
             self.telemetry.count(tm.RESULTS_QUARANTINED)
-            self.result_cache.discard(record.key)
             raise
         self.telemetry.count(tm.CACHE_DISK_HITS)
-        self.result_cache.put(record.key, doc)
         return doc
+
+    def _stored(self, key: str) -> bool:
+        """Whether ``key`` has a valid stored result; a corrupt entry,
+        now quarantined, is a miss and the job is computed again."""
+        try:
+            return self._read_result(key) is not None
+        except CorruptResultError:
+            return False
 
     # -- store transfer (fleet migration surface) -----------------------------
     def store_keys(self) -> list[str]:
@@ -621,20 +618,9 @@ class SimulationService:
             return list(self._jobs.values())
 
     def metrics(self) -> dict[str, Any]:
-        cache_stats = self.result_cache.stats()
         with self._lock:
-            # mirror LRU evictions into the monotonic counter set lazily
-            # (the cache counts internally; telemetry learns the delta).
-            delta = cache_stats.evictions - self._evictions_reported
-            if delta > 0:
-                self.telemetry.count(tm.CACHE_EVICTIONS, delta)
-                self._evictions_reported = cache_stats.evictions
             states = [r.state for r in self._jobs.values()]
             gauges = {
-                "mem_cache_entries": cache_stats.entries,
-                "mem_cache_bytes": cache_stats.size_bytes,
-                "mem_cache_max_bytes": cache_stats.max_bytes,
-                "mem_cache_evictions": cache_stats.evictions,
                 "queue_depth": sum(1 for s in states if s is JobState.QUEUED),
                 "jobs_in_flight": sum(1 for s in states if s is JobState.RUNNING),
                 "jobs_total": len(states),

@@ -30,14 +30,11 @@ JOBS_RETRIED = "jobs.retried"
 JOBS_TIMED_OUT = "jobs.timed_out"
 CACHE_HITS_STORE = "cache.hits.store"
 CACHE_HITS_SWEEP = "cache.hits.sweep"
-#: result reads served from the in-memory LRU tier (no disk touched).
-CACHE_MEM_HITS = "cache.mem_hits"
-#: result reads served from the on-disk result store (mem-tier miss).
+#: result reads the store answered with a verified document (submit
+#: probes, journal replay and fetches alike).
 CACHE_DISK_HITS = "cache.disk_hits"
-#: result probes that found neither tier populated.
+#: result fetches of a done job that found no stored document.
 CACHE_MISSES = "cache.misses"
-#: entries evicted from the in-memory LRU tier to stay under budget.
-CACHE_EVICTIONS = "cache.evictions"
 SIMULATIONS_RUN = "simulations.run"
 WORKER_DEATHS = "workers.deaths"
 WORKER_RESPAWNS = "workers.respawns"
@@ -180,25 +177,12 @@ class Telemetry:
             uptime = time.time() - self._started_at
         hits = counters.get(CACHE_HITS_STORE, 0) + counters.get(CACHE_HITS_SWEEP, 0)
         sims = counters.get(SIMULATIONS_RUN, 0)
-        mem = counters.get(CACHE_MEM_HITS, 0)
-        disk = counters.get(CACHE_DISK_HITS, 0)
-        misses = counters.get(CACHE_MISSES, 0)
-        probes = mem + disk + misses
         return {
             "uptime_s": uptime,
             "counters": counters,
             "timers_ns": timers,
             "gauges": dict(gauges or {}),
             "job_latency": latency.as_dict(),
-            # legacy aggregate (submit-path store hits vs simulations run);
-            # kept verbatim so old dashboards keep working.
             "cache_hit_rate": hits / (hits + sims) if (hits + sims) else 0.0,
-            # result-read tiers: which layer actually answered the probe.
-            "result_cache": {
-                "probes": probes,
-                "mem_hit_rate": mem / probes if probes else 0.0,
-                "disk_hit_rate": disk / probes if probes else 0.0,
-                "miss_rate": misses / probes if probes else 0.0,
-            },
             "last_event_seq": seq,
         }

@@ -1,5 +1,5 @@
-"""Integration: execution in warm processes and through the result
-tiers is bit-identical to solo execution.
+"""Integration: execution in warm processes and through the service
+is bit-identical to solo execution.
 
 Three layers of proof:
 
@@ -10,9 +10,10 @@ Three layers of proof:
   leak into the next,
 * sweep level - a pooled ``run_sweep`` returns the same results as
   point-by-point solo simulation,
-* service level - a service whose in-memory result tier serves the
-  reads returns byte-identical result documents to one with the tier
-  off, under the UVMSAN invariant sanitizer,
+* service level - every read of a served result document, each one
+  checksum-verified from the store, equals the document of a solo
+  ``simulate()`` of the same spec, under the UVMSAN invariant
+  sanitizer,
 
 plus the recovery contract: a worker killed at the start of each job's
 first attempt costs that job one attempt and one death, and every job
@@ -31,7 +32,9 @@ from repro.experiments.runner import (
     simulate,
 )
 from repro.chaos.plan import set_active_plan
+from repro.checks import sanitizer as uvmsan
 from repro.serve.jobs import JobSpec, JobState
+from repro.serve.results import result_to_doc
 from repro.serve.service import ServiceConfig, SimulationService
 from repro.units import MiB
 from repro.workloads.registry import all_workload_names, make_workload
@@ -95,7 +98,11 @@ def stripped(doc: dict) -> dict:
     return doc
 
 
-class TestMemoryTierEquivalence:
+def without_meta(doc: dict) -> dict:
+    return {k: v for k, v in doc.items() if k != "meta"}
+
+
+class TestServedEquivalence:
     def specs(self):
         # four distinct keys of one workload: driver and cost overrides
         # that change the result, not the build.
@@ -110,35 +117,43 @@ class TestMemoryTierEquivalence:
             JobSpec(**base, cost={"driver_wakeup_ns": 9_500}),
         ]
 
-    def run_service(self, root, mem_cache_mb):
-        """Each job's result as its second read returns it, and the
-        service's ``cache.mem_hits``."""
-        config = ServiceConfig(
-            n_workers=1,
-            retry_backoff_s=0.05,
-            sweep_cache_dir="",  # no memo: force real computation
-            mem_cache_mb=mem_cache_mb,
-        )
-        docs = {}
-        with SimulationService(str(root), config) as svc:
-            records = [svc.submit(spec) for spec in self.specs()]
-            for record in records:
-                final = svc.wait(record.job_id, timeout=300.0)
-                assert final.state is JobState.DONE, final.error
-            for record in records:
-                svc.result_doc(record.job_id)  # a disk read fills the tier
-                docs[record.key] = svc.result_doc(record.job_id)
-            mem_hits = svc.metrics()["counters"].get("cache.mem_hits", 0)
-        return docs, mem_hits
-
-    def test_docs_bit_identical_to_off(self, tmp_path, monkeypatch):
+    def test_served_docs_match_solo(self, tmp_path, monkeypatch):
+        """Both reads of each served document equal the solo document:
+        same body, and a ``meta`` envelope that names the spec."""
         monkeypatch.setenv("UVMREPRO_SANITIZE", "1")
-        off, off_hits = self.run_service(tmp_path / "tier-off", mem_cache_mb=0)
-        on, on_hits = self.run_service(tmp_path / "tier-on", mem_cache_mb=64)
-        assert (off_hits, on_hits) == (0, len(self.specs()))
-        assert set(off) == set(on)
-        for key in off:
-            assert stripped(off[key]) == stripped(on[key])
+        uvmsan.set_enabled(None)  # re-read the switch; forked workers inherit it
+        try:
+            assert uvmsan.enabled()
+            config = ServiceConfig(
+                n_workers=1,
+                retry_backoff_s=0.05,
+                sweep_cache_dir="",  # no memo: force real computation
+            )
+            specs = self.specs()
+            with SimulationService(str(tmp_path / "store"), config) as svc:
+                records = [svc.submit(spec) for spec in specs]
+                for record in records:
+                    final = svc.wait(record.job_id, timeout=300.0)
+                    assert final.state is JobState.DONE, final.error
+                reads = [
+                    (svc.result_doc(r.job_id), svc.result_doc(r.job_id))
+                    for r in records
+                ]
+                counters = svc.metrics()["counters"]
+            # every read was answered by the store, none from elsewhere
+            assert counters["cache.disk_hits"] == 2 * len(specs)
+            for spec, record, pair in zip(specs, records, reads):
+                solo = result_to_doc(simulate(*spec.build()))
+                for doc in pair:
+                    assert stripped(doc)["meta"] == {
+                        "key": record.key,
+                        "workload": spec.workload,
+                        "data_bytes": spec.data_bytes,
+                        "seed": spec.seed,
+                    }
+                    assert without_meta(doc) == without_meta(solo)
+        finally:
+            uvmsan.set_enabled(None)
 
 
 class TestDeathAtStart:
@@ -164,7 +179,6 @@ class TestDeathAtStart:
                 retry_backoff_s=0.05,
                 max_retries=3,
                 sweep_cache_dir="",
-                mem_cache_mb=0,
             )
             base = dict(
                 workload="stream", data_bytes=4 * MiB,

@@ -124,9 +124,9 @@ def test_serve_miss_smoke_budget(tmp_path):
         )
         for name in spec["workloads"]
     ]
-    # one worker, and neither the sweep memo nor the memory tier: every
-    # submission is a miss that simulates
-    config = ServiceConfig(n_workers=1, sweep_cache_dir="", mem_cache_mb=0)
+    # one worker and no sweep memo: every submission is a miss that
+    # simulates
+    config = ServiceConfig(n_workers=1, sweep_cache_dir="")
     sim_s, serve_s = [], []
     for round_ in range(3):
         t0 = time.perf_counter()

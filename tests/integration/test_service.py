@@ -8,10 +8,13 @@ Acceptance criteria covered here:
   zero new simulations (the store cache-hit counter equals the
   resubmitted job count),
 * priorities, cancellation, result documents, and the event stream
-  behave as documented.
+  behave as documented,
+* a stored result that fails checksum verification is caught by the
+  next read of it, a fetch or a resubmit.
 """
 
 import http.client
+import json
 import statistics
 import threading
 import time
@@ -19,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.errors import CorruptResultError
 from repro.serve.client import LONG_POLL_S, ServiceClient, ServiceClientError
 from repro.serve.http_api import serve_http
 from repro.serve.jobs import JobSpec, JobState
@@ -211,6 +215,69 @@ class TestServiceSemantics:
         want.pop("meta")
         assert doc == want
         assert blocker.read_text() == ""
+
+
+class TestCorruptionCaughtOnEveryRead:
+    """A stored result rewritten with a wrong checksum after its first
+    fetch is never served: whichever read comes next - a fetch or a
+    resubmit - verifies the document, quarantines it and counts it."""
+
+    SPEC = JobSpec(workload="stream", data_bytes=2 * MiB, gpu={"memory_bytes": 16 * MiB})
+
+    @pytest.fixture
+    def fetched(self, tmp_path):
+        """A service whose one job is DONE, its result fetched once and
+        then corrupted on disk; yields the service, record and first doc."""
+        config = ServiceConfig(n_workers=1, job_timeout_s=120.0, sweep_cache_dir="")
+        with SimulationService(str(tmp_path / "store"), config) as svc:
+            record = svc.submit(self.SPEC)
+            final = svc.wait(record.job_id, timeout=120.0)
+            assert final.state is JobState.DONE, final.error
+            first = svc.result_doc(record.job_id)
+            path = svc.store.doc_path(record.key)
+            stored = json.loads(path.read_text())
+            stored["checksum"] = "0" * 64
+            path.write_text(json.dumps(stored, sort_keys=True))
+            yield svc, record, first
+
+    @staticmethod
+    def assert_quarantined(svc, key):
+        assert svc.metrics()["counters"].get("results.quarantined", 0) == 1
+        assert not svc.store.doc_path(key).exists()
+        assert (svc.store.quarantine_dir / f"{key}.json").is_file()
+
+    def test_next_fetch_raises(self, fetched):
+        svc, record, _ = fetched
+        with pytest.raises(CorruptResultError):
+            svc.result_doc(record.job_id)
+        self.assert_quarantined(svc, record.key)
+
+    def test_next_fetch_over_http_is_410(self, fetched):
+        svc, record, _ = fetched
+        server = serve_http(svc)
+        client = ServiceClient(server.url, timeout_s=30.0)
+        try:
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.result(record.job_id)
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+        assert excinfo.value.status == 410
+        self.assert_quarantined(svc, record.key)
+
+    def test_resubmit_recomputes(self, fetched):
+        svc, record, first = fetched
+        again = svc.submit(self.SPEC)
+        assert not again.cache_hit
+        self.assert_quarantined(svc, record.key)
+        final = svc.wait(again.job_id, timeout=120.0)
+        assert final.state is JobState.DONE, final.error
+        assert svc.metrics()["counters"]["simulations.run"] == 2
+        redone = svc.result_doc(again.job_id)
+        first.pop("meta")
+        redone.pop("meta")
+        assert redone == first
 
 
 class TestSupervisorWakeUp:

@@ -75,7 +75,7 @@ def write_tree(root: Path, files: dict[str, str]) -> ProjectGraph:
 
 
 def test_module_name_for():
-    assert module_name_for("src/repro/serve/cache.py") == "repro.serve.cache"
+    assert module_name_for("src/repro/serve/store.py") == "repro.serve.store"
     assert module_name_for("src/repro/__init__.py") == "repro"
     assert module_name_for("src/repro/sim/__init__.py") == "repro.sim"
 
