@@ -194,12 +194,6 @@ class LintReport:
     #: informational by default, failures under ``--strict``.
     expired_waivers: list[str] = field(default_factory=list)
 
-    def by_rule(self) -> dict[str, list[Violation]]:
-        grouped: dict[str, list[Violation]] = {}
-        for v in self.violations:
-            grouped.setdefault(v.rule, []).append(v)
-        return grouped
-
     def render(self) -> str:
         lines = [v.render() for v in self.violations]
         lines.append(

@@ -155,10 +155,6 @@ class RunResult:
     def pages_evicted(self) -> int:
         return self.counters[C.EVICTION_PAGES_DROPPED]
 
-    @property
-    def bytes_transferred(self) -> int:
-        return self.dma.total_bytes
-
 
 class UvmDriver:
     """One simulated application run: GPU + driver + policies."""

@@ -33,14 +33,6 @@ class OutOfDeviceMemoryError(AllocationError):
     """
 
 
-class FaultBufferOverflowError(ReproError):
-    """More faults were outstanding than the hardware buffer can track.
-
-    The real hardware silently drops and re-raises faults; the simulator
-    models that path, so this error only fires on internal logic bugs.
-    """
-
-
 class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 

@@ -7,9 +7,6 @@ device, and they all report times in microseconds (the paper's unit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 from repro.experiments.runner import ExperimentSetup
 from repro.units import MiB, ns_to_us
 
@@ -44,24 +41,6 @@ def gemm_wave_setup(memory_mib: int = 64) -> ExperimentSetup:
     )
 
 
-@dataclass
-class SeriesRow:
-    """Generic labelled measurement row used by several exhibits."""
-
-    label: str
-    values: dict[str, float]
-
-    def get(self, key: str) -> float:
-        return self.values[key]
-
-
 def us(t_ns: int | float) -> float:
     """ns -> us (so experiment code reads like the paper)."""
     return ns_to_us(t_ns)
-
-
-def geometric_sizes(
-    setup: ExperimentSetup, fractions: Sequence[float]
-) -> list[tuple[float, int]]:
-    """(fraction, bytes) pairs relative to GPU memory."""
-    return [(f, sized(setup, f)) for f in fractions]

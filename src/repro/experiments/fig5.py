@@ -23,16 +23,6 @@ from repro.experiments.runner import ExperimentSetup
 from repro.workloads.synthetic import RegularAccess
 
 
-def run_fig5(
-    setup: Optional[ExperimentSetup] = None,
-    sizes: Sequence[int] = DEFAULT_SIZES,
-) -> Fig3Result:
-    """Fig. 5: the Batch policy sweep (regular pattern, as published)."""
-    return run_breakdown_sweep(
-        setup, sizes, ReplayPolicyKind.BATCH, patterns=(RegularAccess,)
-    )
-
-
 @dataclass
 class PolicyComparison:
     """Fig. 3 vs Fig. 5 at matching sizes (the paper's side-by-side)."""

@@ -207,15 +207,6 @@ class FaultBuffer:
             idx[idx >= self.capacity] -= self.capacity
         return idx
 
-    def peek(self) -> Optional[FaultEntry]:
-        return self._entry_at(self._head) if self._size else None
-
-    def head_ready(self, now_ns: int) -> bool:
-        """Whether the head entry's ready flag is already set."""
-        if not self._size:
-            return False
-        return now_ns >= int(self._ts[self._head]) + self.ready_delay_ns
-
     def pop_ready(self, now_ns: int) -> tuple[Optional[FaultEntry], int]:
         """Pop the head entry, polling until its ready flag is set.
 

@@ -41,11 +41,8 @@ class UTlbArray:
         #: flat pending cells (``page * n_gpcs + gpc``), grown on demand;
         #: starts empty because the page-space extent is unknown at build time.
         self._pending = np.zeros(0, dtype=bool)
-        self._pending_count = 0
         #: arrays of the cells set since the last replay
         self._set_cells: list[np.ndarray] = []
-        self.coalesced = 0  # same-GPC duplicate accesses absorbed
-        self.raised = 0  # fault entries actually emitted
 
     def _ensure_pages(self, max_page: int) -> None:
         """Grow the pending cells to cover ``max_page`` (geometric)."""
@@ -66,12 +63,9 @@ class UTlbArray:
         self._ensure_pages(page)
         cell = page * self.n_gpcs + gpc
         if self._pending[cell]:
-            self.coalesced += 1
             return False
         self._pending[cell] = True
         self._set_cells.append(np.array([cell], dtype=np.int64))
-        self._pending_count += 1
-        self.raised += 1
         return True
 
     def raise_batch(
@@ -93,8 +87,8 @@ class UTlbArray:
         or already-pending pair coalesce, and everything else drops.
 
         Returns ``(push_mask, n_coalesced, n_dropped)`` aligned with the
-        inputs; pending state and the coalesced/raised counters are
-        updated exactly as the sequential loop would leave them.
+        inputs; pending state is left exactly as the sequential loop
+        would leave it.
         """
         m = int(pages.size)
         if m == 0:
@@ -122,14 +116,11 @@ class UTlbArray:
             pushed = cells[push_rows]
             pending[pushed] = True
             self._set_cells.append(pushed)
-            self._pending_count += n_push
         # an unpushed entry coalesces exactly when its cell is pending
         # now (before the batch, or pushed by an earlier entry), and
         # every pushed entry's cell is pending
         n_coalesced = int(np.count_nonzero(pending[cells])) - n_push
         n_dropped = m - n_push - n_coalesced
-        self.coalesced += n_coalesced
-        self.raised += n_push
         return push_mask, n_coalesced, n_dropped
 
     def forget_gpc(self, gpc: int, page: int) -> None:
@@ -140,10 +131,8 @@ class UTlbArray:
         buffer, losing the access forever.
         """
         cell = page * self.n_gpcs + gpc
-        if cell < self._pending.size and self._pending[cell]:
+        if cell < self._pending.size:
             self._pending[cell] = False
-            self._pending_count -= 1
-        self.raised -= 1
 
     def on_replay(self) -> None:
         """A replay retries all outstanding accesses: clear pending sets.
@@ -154,7 +143,3 @@ class UTlbArray:
         if self._set_cells:
             self._pending[np.concatenate(self._set_cells)] = False
             self._set_cells.clear()
-        self._pending_count = 0
-
-    def pending_total(self) -> int:
-        return self._pending_count

@@ -178,11 +178,6 @@ class AddressSpace:
         rng = self.ranges[self._vablock_range[page // self.pages_per_vablock]]
         return rng
 
-    def range_of_vablock(self, vablock_id: int) -> ManagedRange:
-        if not 0 <= vablock_id < self.total_vablocks:
-            raise AddressError(f"VABlock {vablock_id} outside address space")
-        return self.ranges[self._vablock_range[vablock_id]]
-
     # -- memory advise -----------------------------------------------------------
     def mem_advise(self, rng: "ManagedRange | str", advise: "MemAdvise") -> None:
         """Set a range's access behaviour (``cudaMemAdvise`` analogue).

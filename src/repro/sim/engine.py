@@ -1,203 +1,23 @@
-"""Minimal discrete-event engine.
+"""Periodic simulation checkpoints.
 
-The UVM simulation is largely a synchronous driver loop (mirroring the real
-driver's interrupt-service structure), but a few mechanisms are naturally
-asynchronous and are modelled as scheduled events:
-
-* delivery of replay notifications to the GPU after the driver issues them
-  (the replay has in-fabric latency before stalled warps observe it),
-* DMA completion callbacks when transfers are pipelined,
-* periodic access-counter dumps for the Volta access-counter extension.
-
-The engine is a classic binary-heap scheduler.  Ties in time are broken by
-insertion order so the simulation is fully deterministic.
+A serve worker or sweep point run with a checkpoint cadence hands its
+whole :class:`~repro.core.driver.UvmDriver` (GPU, residency, clock and
+counters) to :class:`SimulationCheckpointer` every few phases; a
+respawned attempt resumes from the last snapshot instead of starting
+over.  The simulation is a synchronous driver loop with no event
+queue, so a snapshot is a pickle of that one object graph.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.errors import CheckpointError, SimulationError
-from repro.sim.clock import SimClock
+from repro.errors import CheckpointError
 
-
-@dataclass(order=True)
-class Event:
-    """A scheduled callback.
-
-    Events order by ``(time_ns, seq)``; the payload and callback do not
-    participate in ordering.  ``cancelled`` events stay in the heap but are
-    skipped on dispatch (lazy deletion); the owning queue keeps a live
-    counter so ``len(queue)`` never scans the heap.
-    """
-
-    time_ns: int
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    payload: Any = field(default=None, compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    queue: Optional["EventQueue"] = field(default=None, compare=False, repr=False)
-
-    def cancel(self) -> None:
-        """Mark this event so it will be skipped when its time arrives."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self.queue is not None:
-                self.queue._live -= 1
-
-
-class EventQueue:
-    """Deterministic event queue bound to a :class:`SimClock`."""
-
-    def __init__(self, clock: SimClock) -> None:
-        self.clock = clock
-        self._heap: list[Event] = []
-        # plain int (not itertools.count) so snapshot/restore can
-        # capture and replay the exact tie-break sequence
-        self._next_seq = 0
-        self._live = 0
-        self.dispatched = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def schedule_at(self, time_ns: int, callback: Callable[..., None], payload: Any = None) -> Event:
-        """Schedule ``callback(payload)`` at absolute simulated ``time_ns``."""
-        time_ns = round(time_ns)
-        if time_ns < self.clock.now:
-            raise SimulationError(
-                f"cannot schedule event in the past: now={self.clock.now} t={time_ns}"
-            )
-        ev = Event(
-            time_ns=time_ns,
-            seq=self._next_seq,
-            callback=callback,
-            payload=payload,
-            queue=self,
-        )
-        self._next_seq += 1
-        heapq.heappush(self._heap, ev)
-        self._live += 1
-        return ev
-
-    def schedule_in(self, delay_ns: int, callback: Callable[..., None], payload: Any = None) -> Event:
-        """Schedule ``callback(payload)`` after a relative ``delay_ns``."""
-        if delay_ns < 0:
-            raise SimulationError(f"negative event delay {delay_ns}")
-        return self.schedule_at(self.clock.now + round(delay_ns), callback, payload)
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time_ns if self._heap else None
-
-    def run_next(self) -> bool:
-        """Dispatch the next live event, advancing the clock to its time.
-
-        Returns ``False`` when no live events remain.
-        """
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            self._live -= 1
-            ev.queue = None  # detach: a late cancel() must not recount
-            self.clock.advance_to(ev.time_ns)
-            self.dispatched += 1
-            ev.callback(ev.payload)
-            return True
-        return False
-
-    def run_until(self, time_ns: int) -> int:
-        """Dispatch all events with time <= ``time_ns``; return the count.
-
-        The clock ends at ``time_ns`` even if the last event fired earlier,
-        matching "simulate this long" semantics.
-        """
-        fired = 0
-        while True:
-            nxt = self.peek_time()
-            if nxt is None or nxt > time_ns:
-                break
-            self.run_next()
-            fired += 1
-        self.clock.advance_to(max(self.clock.now, round(time_ns)))
-        return fired
-
-    def run_all(self, max_events: int = 10_000_000) -> int:
-        """Dispatch events until the queue drains; guard against runaways."""
-        fired = 0
-        while self.run_next():
-            fired += 1
-            if fired > max_events:
-                raise SimulationError(f"event runaway: dispatched over {max_events} events")
-        return fired
-
-    # -- checkpoint support ---------------------------------------------------
-    def snapshot(self) -> "EventQueueSnapshot":
-        """Capture pending events + ordering state for later restore.
-
-        Live events are captured as ``(time_ns, seq, callback, payload)``
-        tuples (cancelled heap residue is dropped - it only existed for
-        lazy deletion).  Callbacks/payloads are held by reference; they
-        must be picklable if the snapshot is persisted to disk.
-        """
-        events = [
-            (ev.time_ns, ev.seq, ev.callback, ev.payload)
-            for ev in self._heap
-            if not ev.cancelled
-        ]
-        return EventQueueSnapshot(
-            events=events,
-            next_seq=self._next_seq,
-            dispatched=self.dispatched,
-        )
-
-    def restore(self, snap: "EventQueueSnapshot") -> None:
-        """Replace the queue's pending events with a snapshot's.
-
-        The clock itself is owned by the caller (restore it first);
-        re-inserted events keep their original ``seq`` so tie-breaks
-        replay identically.
-        """
-        self._heap = []
-        for time_ns, seq, callback, payload in snap.events:
-            if time_ns < self.clock.now:
-                raise SimulationError(
-                    f"snapshot event at t={time_ns} precedes clock {self.clock.now}"
-                )
-            heapq.heappush(
-                self._heap,
-                Event(
-                    time_ns=time_ns,
-                    seq=seq,
-                    callback=callback,
-                    payload=payload,
-                    queue=self,
-                ),
-            )
-        self._live = len(snap.events)
-        self._next_seq = snap.next_seq
-        self.dispatched = snap.dispatched
-
-
-@dataclass
-class EventQueueSnapshot:
-    """Restorable image of an :class:`EventQueue` (see ``snapshot()``)."""
-
-    events: list[tuple[int, int, Callable[..., None], Any]]
-    next_seq: int
-    dispatched: int
-
-
-# -- periodic simulation checkpoints ------------------------------------------
 
 #: bumped whenever the on-disk checkpoint layout changes; stale files
 #: are treated as absent, never mis-restored.

@@ -108,7 +108,7 @@ class TestReplayDelivery:
         woken = device.deliver_replay()
         assert woken == 4
         assert not device.has_stalled_streams()
-        assert device.utlb.pending_total() == 0
+        assert not device.utlb._pending.any()
 
 
 class TestAccessCounters:

@@ -1,79 +1,11 @@
-"""Unit tests for event-queue snapshots and the simulation checkpointer."""
+"""Unit tests for the simulation checkpointer."""
 
 import pickle
 
 import pytest
 
-from repro.errors import CheckpointError, SimulationError
-from repro.sim.clock import SimClock
-from repro.sim.engine import (
-    CHECKPOINT_VERSION,
-    EventQueue,
-    SimulationCheckpointer,
-)
-
-
-class TestEventQueueSnapshot:
-    def test_round_trip_preserves_order_and_counts(self):
-        clock = SimClock()
-        queue = EventQueue(clock)
-        fired = []
-        queue.schedule_at(300, fired.append, 3)
-        queue.schedule_at(100, fired.append, 1)
-        queue.schedule_at(200, fired.append, 2)
-        snap = queue.snapshot()
-
-        other = EventQueue(clock)
-        other.restore(snap)
-        assert len(other) == 3
-        other.run_all()
-        assert fired == [1, 2, 3]
-        assert other.dispatched == snap.dispatched + 3
-
-    def test_seq_tiebreak_replays_identically(self):
-        clock = SimClock()
-        queue = EventQueue(clock)
-        fired = []
-        # same timestamp: insertion order is the only tie-break
-        queue.schedule_at(50, fired.append, "first")
-        queue.schedule_at(50, fired.append, "second")
-        snap = queue.snapshot()
-        restored = EventQueue(SimClock())
-        restored.restore(snap)
-        restored.run_all()
-        assert fired == ["first", "second"]
-
-    def test_new_events_after_restore_continue_seq(self):
-        clock = SimClock()
-        queue = EventQueue(clock)
-        queue.schedule_at(50, lambda _: None)
-        snap = queue.snapshot()
-        restored = EventQueue(SimClock())
-        restored.restore(snap)
-        ev = restored.schedule_at(50, lambda _: None)
-        assert ev.seq == snap.next_seq
-
-    def test_cancelled_events_dropped_from_snapshot(self):
-        queue = EventQueue(SimClock())
-        keep = []
-        queue.schedule_at(10, keep.append, "keep")
-        queue.schedule_at(20, keep.append, "cancelled").cancel()
-        snap = queue.snapshot()
-        assert len(snap.events) == 1
-        restored = EventQueue(SimClock())
-        restored.restore(snap)
-        restored.run_all()
-        assert keep == ["keep"]
-
-    def test_restore_rejects_events_in_the_past(self):
-        queue = EventQueue(SimClock())
-        queue.schedule_at(10, lambda _: None)
-        snap = queue.snapshot()
-        late_clock = SimClock()
-        late_clock.advance_to(100)
-        stale = EventQueue(late_clock)
-        with pytest.raises(SimulationError):
-            stale.restore(snap)
+from repro.errors import CheckpointError
+from repro.sim.engine import CHECKPOINT_VERSION, SimulationCheckpointer
 
 
 class TestSimulationCheckpointer:
