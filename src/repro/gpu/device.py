@@ -157,9 +157,10 @@ class GpuDevice:
         ``remote`` marks zero-copy pages so their traffic can be charged
         to the interconnect.
 
-        The selected streams advance as one batch (:func:`advance_batch`):
-        within a phase they read only the residency masks, which nothing
-        mutates mid-phase, so each advance is independent of the others.
+        The selected streams advance as one batch (:func:`advance_batch`,
+        a C loop): within a phase they read only the residency masks,
+        which nothing mutates mid-phase, so each advance is independent
+        of the others.
         Their faults are then emitted in the jittered visit order, since
         uTLB coalescing and buffer-capacity drops are stateful and depend
         on that order.
@@ -217,10 +218,10 @@ class GpuDevice:
             f_sms = soa.sm_id[f_ids]
             f_gpcs = (f_sms // utlb.sms_per_gpc) % utlb.n_gpcs
             buf = self.fault_buffer
-            # One vectorized pass replaces the per-entry
+            # One pass of the C kernel runs the per-entry
             # should_raise_gpc / push_fields / forget_gpc loop; drops
             # (buffer full) are resolved against the free-slot budget
-            # with identical visit-order semantics.
+            # in visit order.
             push_mask, n_coalesced, n_dropped = utlb.raise_batch(
                 f_gpcs, f_pages, buf.free_slots
             )

@@ -19,9 +19,11 @@ The batching is exact, not statistical:
   raise / push / forget loop exactly
   (:meth:`~repro.gpu.tlb.UTlbArray.raise_batch`).
 
-``tests/properties/test_reference_oracles.py`` pins the scan and the
-raise against their loop forms, and the golden-counter matrix
-(``tests/golden.py``) pins whole runs bit for bit.
+The two per-element loops of a phase - the stream scan here and the
+uTLB raise - run as one small C kernel (:mod:`repro.gpu.ckernel`).
+``tests/properties/test_reference_oracles.py`` pins both against their
+loop forms, and the golden-counter matrix (``tests/golden.py``) pins
+whole runs bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gpu.warp import MAX_WINDOW, StreamSet
+from repro.gpu import ckernel
+from repro.gpu.warp import StreamSet
 from repro.sim.rng import SimRng
 
 # int8 stream state codes
@@ -38,23 +41,19 @@ RUNNABLE = 1  # scheduled, can advance
 STALLED = 2  # waiting on a far-fault replay
 DONE = 3  # all accesses retired
 
-#: first scan window per unresolved stream; grows geometrically to
-#: ``MAX_WINDOW`` so short hops stay cheap while long resident runs
-#: advance at full numpy speed.
-START_WINDOW = 64
-
 
 class SoaStreams:
     """The run-time state of a kernel's streams, as flat arrays.
 
     The accesses are the :class:`~repro.gpu.warp.StreamSet`'s own
     stores, adopted without a copy: ``pages_flat`` / ``writes_flat`` are
-    its int32 page ids and store flags, ``start``/``end`` delimit each
-    stream's span, and :meth:`windows` are its scan windows.  What is
-    added per stream is ``pos``, the absolute cursor of its next access,
-    and the scheduler state.  A stream without stores has an all-False
-    span, which makes the permission check ``where(writes, write_ok,
-    read_ok)`` degenerate to ``read_ok``.
+    its int32 page ids and store flags, and ``start``/``end`` delimit
+    each stream's span.  What is added per stream is ``pos``, the
+    absolute cursor of its next access, and the scheduler state.  A
+    stream without stores has an all-False span, which makes the
+    permission check ``where(writes, write_ok, read_ok)`` degenerate to
+    ``read_ok``.  ``max_page`` (``-1`` for no accesses) is what an
+    access mask must cover: the scan checks it against the masks' size.
     """
 
     def __init__(self, streams: StreamSet) -> None:
@@ -68,6 +67,7 @@ class SoaStreams:
         self.pos = streams.start.copy()
         self.state = np.full(n, PENDING, dtype=np.int8)
         self.sm_id = np.full(n, -1, dtype=np.int64)
+        self.max_page = int(streams.pages.max()) if self.total else -1
 
     @property
     def pages_flat(self) -> np.ndarray:
@@ -78,10 +78,6 @@ class SoaStreams:
     def writes_flat(self) -> np.ndarray:
         """Every stream's writes mask, concatenated."""
         return self.streams.writes
-
-    def windows(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """The set's scan windows (:meth:`StreamSet.windows`)."""
-        return self.streams.windows(width)
 
 
 def advance_batch(
@@ -97,47 +93,19 @@ def advance_batch(
     streams that ran to completion).  ``soa.pos`` is updated in place;
     state transitions are the caller's job (they depend on emission).
 
-    The scan gallops: each round gathers a ``k x W`` window of upcoming
-    accesses for the still-unresolved streams (one fancy index into
-    :meth:`StreamSet.windows`), tests the access masks in one shot, and
-    finds each stream's first miss with a single ``argmin``.  A window
-    may run past its stream's end into the next stream (or the
-    padding); no mask hides that tail, because a first miss at or past
-    the end is simply not a miss.  ``W`` grows geometrically so streams
-    that stall quickly never pay for a wide window while long resident
-    runs sweep at full numpy speed.
+    Each stream's cursor runs to the first access whose page fails
+    ``read_ok`` (``write_ok`` for a store, when given) or to its end, in
+    the C kernel (:func:`repro.gpu.ckernel.advance_streams`).  The masks
+    must be flat bool arrays of one size, covering every page of the set.
     """
-    pos0 = soa.pos[sel]
-    cur = pos0.copy()
-    end = soa.end[sel]
-    check_writes = write_ok is not None and soa.total > 0
-    live = np.flatnonzero(cur < end)
-    width = START_WINDOW
-    while live.size:
-        c = cur[live]
-        e = end[live]
-        page_rows, write_rows = soa.windows(width)
-        pg = page_rows[c]
-        ok = np.take(read_ok, pg)
-        if check_writes:
-            np.copyto(ok, np.take(write_ok, pg), where=write_rows[c])
-        # argmin is the first False, or 0 when the row is all True
-        first = ok.argmin(axis=1)
-        clear = ok[np.arange(live.size), first]
-        # a clear window moves the cursor on by its width; any other
-        # stops it at the first False, a miss only before the end
-        nxt = np.where(clear, c + width, c + first)
-        np.minimum(nxt, e, out=nxt)
-        cur[live] = nxt
-        live = live[clear & (nxt < e)]
-        if width < MAX_WINDOW:
-            width = min(width * 4, MAX_WINDOW)
-    soa.pos[sel] = cur
-    # a stream that stopped short of its end stopped on a miss
-    miss = np.full(sel.size, -1, dtype=np.int64)
-    stalled = np.flatnonzero(cur < end)
-    miss[stalled] = soa.pages_flat[cur[stalled]]
-    return pos0, cur, miss
+    if soa.max_page >= read_ok.size:
+        raise SimulationError(
+            f"stream page {soa.max_page} lies outside the {read_ok.size}-page access masks"
+        )
+    out = ckernel.advance_streams(
+        soa.streams.pages, soa.streams.writes, soa.end, soa.pos, sel, read_ok, write_ok
+    )
+    return out[0], out[1], out[2]
 
 
 def span_indices(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:

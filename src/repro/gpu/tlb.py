@@ -14,13 +14,12 @@ exactly how duplicate faults reach the driver across replays.
 The pending filters are stored as one flat boolean array with a cell
 per (page, GPC) pair, ``page * n_gpcs + gpc``, lazily sized to the
 highest page seen.  The phase engine tests and updates a whole phase's
-fault batch with vectorized gathers on that array instead of a Python
-set probe per access (:meth:`UTlbArray.raise_batch`).  The per-entry
-methods (:meth:`should_raise_gpc` / :meth:`forget_gpc`) operate on the
-same array; they are the loop that ``raise_batch`` replays.  Growing
-the page range appends cells, so a cell index stays valid, and every
-raise records the cells it sets: a replay clears just those instead
-of the whole array.
+fault batch in one C loop over that array (:meth:`UTlbArray.raise_batch`).
+The per-entry methods (:meth:`should_raise_gpc` / :meth:`forget_gpc`)
+operate on the same array; they are the loop that ``raise_batch`` runs.
+Growing the page range appends cells, so a cell index stays valid, and
+every raise records the cells it sets: a replay clears just those
+instead of the whole array.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.gpu import ckernel
 
 
 class UTlbArray:
@@ -71,20 +71,19 @@ class UTlbArray:
     def raise_batch(
         self, gpcs: np.ndarray, pages: np.ndarray, budget: int
     ) -> tuple[np.ndarray, int, int]:
-        """Vectorized emission for one phase's fault batch.
+        """Emission for one phase's fault batch, in the C kernel.
 
-        Replays the exact sequential semantics of the per-entry loop
+        Runs the per-entry loop
 
         ``should_raise_gpc`` -> push (success) / ``forget_gpc`` (buffer
         full, counted as a drop)
 
         over entries visited in order, with ``budget`` free fault-buffer
-        slots.  Only *new* (gpc, page) pairs consume slots; once the
-        budget is exhausted every further new pair is raised, dropped,
-        and forgotten again - net state unchanged, one drop counted -
-        which collapses to: the first ``budget`` distinct non-pending
-        pairs (in visit order) are pushed, later occurrences of a pushed
-        or already-pending pair coalesce, and everything else drops.
+        slots (:func:`repro.gpu.ckernel.raise_faults`): an entry whose
+        cell is pending (before the batch, or pushed by an earlier
+        entry) coalesces; otherwise it is pushed while the budget lasts,
+        and after that it is dropped with its cell left clear.  ``gpcs``
+        and ``pages`` are flat int64 arrays.
 
         Returns ``(push_mask, n_coalesced, n_dropped)`` aligned with the
         inputs; pending state is left exactly as the sequential loop
@@ -94,34 +93,12 @@ class UTlbArray:
         if m == 0:
             return np.zeros(0, dtype=bool), 0, 0
         self._ensure_pages(int(pages.max()))
-        pending = self._pending
-        cells = pages * self.n_gpcs + gpcs
-        already = pending[cells]
-        # a stable sort keeps equal cells in visit order, so an entry is
-        # its cell's first occurrence iff it differs from its sorted
-        # predecessor
-        order = np.argsort(cells, kind="stable")
-        ordered = cells[order]
-        first_sorted = np.empty(m, dtype=bool)
-        first_sorted[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first_sorted[1:])
-        is_first = np.empty(m, dtype=bool)
-        is_first[order] = first_sorted
-        new_rows = np.flatnonzero(is_first & ~already)
-        n_push = min(int(new_rows.size), max(0, int(budget)))
-        push_mask = np.zeros(m, dtype=bool)
-        if n_push:
-            push_rows = new_rows[:n_push]
-            push_mask[push_rows] = True
-            pushed = cells[push_rows]
-            pending[pushed] = True
+        push_mask, pushed, n_coalesced = ckernel.raise_faults(
+            self._pending, self.n_gpcs, gpcs, pages, budget
+        )
+        if pushed.size:
             self._set_cells.append(pushed)
-        # an unpushed entry coalesces exactly when its cell is pending
-        # now (before the batch, or pushed by an earlier entry), and
-        # every pushed entry's cell is pending
-        n_coalesced = int(np.count_nonzero(pending[cells])) - n_push
-        n_dropped = m - n_push - n_coalesced
-        return push_mask, n_coalesced, n_dropped
+        return push_mask, n_coalesced, m - int(pushed.size) - n_coalesced
 
     def forget_gpc(self, gpc: int, page: int) -> None:
         """Drop a pending entry (the fault-buffer push was dropped).

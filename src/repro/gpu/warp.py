@@ -24,15 +24,11 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import SimulationError
 
 #: page ids are stored as int32
 PAGE_ID_LIMIT = 1 << 31
-#: widest scan window of the SoA engine; a :class:`StreamSet` keeps this
-#: many entries of padding past its last access so every window is in bounds
-MAX_WINDOW = 8192  # lint: allow(units-magic-literal) scan-window entries, not bytes
 
 
 def check_page_ids(pages: np.ndarray) -> None:
@@ -53,10 +49,8 @@ class StreamSet:
     Stream ``i`` (id ``ids[i]``) performs the accesses
     ``pages[start[i]:end[i]]`` in order; ``writes`` flags the stores
     among them, and ``flops[i]`` is the compute each of its accesses
-    retires.  Page ids are int32.  The page and write arrays are stored
-    once, with ``MAX_WINDOW`` entries of padding past the last access,
-    and ``pages``/``writes`` are views of those stores: the SoA engine
-    adopts the stores as they are, and a pickle holds them once.
+    retires.  Page ids are int32.  The SoA engine adopts the ``pages``
+    and ``writes`` arrays as they are, so a pickle holds them once.
 
     ``lengths`` defaults to one access per stream (the paper's
     one-page-per-thread kernels); ``ids`` to ``0..n-1``.
@@ -81,12 +75,12 @@ class StreamSet:
                 f"stream lengths sum to {self.total}, not the {pages.size} pages given"
             )
         check_page_ids(pages)
-        self._pages[: self.total] = pages
+        self.pages[:] = pages
         if writes is not None:
             writes = np.asarray(writes, dtype=bool)
             if writes.shape != pages.shape:
                 raise SimulationError("writes mask must match pages shape")
-            self._writes[: self.total] = writes
+            self.writes[:] = writes
 
     @classmethod
     def zeros(
@@ -124,49 +118,17 @@ class StreamSet:
         )
         if self.ids.shape != (n,) or self.flops.shape != (n,):
             raise SimulationError("stream ids and flops need one entry per stream")
-        self._pages = np.zeros(self.total + MAX_WINDOW, dtype=np.int32)
-        self._writes = np.zeros(self.total + MAX_WINDOW, dtype=bool)
-        #: sliding-window views by width (see :meth:`windows`)
-        self._windows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: every stream's page ids, concatenated (int32)
+        self.pages = np.zeros(self.total, dtype=np.int32)
+        #: every stream's store flags, concatenated
+        self.writes = np.zeros(self.total, dtype=bool)
 
     def __len__(self) -> int:
         return self.n
 
-    @property
-    def pages(self) -> np.ndarray:
-        """Every stream's page ids, concatenated (int32)."""
-        return self._pages[: self.total]
-
-    @property
-    def writes(self) -> np.ndarray:
-        """Every stream's store flags, concatenated."""
-        return self._writes[: self.total]
-
     def span(self, i: int) -> slice:
         """Stream ``i``'s slice of :attr:`pages` and :attr:`writes`."""
         return slice(int(self.start[i]), int(self.end[i]))
-
-    def windows(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(pages, writes)`` sliding-window views ``width`` entries wide.
-
-        Row ``p`` holds the ``width`` accesses from flat position ``p``
-        on, so one fancy index gathers every stream's scan window; the
-        padding keeps each row in bounds.  The views are cached per
-        width and left out of pickles.
-        """
-        views = self._windows.get(width)
-        if views is None:
-            views = (
-                sliding_window_view(self._pages, width),
-                sliding_window_view(self._writes, width),
-            )
-            self._windows[width] = views
-        return views
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_windows"] = {}
-        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StreamSet({self.n} streams, {self.total} accesses)"

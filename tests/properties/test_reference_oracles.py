@@ -612,12 +612,10 @@ def test_replay_clears_every_pending_cell(ops):
 
 # -- GPU phase: stream scan --------------------------------------------------
 
-#: stream lengths at the scan-window edges (first window 64, x4 growth,
-#: capped at 8192)
+#: stream lengths from empty and single-access spans to long resident runs
 EDGE_LENGTHS = [0, 1, 63, 64, 65, 255, 256, 257, 8191, 8192, 8193]
 N_PAGES = 32
-#: page 0 is also the padding past the last stream, so a window running
-#: off a stream's end always meets a miss that is not the stream's own
+#: a page no mask admits, and one only ``read_ok`` admits
 MISSING_PAGE, READ_ONLY_PAGE = 0, 31
 
 
@@ -635,7 +633,7 @@ def scan_case(draw):
             )
         else:
             pages = rng.integers(1, 31, length)
-        # at most one miss, near a window edge or at the last access
+        # at most one miss: first, last or somewhere along the span
         if length and draw(st.booleans()):
             at = draw(st.sampled_from([0, 62, 63, 64, 65, 319, 320, 321, length - 1]))
             pages[min(at, length - 1)] = draw(st.sampled_from([MISSING_PAGE, READ_ONLY_PAGE]))
@@ -656,9 +654,9 @@ def reference_advance(pages, writes, pos: int, read_ok, write_ok):
     return len(pages), None
 
 
-@given(scan_case())
+@given(scan_case(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_advance_batch_matches_per_stream_advance(case):
+def test_advance_batch_matches_per_stream_advance(case, data):
     streams, check_writes = case
     read_ok = np.ones(N_PAGES, dtype=bool)
     read_ok[MISSING_PAGE] = False
@@ -676,14 +674,17 @@ def test_advance_batch_matches_per_stream_advance(case):
     )
     assert soa.pages_flat.dtype == np.int32
     cursors = [0] * len(streams)
-    live = [i for i, (pages, _) in enumerate(streams) if len(pages)]
     for _ in range(2):  # the second pass resumes mid-stream after service
-        sel = np.array([i for i in live if soa.pos[i] < soa.end[i]], dtype=np.int64)
-        if not sel.size:
-            break
+        # a phase visits some of the unfinished streams, in jittered
+        # order: any order, and possibly none of them
+        unfinished = [i for i in range(len(streams)) if soa.pos[i] < soa.end[i]]
+        order = data.draw(st.permutations(unfinished))
+        sel = np.array(order[: data.draw(st.integers(0, len(order)))], dtype=np.int64)
+        before = soa.pos.copy()
         pos0, pos1, miss = advance_batch(
             soa, sel, read_ok, write_ok if check_writes else None
         )
+        assert pos0.shape == pos1.shape == miss.shape == sel.shape
         for row, i in enumerate(sel.tolist()):
             pages, writes = streams[i]
             assert pos0[row] == soa.start[i] + cursors[i]
@@ -692,6 +693,9 @@ def test_advance_batch_matches_per_stream_advance(case):
             )
             assert miss[row] == (-1 if page is None else page)
             assert pos1[row] == soa.start[i] + cursors[i]
+        # a stream the phase did not visit keeps its cursor
+        unvisited = np.setdiff1d(np.arange(len(streams)), sel)
+        assert np.array_equal(soa.pos[unvisited], before[unvisited])
         # the driver services the misses: pages become resident and writable
         read_ok[:] = True
         write_ok[:] = True

@@ -107,15 +107,15 @@ class TestSoaStorage:
         assert soa.pages_flat.tolist() == [0, top]
         assert soa.writes_flat.tolist() == [False, True]
 
-    def test_pickle_leaves_out_scan_windows(self, rng):
-        """A checkpoint must not serialize the scan's sliding-window
-        views: each would be copied out as a (accesses x width) array."""
+    def test_pickle_round_trip_scans_alike(self, rng):
+        """A pickled engine holds its stores once and no address: the
+        copy scans exactly as the original does."""
         streams = StreamSet(np.tile(np.arange(5000) % 50, 4), [5000] * 4)
         soa = SoaBlockScheduler(streams, rng).soa
         resident = np.ones(50, dtype=bool)
         resident[49] = False
         sel = np.arange(4)
-        advance_batch(soa, sel, resident)  # fills the window cache
+        advance_batch(soa, sel, resident)
         blob = pickle.dumps(soa)
         assert len(blob) < 4 * soa.pages_flat.nbytes
         copy = pickle.loads(blob)

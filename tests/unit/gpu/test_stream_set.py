@@ -10,7 +10,7 @@ from repro.errors import SimulationError
 from repro.experiments.runner import ExperimentSetup
 from repro.gpu.device import GpuDevice, GpuDeviceConfig
 from repro.gpu.soa import SoaBlockScheduler
-from repro.gpu.warp import MAX_WINDOW, StreamSet, StreamSetBuilder
+from repro.gpu.warp import StreamSet, StreamSetBuilder
 from repro.mem.address_space import AddressSpace
 from repro.sim.clock import SimClock
 from repro.sim.engine import SimulationCheckpointer
@@ -39,15 +39,12 @@ class TestLayout:
         assert not s.writes.any()
         assert s.flops.tolist() == [0.0, 0.0, 0.0]
 
-    def test_stores_are_int32_and_padded_for_the_widest_window(self):
+    def test_stores_are_int32_and_unpadded(self):
         s = StreamSet(np.arange(10), [10])
         assert s.pages.dtype == np.int32
-        assert s._pages.size == s._writes.size == 10 + MAX_WINDOW
-        assert np.shares_memory(s.pages, s._pages)
-        page_rows, write_rows = s.windows(MAX_WINDOW)
-        assert page_rows.shape == (11, MAX_WINDOW)  # a row from every position
-        assert np.shares_memory(page_rows, s._pages)
-        assert np.shares_memory(write_rows, s._writes)
+        # the C scan never reads past a stream's end, so nothing pads the stores
+        assert s.pages.size == s.writes.size == 10
+        assert s.pages.flags.c_contiguous and s.writes.flags.c_contiguous
 
     def test_zero_length_streams(self):
         s = StreamSet(np.array([5, 6, 7]), [0, 2, 0, 1, 0])
@@ -188,13 +185,13 @@ class TestCheckpoint:
         blob = pickle.dumps(driver, protocol=pickle.HIGHEST_PROTOCOL)
         # the page store is most of the driver; a second copy of it (a
         # pickled view, say) would double its share of the blob
-        assert len(blob) < 2 * s._pages.nbytes
+        assert len(blob) < 2 * s.pages.nbytes
         restored = pickle.loads(blob)
         soa = restored.device.scheduler.soa
         assert soa.streams is restored._phases[0].streams
-        assert np.shares_memory(soa.pages_flat, soa.streams._pages)
+        assert np.shares_memory(soa.pages_flat, soa.streams.pages)
 
-    def test_restored_run_rebuilds_its_scan_windows(self, tmp_path):
+    def test_restored_run_matches_uninterrupted(self, tmp_path):
         reference, _ = driver_for("sgemm")
         expected = reference.run()
         driver, _ = driver_for("sgemm")
@@ -202,10 +199,7 @@ class TestCheckpoint:
         with pytest.raises(KeyboardInterrupt):
             driver.run(_StopAfterSave(checkpointer))
         restored = checkpointer.load()
-        streams = restored.device.scheduler.soa.streams
-        assert streams._windows == {}  # left out of the pickle
         result = restored.run()
-        assert streams._windows  # rebuilt by the scan
         assert result.total_time_ns == expected.total_time_ns
         assert result.counters.as_dict() == expected.counters.as_dict()
 
