@@ -81,7 +81,12 @@ def test_soa_engine_smoke_budget():
     assert run.total_time_ns == spec["expected"]["total_time_ns"]
     assert run.faults_read == spec["expected"]["faults_read"]
 
-    budget = spec["budget_reference_seconds"]
+    # UVMSAN re-checks the whole residency state at every batch boundary
+    budget = spec[
+        "sanitized_budget_reference_seconds"
+        if uvmsan.enabled()
+        else "budget_reference_seconds"
+    ]
     assert ref_s < budget, (
         f"SoA engine took {ref_s:.2f}s at reference speed, budget {budget}s "
         f"(scalar baseline {spec['reference_seconds']['scalar_median']}s)"

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import inspect
 import os
-import pickle
 import shutil
 import subprocess
 import sys
@@ -230,25 +229,6 @@ class TestScanRefuses:
         with pytest.raises(SimulationError, match="stream selection must be"):
             advance_batch(soa, np.array([0], dtype=np.int32), np.ones(8, dtype=bool))
 
-    def test_empty_selection_moves_nothing(self):
-        soa = _soa([1, 2, 3, 4], [2, 2])
-        pos0, pos1, miss = advance_batch(soa, np.empty(0, dtype=np.int64), np.ones(8, dtype=bool))
-        assert pos0.size == pos1.size == miss.size == 0
-        assert soa.pos.tolist() == [0, 2]
-
-    def test_pickled_engine_holds_no_address(self):
-        """Pointers are taken per call, so a copy restored anywhere else in
-        memory scans as the original does."""
-        soa = _soa(np.arange(12) % 6, [4, 4, 4])
-        mask = np.ones(6, dtype=bool)
-        mask[3] = False
-        sel = np.array([2, 0, 1])
-        copy = pickle.loads(pickle.dumps(soa))
-        assert not np.shares_memory(copy.pos, soa.pos)
-        got = [a.tolist() for a in advance_batch(copy, sel, mask)]
-        assert got == [a.tolist() for a in advance_batch(soa, sel, mask)]
-        assert copy.pos.tolist() == soa.pos.tolist() == [3, 8, 9]
-
 
 class TestRaiseRefuses:
     @pytest.mark.parametrize("pair", [(3, 5), (-1, 5), (0, -1)])
@@ -266,14 +246,3 @@ class TestRaiseRefuses:
         tlb = UTlbArray(3, 2)
         with pytest.raises(SimulationError, match="fault gpcs must be"):
             tlb.raise_batch(np.array([0], dtype=dtype), np.array([5]), 8)
-
-    def test_cells_taken_where_they_are_after_growth(self):
-        """The cell array is reallocated as pages grow: every raise passes
-        it where it is now."""
-        tlb = UTlbArray(2, 2)
-        tlb.raise_batch(np.array([1]), np.array([3]), 8)
-        before = tlb._pending
-        push, coalesced, dropped = tlb.raise_batch(np.array([0, 1]), np.array([50_000, 3]), 8)
-        assert tlb._pending is not before
-        assert (push.tolist(), coalesced, dropped) == ([True, False], 1, 0)
-        assert np.flatnonzero(tlb._pending).tolist() == [7, 100_000]
