@@ -2,9 +2,9 @@
 
 A phase advances each selected stream to its next miss (the stream
 scan) and then raises the misses through the per-GPC uTLB filters in
-visit order (the uTLB raise).  Both loops touch every element once and
-stop early, which numpy can only approximate with windowed gathers and
-sorts; here they are written as the loops they are.
+visit order (the uTLB raise).  Each loop stops early or depends on the
+entries before it, which numpy can express only with gathers past the
+stop and sorts; here they are written as the loops they are.
 
 The C source below is the kernel.  It is compiled with the system ``cc``
 on first use, once per source text: the library is named after a hash
