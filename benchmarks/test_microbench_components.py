@@ -59,17 +59,15 @@ def test_preprocess_batch_throughput(benchmark, residency):
 
 
 def test_make_resident_throughput(benchmark, residency):
-    residency.back_vablock(5)
-    leaves = np.zeros(512, dtype=bool)
-    leaves[::3] = True
+    block = residency.blocks[5]
+    block.back()
+    leaves = sum(1 << leaf for leaf in range(0, 512, 3))
 
     def op():
-        residency.resident[:] = False
-        residency.dirty[:] = False
-        residency.resident_count[:] = 0
-        return residency.make_resident(5, leaves, writing=True)
+        block.resident = block.writable = block.dirty = 0
+        return residency.make_resident(5, leaves, writing=-1)
 
-    assert benchmark(op) == int(leaves.sum())
+    assert benchmark(op) == leaves.bit_count()
 
 
 def test_warp_stream_advance_throughput(benchmark):
@@ -89,15 +87,15 @@ def test_warp_stream_advance_throughput(benchmark):
 
 
 def test_eviction_scan_throughput(benchmark, residency):
-    every_leaf = np.ones(512, dtype=bool)
+    every_leaf = (1 << 512) - 1
     for vb in range(32):
-        residency.back_vablock(vb)
-        residency.make_resident(vb, every_leaf, writing=True)
+        residency.blocks[vb].back()
+        residency.make_resident(vb, every_leaf, writing=every_leaf)
 
     def op():
-        evicted = residency.evict_vablock(5)
-        residency.back_vablock(5)
-        residency.make_resident(5, every_leaf, writing=True)
-        return evicted.n_resident
+        resident, _dirty = residency.evict_vablock(5)
+        residency.blocks[5].back()
+        residency.make_resident(5, every_leaf, writing=every_leaf)
+        return resident.bit_count()
 
     assert benchmark(op) == 512

@@ -103,22 +103,21 @@ class UvmSanitizer:
             raise self._fail("page-table", str(exc)) from exc
         order = getattr(lru, "order", None)
         if order is not None:
-            listed = np.sort(np.asarray(order(), dtype=np.int64))
-            backed = np.flatnonzero(residency.backed)
-            if not np.array_equal(listed, backed):
+            listed = sorted(order())
+            backed = residency.backed_vablocks()
+            if listed != backed:
                 raise self._fail(
                     "lru",
-                    f"LRU membership {listed.tolist()[:8]}... does not match "
-                    f"backed VABlocks {backed.tolist()[:8]}...",
+                    f"LRU membership {listed[:8]}... does not match "
+                    f"backed VABlocks {backed[:8]}...",
                 )
 
     # -- eviction (Section V-A) --------------------------------------------
     def check_eviction(self, state, victim: int, lru) -> None:
         """Post-conditions of one eviction: whole-VABlock teardown.
 
-        ``state`` is the residency the eviction changed: the
-        :class:`~repro.mem.residency.ResidencyState`, or the batch view
-        the fault servicer decides on (both give ``block(vablock_id)``).
+        ``state`` is the batch view the fault servicer decides on (its
+        ``block(vablock_id)`` is the stored block).
         """
         self.checks_run += 1
         block = state.block(victim)
@@ -143,7 +142,7 @@ class UvmSanitizer:
     ) -> None:
         """Prefetch targets live in the serviced, backed VABlock only.
 
-        ``state`` is the residency the bin saw (see
+        ``state`` is the batch view the bin is serviced in (see
         :meth:`check_eviction`).  Given the bin's ``demand_pages``, also
         checks that both lists are page sets (strictly ascending) and
         disjoint from each other.  The servicer works on leaf bitsets

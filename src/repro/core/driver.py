@@ -8,8 +8,9 @@ a kernel to completion:
 2. the driver wakes, drains batches (:mod:`~repro.core.batch`), filters
    and bins them (:mod:`~repro.core.preprocess`), and services each
    VABlock bin (:mod:`~repro.core.service`) - evicting, prefetching,
-   migrating, and mapping as required, on the batch's view of the state,
-   which is written back once the batch's last bin is serviced,
+   migrating, and mapping as required, on the stored per-VABlock state;
+   the page masks the GPU scans are rewritten once the batch's last bin
+   is serviced,
 3. the configured replay policy (:mod:`~repro.core.replay`) decides when
    to flush the buffer and when to notify the GPU to replay, waking
    stalled warps (which may re-fault, producing duplicates).
@@ -43,6 +44,7 @@ from repro.gpu.device import GpuDevice, GpuDeviceConfig
 from repro.gpu.dma import DmaEngine, DmaStats
 from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
+from repro.mem.leafbits import bits_of_pages, unpack_rows
 from repro.mem.page_table import PageTable
 from repro.mem.residency import ResidencyState
 from repro.sim.clock import SimClock
@@ -203,8 +205,6 @@ class UvmDriver:
         self.residency = ResidencyState(space)
         self.gpu_table = PageTable(space, side="gpu")
         self.host_table = PageTable(space, side="host")
-        # All managed data begins host-resident and host-mapped.
-        self.host_table.mapped[:] = True
         self.pma = PhysicalMemoryAllocator(
             self.cost, self.gpu_config.memory_bytes, chaos=self.chaos
         )
@@ -441,8 +441,8 @@ class UvmDriver:
                 self.recorder.record_batch(self.clock.now, pre.n_read, pre.n_duplicate)
 
             service_start = self.clock.now
-            # bins decide on the batch's view; the numpy state is written
-            # when the batch closes, before anything reads it again
+            # bins change the stored blocks; their page masks are written
+            # when the batch closes, before anything reads them again
             with self.servicer.batch(pre.bins):
                 for vbin in pre.bins:
                     self.servicer.service_bin(vbin)
@@ -457,9 +457,7 @@ class UvmDriver:
             self._apply_action(self.policy.after_buffer_drained())
             if self._counter_migration is not None:
                 hot = self._counter_migration.candidates(
-                    self.device.access_counters,
-                    self.residency.remote_mapped,
-                    self.space.pages_per_vablock,
+                    self.device.access_counters, self.residency.blocks
                 )
                 for vb in hot:
                     if self.servicer.promote_remote_block(vb):
@@ -484,13 +482,18 @@ class UvmDriver:
         if pages.size == 0:
             return
         self.space.validate_pages(pages)
+        ppv = self.space.pages_per_vablock
+        touched = bits_of_pages(pages, ppv)
+        blocks = [self.residency.blocks[vb] for vb in touched]
         if getattr(host, "writes", False):
             # host writes to read-duplicated pages invalidate the (clean)
             # GPU copies without moving any data
-            dropping = pages[self.residency.duplicated[pages]]
-            n_dropped = self.residency.invalidate_duplicates(pages)
+            n_dropped = 0
+            for block, leaves in zip(blocks, touched.values()):
+                dropped = block.drop_duplicates(leaves)
+                if dropped:
+                    n_dropped += self.gpu_table.unmap(block.vablock_id, dropped)
             if n_dropped:
-                self.gpu_table.unmap_pages(dropping)
                 self.gpu_table.invalidate_tlb()
                 inv_ns = (
                     n_dropped * self.cost.unmap_page_ns + self.cost.tlb_invalidate_ns
@@ -498,24 +501,29 @@ class UvmDriver:
                 self.timer.charge("host_fault", inv_ns, count=n_dropped)
                 self.clock.advance(inv_ns)
                 self.counters.add(C.DUP_INVALIDATIONS, n_dropped)
-        moving = pages[
-            self.residency.resident[pages] & ~self.residency.duplicated[pages]
+        moved = [
+            block.migrate_to_host(leaves)[0] for block, leaves in zip(blocks, touched.values())
         ]
-        n_moved, _n_dirty = self.residency.migrate_to_host(pages)
+        self.residency.sync_masks(blocks)
+        n_moved = sum(leaves.bit_count() for leaves in moved)
         if not n_moved:
             return
-        groups = np.unique(moving // self.space.pages_per_big_page)
-        host_ns = len(groups) * self.cost.host_fault_group_ns
+        for vb, leaves in zip(touched, moved):
+            if leaves:
+                self.gpu_table.unmap(vb, leaves)
+                self.host_table.map(vb, leaves)
+        self.gpu_table.invalidate_tlb()
+        self.gpu_table.membar()
+        # the 64 KB regions the moved pages fall in
+        ppb = self.space.pages_per_big_page
+        groups = int(unpack_rows([moved], ppv).reshape(-1, ppb).any(axis=1).sum())
+        host_ns = groups * self.cost.host_fault_group_ns
         host_ns += self.dma.d2h_pages(n_moved)
         host_ns += n_moved * (self.cost.unmap_page_ns + self.cost.map_page_ns)
         host_ns += self.cost.tlb_invalidate_ns + self.cost.membar_ns
-        self.gpu_table.unmap_pages(moving)
-        self.gpu_table.invalidate_tlb()
-        self.gpu_table.membar()
-        self.host_table.map_pages(moving)
-        self.timer.charge("host_fault", host_ns, count=len(groups))
+        self.timer.charge("host_fault", host_ns, count=groups)
         self.clock.advance(host_ns)
-        self.counters.add(C.HOST_FAULTS, len(groups))
+        self.counters.add(C.HOST_FAULTS, groups)
         self.counters.add(C.PAGES_HOST_D2H, n_moved)
 
     # -- main loop ---------------------------------------------------------------------

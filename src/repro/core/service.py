@@ -16,15 +16,16 @@ everything (the paper's first key insight in III-D).
 **Decide per bin, write per batch.**  Every decision is made per bin, in
 bin order: the LRU victim, PMA reserve and release, the prefetch walk,
 each charge and the clock it advances, the chaos draws and the
-thrashing-detector and trace-recorder calls.  The decisions read and
-change a :class:`BatchView`, the batch's copy of the state of the
-VABlocks it touches as leaf bitsets, gathered from the numpy state when
-the batch opens (:meth:`FaultServicer.batch`).  The numpy state - the
-residency arrays, both page tables and their stats, the timer and the
-counters - is written once, when the batch closes.  Nothing reads those
-arrays while the batch is open; the next reader (the arrival phase, the
-sanitizer's state check, the next batch's preprocess) runs after the
-write.
+thrashing-detector and trace-recorder calls.  The decisions change the
+stored state in place: the VABlocks' leaf bitsets
+(:class:`~repro.mem.residency.BlockLeaves`) and both page tables.  A
+:class:`BatchView` (:meth:`FaultServicer.batch`) records which blocks
+the batch touched and holds its timer charges and counter additions;
+when the batch closes, the page masks the GPU scans are rewritten for
+those blocks and the charges reach the timer and the counters.  Nothing
+reads the masks while the batch is open; the next reader (the arrival
+phase, the sanitizer's state check, the next batch's preprocess) runs
+after the write.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from repro.core.prefetch import TreePrefetcher
 from repro.errors import SimulationError
 from repro.gpu.dma import DmaEngine
 from repro.mem.advise import MemAdvise
-from repro.mem.leafbits import gather_rows, mask_of, unpack_rows
-from repro.mem.page_table import PageTable, TableLeaves
-from repro.mem.residency import FLAG_PLANES, BlockLeaves, ResidencyState
+from repro.mem.leafbits import mask_of
+from repro.mem.page_table import PageTable
+from repro.mem.residency import BlockLeaves, ResidencyState
 from repro.sim.clock import SimClock
 from repro.sim.costmodel import CostModel
 from repro.sim.stats import CategoryTimer, CounterSet
@@ -65,75 +66,42 @@ class ServiceOutcome:
 
 
 class BatchView:
-    """One batch's working copy of the state the fault servicer changes.
+    """One batch's touched VABlocks and pending charges.
 
-    ``blocks`` holds the residency of every VABlock the batch touches
-    (:class:`~repro.mem.residency.BlockLeaves`), ``gpu`` and ``host`` the
-    two page tables' mapped bits of the same blocks, and ``ns``,
-    ``counts`` and ``counters`` the timer charges and counter additions
-    made so far.  The view is gathered when the batch opens, one gather
-    per array packed in one pass (and one more for each victim that was
-    not foreseen); :meth:`write` moves it into the numpy state, timer and
-    counters when the batch closes, one scatter per array.
+    ``blocks`` maps every VABlock the batch touches to its stored
+    :class:`~repro.mem.residency.BlockLeaves` (the bins' blocks when the
+    batch opens, each eviction victim when chosen), and ``ns``,
+    ``counts`` and ``counters`` hold the timer charges and counter
+    additions made so far.  :meth:`write` rewrites the touched blocks'
+    page masks and moves the charges into the timer and counters when
+    the batch closes.
     """
 
-    def __init__(
-        self, residency: ResidencyState, gpu_table: PageTable, host_table: PageTable
-    ) -> None:
+    def __init__(self, residency: ResidencyState) -> None:
         self.residency = residency
         self.space = residency.space
-        self.gpu_table = gpu_table
-        self.host_table = host_table
         self.blocks: dict[int, BlockLeaves] = {}
-        self.gpu = TableLeaves("gpu")
-        self.host = TableLeaves("host")
         self.ns: dict[str, int] = defaultdict(int)
         self.counts: dict[str, int] = defaultdict(int)
         self.counters: dict[str, int] = defaultdict(int)
 
-    def _planes(self) -> list[np.ndarray]:
-        """The page-indexed arrays the view carries: the residency flags
-        (``FLAG_PLANES``), then the GPU and host tables' mapped bits."""
-        res = self.residency
-        return [getattr(res, name) for name in FLAG_PLANES] + [
-            self.gpu_table.mapped,
-            self.host_table.mapped,
-        ]
-
     def add(self, vablocks: Iterable[int]) -> None:
-        """Gather the blocks of ``vablocks`` that are not in the view yet:
-        one gather of all the view's arrays."""
-        new = [vb for vb in dict.fromkeys(vablocks) if vb not in self.blocks]
-        if not new:
-            return
-        idx = np.array(new, dtype=np.int64)
-        *flags, gpu, host = gather_rows(self._planes(), idx, self.space.pages_per_vablock)
-        backed = self.residency.backed[idx].tolist()
-        for vb, *leaves, is_backed in zip(new, *flags, backed):
-            self.blocks[vb] = BlockLeaves(vb, *leaves, is_backed)
-        self.gpu.mapped.update(zip(new, gpu))
-        self.host.mapped.update(zip(new, host))
+        """Record ``vablocks`` as touched by the batch."""
+        stored = self.residency.blocks
+        for vb in vablocks:
+            self.blocks[vb] = stored[vb]
 
     def block(self, vablock_id: int) -> BlockLeaves:
-        """The batch's state of one VABlock, gathered on first use."""
+        """The stored state of one VABlock, recorded as touched."""
         block = self.blocks.get(vablock_id)
         if block is None:
-            self.add((vablock_id,))
-            block = self.blocks[vablock_id]
+            block = self.blocks[vablock_id] = self.residency.blocks[vablock_id]
         return block
 
     def write(self, timer: CategoryTimer, counters: CounterSet) -> None:
-        """Write the batch into the numpy state (one scatter per array),
-        the timer and the counters."""
-        if self.blocks:
-            blocks = list(self.blocks.values())
-            bits = [[getattr(b, name) for b in blocks] for name in FLAG_PLANES]
-            bits += [list(self.gpu.mapped.values()), list(self.host.mapped.values())]
-            *flags, gpu, host = unpack_rows(bits, self.space.pages_per_vablock)
-            idx = np.fromiter(self.blocks, dtype=np.int64, count=len(blocks))
-            self.residency.write_rows(idx, flags, blocks)
-            self.gpu_table.write_rows(idx, gpu, self.gpu.stats)
-            self.host_table.write_rows(idx, host, self.host.stats)
+        """Rewrite the touched blocks' page masks and flush the charges
+        into the timer and the counters."""
+        self.residency.sync_masks(self.blocks.values())
         for category, ns in self.ns.items():
             timer.charge(category, ns, count=self.counts[category])
         for name, value in self.counters.items():
@@ -194,19 +162,18 @@ class FaultServicer:
         self, bins: Sequence[VABlockBin] = (), blocks: Iterable[int] = ()
     ) -> Iterator[BatchView]:
         """Open a batch over the VABlocks of ``bins`` (and ``blocks``):
-        gather their state, let :meth:`service_bin` decide on it, and
-        write it back when the block of the ``with`` statement ends.
+        :meth:`service_bin` changes their stored state, and the batch is
+        written (:meth:`write_batch`) when the block of the ``with``
+        statement ends.
 
-        The LRU blocks that the batch's allocations will evict are
-        gathered with it; a victim that was not foreseen (an injected
-        allocation failure evicts one more) is gathered when chosen.
-        The view is dropped unwritten if the batch raises.
+        A batch that raises leaves its blocks and the page tables as its
+        transitions left them, and its masks, timer charges and counters
+        unwritten; the exception ends the run.
         """
         if self._view is not None:
             raise SimulationError("a service batch is already open")
-        vablocks = list(dict.fromkeys([vbin.vablock_id for vbin in bins] + list(blocks)))
-        view = BatchView(self.residency, self.gpu_table, self.host_table)
-        view.add(vablocks + self._likely_victims(vablocks))
+        view = BatchView(self.residency)
+        view.add([vbin.vablock_id for vbin in bins] + list(blocks))
         self._view = view
         try:
             yield view
@@ -215,25 +182,9 @@ class FaultServicer:
             self._view = None
 
     def write_batch(self) -> None:
-        """Write the open batch into the numpy state, timer and counters."""
+        """Write the open batch: the touched blocks' page masks, the
+        timer and the counters."""
         self._view.write(self.timer, self.counters)
-
-    def _likely_victims(self, vablocks: list[int]) -> list[int]:
-        """The blocks that allocating the unbacked ones of ``vablocks``
-        evicts if no block is evicted before its own bin: one per
-        unbacked block beyond the free VABlocks, taken from the eviction
-        end of the LRU list."""
-        need = len(vablocks) - int(np.count_nonzero(self.residency.backed[vablocks]))
-        need -= self.pma.available_bytes // self.space.vablock_size
-        victims: list[int] = []
-        if need > 0:
-            batch = set(vablocks)
-            for vb in self.lru.order():
-                if vb not in batch:
-                    victims.append(vb)
-                    if len(victims) == need:
-                        break
-        return victims
 
     # -- helpers -----------------------------------------------------------------
     def _charge(self, category: str, duration_ns: int, count: int = 1) -> None:
@@ -294,11 +245,11 @@ class FaultServicer:
         evict_ns += self.dma.d2h_pages(n_dirty) if n_dirty else 0
         evict_ns += n_res * self.cost.unmap_page_ns
         evict_ns += self.cost.tlb_invalidate_ns + self.cost.membar_ns
-        view.gpu.unmap(victim, resident)
-        view.gpu.invalidate_tlb()
-        view.gpu.membar()
+        self.gpu_table.unmap(victim, resident)
+        self.gpu_table.invalidate_tlb()
+        self.gpu_table.membar()
         # data is host-resident again
-        view.host.map(victim, resident)
+        self.host_table.map(victim, resident)
         evict_ns += n_res * self.cost.map_page_ns
         self._charge("service.evict", evict_ns, count=1)
 
@@ -368,9 +319,9 @@ class FaultServicer:
         leaves = self._leaf_bits(vbin, vb * self._ppv)[0]
         view = self._view
         n_new = block.map_remote(leaves)
-        view.gpu.map(vb, leaves)
-        view.gpu.invalidate_tlb()
-        view.gpu.membar()
+        self.gpu_table.map(vb, leaves)
+        self.gpu_table.invalidate_tlb()
+        self.gpu_table.membar()
         map_ns = (
             self.cost.map_vablock_fixed_ns
             + n * (self.cost.map_page_ns + self.cost.service_per_fault_ns)
@@ -396,10 +347,10 @@ class FaultServicer:
         view = self._view
         n_pages = leaves.bit_count()
         n = block.collapse_duplicates(leaves)
-        view.host.unmap(vb, leaves)
-        view.gpu.map(vb, leaves)  # PTE permission rewrite
-        view.gpu.invalidate_tlb()
-        view.gpu.membar()
+        self.host_table.unmap(vb, leaves)
+        self.gpu_table.map(vb, leaves)  # PTE permission rewrite
+        self.gpu_table.invalidate_tlb()
+        self.gpu_table.membar()
         upgrade_ns = (
             n_pages * (self.cost.map_page_ns + self.cost.unmap_page_ns)
             + self.cost.tlb_invalidate_ns
@@ -438,10 +389,10 @@ class FaultServicer:
                 + self.cost.tlb_invalidate_ns
                 + self.cost.membar_ns
             )
-            view.gpu.map(vablock_id, leaves)  # PTE rewrite sysmem -> local
-            view.gpu.invalidate_tlb()
-            view.gpu.membar()
-            view.host.unmap(vablock_id, leaves)
+            self.gpu_table.map(vablock_id, leaves)  # PTE rewrite sysmem -> local
+            self.gpu_table.invalidate_tlb()
+            self.gpu_table.membar()
+            self.host_table.unmap(vablock_id, leaves)
             self._charge("service.counter_migration", promote_ns, count=n)
             block.make_resident(leaves)
             self.lru.touch(vablock_id)
@@ -547,7 +498,7 @@ class FaultServicer:
             unmap, n_unmap = leaves, n_all  # migration unmaps the source copy
         migrate_ns += n_unmap * self.cost.unmap_page_ns
         if n_unmap:
-            view.host.unmap(vb, unmap)
+            self.host_table.unmap(vb, unmap)
         self._charge("service.migrate", migrate_ns, count=n_all)
 
         # -- map (PTE writes, invalidate, membar) --------------------------------
@@ -557,9 +508,9 @@ class FaultServicer:
             + self.cost.tlb_invalidate_ns
             + self.cost.membar_ns
         )
-        view.gpu.map(vb, leaves)
-        view.gpu.invalidate_tlb()
-        view.gpu.membar()
+        self.gpu_table.map(vb, leaves)
+        self.gpu_table.invalidate_tlb()
+        self.gpu_table.membar()
         self._charge("service.map", map_ns, count=n_all)
 
         # -- residency + LRU promotion --------------------------------------------

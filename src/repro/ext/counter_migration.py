@@ -46,17 +46,11 @@ class CounterMigrationController:
         self._cooldown: dict[int, int] = {}
         self.promotions = 0
 
-    def candidates(
-        self,
-        access_counters: np.ndarray,
-        remote_mapped: np.ndarray,
-        pages_per_vablock: int,
-    ) -> list[int]:
-        """VABlocks whose remote traffic since last check earns promotion."""
-        remote_per_block = remote_mapped.reshape(-1, pages_per_vablock).sum(axis=1)
+    def candidates(self, access_counters: np.ndarray, blocks) -> list[int]:
+        """VABlocks whose remote traffic since last check earns promotion
+        (``blocks`` are the residency's blocks, in VABlock order)."""
         hot: list[int] = []
-        for vb in np.flatnonzero(remote_per_block):
-            vb = int(vb)
+        for vb in (b.vablock_id for b in blocks if b.remote_mapped):
             if self._cooldown.get(vb, 0) > 0:
                 self._cooldown[vb] -= 1
                 continue

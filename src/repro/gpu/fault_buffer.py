@@ -25,8 +25,8 @@ field arrays indexed by a head/size ring.  The GPU pushes a phase's
 records as field arrays (:meth:`FaultBuffer.push_arrays`, the batch form
 of :meth:`FaultBuffer.push_fields`); the driver drains whole batches as
 field arrays (:meth:`FaultBuffer.drain_arrays`) so pre-processing never
-materializes per-entry objects.  :class:`FaultEntry` remains the
-per-entry view for tests and analysis code.
+materializes per-entry objects.  :class:`FaultEntry` is the per-entry
+view of one record (:attr:`repro.core.batch.FaultBatch.entries`).
 """
 
 from __future__ import annotations
@@ -177,58 +177,12 @@ class FaultBuffer:
         """Account capacity drops resolved outside :meth:`push_fields`."""
         self.total_dropped += int(n)
 
-    def try_push(self, entry: FaultEntry) -> bool:
-        """Enqueue a :class:`FaultEntry`; returns False (drop) when full."""
-        return self.push_fields(
-            entry.page,
-            entry.is_write,
-            entry.timestamp_ns,
-            entry.gpc_id,
-            entry.utlb_id,
-            entry.stream_id,
-            entry.sm_id,
-        )
-
     # -- consumer side -------------------------------------------------------
-    def _entry_at(self, i: int) -> FaultEntry:
-        return FaultEntry(
-            page=int(self._page[i]),
-            is_write=bool(self._write[i]),
-            timestamp_ns=int(self._ts[i]),
-            gpc_id=int(self._gpc[i]),
-            utlb_id=int(self._utlb[i]),
-            stream_id=int(self._stream[i]),
-            sm_id=int(self._sm[i]),
-        )
-
     def _ring_indices(self, n: int) -> np.ndarray:
         idx = self._head + np.arange(n, dtype=np.int64)
         if self._head + n > self.capacity:
             idx[idx >= self.capacity] -= self.capacity
         return idx
-
-    def pop_ready(self, now_ns: int) -> tuple[Optional[FaultEntry], int]:
-        """Pop the head entry, polling until its ready flag is set.
-
-        Returns ``(entry, polls)`` where ``polls`` is the number of poll
-        iterations the driver had to spin before the entry was readable
-        (0 when it was already ready).  Returns ``(None, 0)`` on empty.
-        """
-        if not self._size:
-            return None, 0
-        entry = self._entry_at(self._head)
-        ready_at = entry.timestamp_ns + self.ready_delay_ns
-        polls = 0
-        if now_ns < ready_at:
-            # ceil((ready_at - now) / poll granularity) iterations; the
-            # caller charges fault_poll_ns per iteration.
-            delta = ready_at - now_ns
-            polls = max(1, -(-delta // max(self.ready_delay_ns, 1)))
-        self._head += 1
-        if self._head >= self.capacity:
-            self._head = 0
-        self._size -= 1
-        return entry, polls
 
     def drain_arrays(
         self,
@@ -239,12 +193,15 @@ class FaultBuffer:
         """Pop up to ``max_entries`` as parallel field arrays.
 
         Returns ``(pages, writes, timestamps, gpcs, utlbs, streams, sms,
-        polls)`` or ``None`` when the buffer is empty.  Semantics match a
-        :meth:`pop_ready` loop at a fixed ``now_ns``: every popped
-        unready entry contributes its poll count; with
+        polls)`` or ``None`` when the buffer is empty.  The driver pops
+        the head entry while its ready flag is clear, one poll per
+        ``ready_delay_ns`` (at least one) until the entry is ready; every
+        popped unready entry contributes its poll count.  With
         ``stop_at_not_ready`` the batch still takes the first entry
         (polling for it if needed - forward progress) but closes before
-        any subsequent unready entry.
+        any subsequent unready entry.  ``tests/faultbuffer.py`` states
+        that rule per entry (``pop_ready``), and the property tests check
+        this batch form against a loop of it at a fixed ``now_ns``.
         """
         n = min(self._size, max_entries)
         if n <= 0:
@@ -287,9 +244,3 @@ class FaultBuffer:
         self._size = 0
         self.total_flushed += n
         return n
-
-    def snapshot_pages(self) -> list[int]:
-        """Pages of all queued entries, in order (for tests/analysis)."""
-        if not self._size:
-            return []
-        return self._page[self._ring_indices(self._size)].tolist()

@@ -9,10 +9,12 @@ page-residency state the driver maintains:
   with :meth:`malloc_managed` mirroring ``cudaMallocManaged``.
 * :class:`~repro.mem.address_space.ManagedRange` - one allocation.
 * :class:`~repro.mem.address_space.VABlock` - 2 MB allocation/eviction unit.
-* :class:`~repro.mem.residency.ResidencyState` - page residency and dirty
-  bitmaps (numpy-backed for vectorized driver operations).
+* :class:`~repro.mem.residency.ResidencyState` - page residency,
+  permissions and dirty state, one leaf-bitset
+  :class:`~repro.mem.residency.BlockLeaves` per VABlock, plus the page
+  masks the GPU scans.
 * :class:`~repro.mem.page_table.PageTable` - map/unmap bookkeeping for the
-  host and device page tables.
+  host and device page tables, one mapped bitset per VABlock.
 """
 
 from repro.mem.layout import (

@@ -1,16 +1,17 @@
 """Leaf bitsets: a VABlock's per-page flags as one Python int.
 
-Bit ``i`` of a bitset is leaf (page) ``i`` of its VABlock.  The fault
-servicer decides on bitsets (a mask test is one ``&``, a count one
-``bit_count()``) and moves them to and from the numpy state a batch at
-a time: :func:`gather_rows` reads the rows of some VABlocks from several
-page-indexed boolean arrays in one pass, and :func:`unpack_rows` turns
-bitsets back into boolean rows to write.
+Bit ``i`` of a bitset is leaf (page) ``i`` of its VABlock.  The residency
+state and the page tables store one bitset per flag and VABlock (a mask
+test is one ``&``, a count one ``bit_count()``).  These helpers convert
+at the edges: :func:`bits_of` and :func:`mask_of` between one bitset
+and its boolean leaf mask, :func:`bits_of_pages` from a list of global
+pages to the bitsets of the VABlocks it touches, and :func:`unpack_rows`
+from many bitsets to boolean rows, to write the page masks the GPU
+scans.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -29,25 +30,24 @@ def mask_of(bits: int, n_leaves: int) -> np.ndarray:
     return np.unpackbits(raw, count=n_leaves, bitorder="little").view(bool)
 
 
-def gather_rows(
-    planes: Sequence[np.ndarray], vablocks: np.ndarray, width: int
-) -> list[list[int]]:
-    """Per plane, the bitsets of the rows ``vablocks`` of that
-    page-indexed array seen as rows of ``width`` leaves."""
-    rows = np.stack([plane.reshape(-1, width)[vablocks] for plane in planes])
+def bits_of_pages(pages: np.ndarray, width: int) -> dict[int, int]:
+    """``{vablock: leaves}`` for the unique global ``pages``, VABlocks of
+    ``width`` leaves, in ascending block order (one scatter, one pack)."""
+    vablocks, leaves = np.divmod(np.asarray(pages, dtype=np.int64), width)
+    touched = np.unique(vablocks)
+    rows = np.zeros((touched.size, width), dtype=bool)
+    rows[np.searchsorted(touched, vablocks), leaves] = True
     packed = np.packbits(rows, axis=-1, bitorder="little")
-    # one bytes object per row (a fixed-width bytes view drops trailing
-    # zero bytes, which are the high bytes of a little-endian number)
-    raw = packed.view(f"S{packed.shape[-1]}").ravel().tolist()
-    flat = list(map(int.from_bytes, raw, repeat("little")))
-    k = len(vablocks)
-    return [flat[j * k : (j + 1) * k] for j in range(len(planes))]
+    return {
+        vb: int.from_bytes(row.tobytes(), "little")
+        for vb, row in zip(touched.tolist(), packed)
+    }
 
 
 def unpack_rows(bits: Sequence[Sequence[int]], width: int) -> np.ndarray:
     """The boolean leaf rows of bitsets: ``out[p, i]`` is the mask of
     ``bits[p][i]`` (every plane holds the same number of bitsets, each
-    in ``[0, 2**width)``); the inverse of :func:`gather_rows`."""
+    in ``[0, 2**width)``)."""
     step = (width + 7) // 8
     raw = b"".join(row.to_bytes(step, "little") for plane in bits for row in plane)
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(bits), -1, step)

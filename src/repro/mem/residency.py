@@ -1,40 +1,37 @@
 """Page residency, permissions, duplication, and per-VABlock occupancy.
 
 This is the driver's view of where every page lives and how the GPU may
-access it.  It is the performance-critical data structure of the
-simulator, so state is kept in flat numpy arrays indexed by global page
-number:
+access it.  The state is one :class:`BlockLeaves` per VABlock
+(``ResidencyState.blocks[vablock]``): the block's per-page flags as leaf
+bitsets (Python ints, bit ``i`` is leaf ``i``) plus its backing and
+lifetime eviction count.
 
-* ``resident[page]``   - a valid copy exists in GPU memory,
-* ``writable[page]``   - the GPU mapping has write permission,
-* ``duplicated[page]`` - read-only duplication: the host copy is valid
-  too (Section III-A's third access behaviour; a GPU write must take a
+* ``resident``      - a valid copy exists in GPU memory,
+* ``writable``      - the GPU mapping has write permission,
+* ``duplicated``    - read-only duplication: the host copy is valid too
+  (Section III-A's third access behaviour; a GPU write must take a
   permission-upgrade fault that collapses the duplication),
-* ``remote_mapped[page]`` - the GPU maps host memory directly (remote
-  mapping / zero-copy; no migration, no GPU memory consumed),
-* ``dirty[page]``      - the GPU copy was written and must migrate on
-  evict,
-* ``backed[vablock]``  - the VABlock has GPU physical memory reserved,
-* ``resident_count[vablock]`` - cached popcount of the block's
-  ``resident`` leaves.
+* ``remote_mapped`` - the GPU maps host memory directly (remote mapping
+  / zero-copy; no migration, no GPU memory consumed),
+* ``dirty``         - the GPU copy was written and must migrate on evict,
+* ``backed``        - the VABlock has GPU physical memory reserved,
+* ``evictions``     - how many times the VABlock has been evicted.
 
-The service path's transitions (make resident, evict, duplicate
-collapse, remote map and unmap) are methods of :class:`BlockLeaves`,
-one VABlock's flags as leaf bitsets (Python ints, bit ``i`` is leaf
-``i``).  The fault servicer gathers the blocks of a fault batch with
-:meth:`ResidencyState.blocks`, applies every transition of the batch to
-them in order, and writes them back with :meth:`ResidencyState.write`,
-one gather and one scatter per array.  The per-block methods of
-:class:`ResidencyState` (:meth:`~ResidencyState.make_resident`,
-:meth:`~ResidencyState.evict_vablock`, ...) take a boolean leaf mask and
-run the same transition on a one-block gather.  Host-side transitions
-(CPU faults) take scattered page lists.
+Every transition - the service path's make resident, evict, duplicate
+collapse, remote map and unmap, and the CPU-fault path's duplicate drop
+and page-granular migration to the host - is a :class:`BlockLeaves`
+method that changes the stored block in place.
 
-Two derived masks are maintained incrementally because the GPU's warp
-advance scans them on every access:
+The only page-indexed arrays are three masks derived from the blocks,
+because the GPU's warp advance scans them on every access:
 
 * ``read_ok  = resident | remote_mapped``
 * ``write_ok = (resident & writable) | remote_mapped``
+* ``remote_mapped``
+
+They are rewritten for the blocks a batch or a CPU fault touched when it
+ends (:meth:`ResidencyState.sync_masks`), so they are stale while a
+batch is open.
 
 Conceptually the GPU acts as "a fully-associative cache for CPU memory
 where the cache-line size can be treated as a VABlock" (Section V);
@@ -44,275 +41,166 @@ permission bits the three UVM access behaviours require.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.errors import AddressError, SimulationError
+from repro.errors import SimulationError
 from repro.mem.address_space import AddressSpace
-from repro.mem.leafbits import bits_of, gather_rows, mask_of, unpack_rows
+from repro.mem.leafbits import unpack_rows
 
-#: the per-page flag arrays whose rows a :class:`BlockLeaves` carries as
-#: bitset fields of the same names.
+#: the per-page flags of a :class:`BlockLeaves`, in the order
+#: :meth:`ResidencyState.page_arrays` lists them.
 FLAG_PLANES = ("resident", "writable", "duplicated", "remote_mapped", "dirty")
+#: the derived page masks, in the order of their rows in ``_masks``.
+MASKS = ("read_ok", "write_ok", "remote_mapped")
 
 
 class ResidencyState:
-    """Vectorized residency/permission bookkeeping over an address space."""
+    """Residency/permission state of an address space, one block per
+    VABlock, and the page masks the GPU scans."""
 
     def __init__(self, space: AddressSpace) -> None:
         self.space = space
-        n_pages = space.total_pages
-        n_vablocks = space.total_vablocks
-        self.resident = np.zeros(n_pages, dtype=bool)
-        self.writable = np.zeros(n_pages, dtype=bool)
-        self.duplicated = np.zeros(n_pages, dtype=bool)
-        self.remote_mapped = np.zeros(n_pages, dtype=bool)
-        self.dirty = np.zeros(n_pages, dtype=bool)
-        self.backed = np.zeros(n_vablocks, dtype=bool)
-        self.resident_count = np.zeros(n_vablocks, dtype=np.int32)
-        #: lifetime count of times each VABlock has been evicted.
-        self.evict_count = np.zeros(n_vablocks, dtype=np.int64)
-        # derived access masks (see module docstring)
-        self.read_ok = np.zeros(n_pages, dtype=bool)
-        self.write_ok = np.zeros(n_pages, dtype=bool)
+        self.blocks = [BlockLeaves(vb) for vb in range(space.total_vablocks)]
+        #: the derived masks (see module docstring), one row each, so a
+        #: batch writes all three with one scatter.  The properties take
+        #: the row views on access: a stored view would come back from a
+        #: checkpoint's pickle as a copy, no longer a row of this array.
+        self._masks = np.zeros((len(MASKS), space.total_pages), dtype=bool)
 
-    # -- queries ---------------------------------------------------------------
     @property
     def pages_per_vablock(self) -> int:
         return self.space.pages_per_vablock
 
-    def is_resident(self, pages) -> np.ndarray:
-        """Boolean residency for an array of global page indices."""
-        return self.resident[np.asarray(pages, dtype=np.int64)]
+    @property
+    def read_ok(self) -> np.ndarray:
+        return self._masks[0]
 
-    def vablock_leaf_mask(self, vablock_id: int) -> np.ndarray:
-        """Residency mask of the leaves of ``vablock_id`` (a view)."""
-        start, stop = self.space.page_span_of_vablock(vablock_id)
-        return self.resident[start:stop]
+    @property
+    def write_ok(self) -> np.ndarray:
+        return self._masks[1]
 
-    def total_resident_pages(self) -> int:
-        return int(self.resident_count.sum())
+    @property
+    def remote_mapped(self) -> np.ndarray:
+        return self._masks[2]
 
-    def backed_vablocks(self) -> np.ndarray:
+    def backed_vablocks(self) -> list[int]:
         """Indices of VABlocks currently holding a GPU allocation."""
-        return np.flatnonzero(self.backed)
+        return [b.vablock_id for b in self.blocks if b.backed]
 
-    def _refresh_masks(self, pages: np.ndarray) -> None:
-        self.read_ok[pages] = self.resident[pages] | self.remote_mapped[pages]
-        self.write_ok[pages] = (
-            self.resident[pages] & self.writable[pages]
-        ) | self.remote_mapped[pages]
+    def sync_masks(self, blocks: Iterable["BlockLeaves"]) -> None:
+        """Rewrite the derived masks of ``blocks`` (unique) from their
+        leaves: one unpack and one scatter."""
+        blocks = list(blocks)
+        if blocks:
+            ppv = self.pages_per_vablock
+            idx = [b.vablock_id for b in blocks]
+            self._masks.reshape(len(MASKS), -1, ppv)[:, idx] = self._mask_rows(blocks)
 
-    # -- state transitions -------------------------------------------------------
-    def back_vablock(self, vablock_id: int) -> None:
-        """Reserve GPU physical memory for a VABlock (allocation granule)."""
-        if self.backed[vablock_id]:
-            raise SimulationError(f"VABlock {vablock_id} already backed")
-        self.backed[vablock_id] = True
-
-    # -- per-block state as leaf bitsets ------------------------------------------
-    def blocks(self, vablocks) -> list["BlockLeaves"]:
-        """The current state of each of ``vablocks`` (unique) as
-        :class:`BlockLeaves`, gathered in one pass per array."""
-        idx = np.asarray(vablocks, dtype=np.int64)
-        planes = gather_rows(
-            [getattr(self, name) for name in FLAG_PLANES], idx, self.pages_per_vablock
-        )
-        return [
-            BlockLeaves(vb, *flags)
-            for vb, *flags in zip(idx.tolist(), *planes, self.backed[idx].tolist())
-        ]
-
-    def block(self, vablock_id: int) -> "BlockLeaves":
-        """The current state of one VABlock (see :meth:`blocks`)."""
-        self.space.page_span_of_vablock(vablock_id)  # range check
-        return self.blocks([vablock_id])[0]
-
-    def write(self, blocks: list["BlockLeaves"]) -> None:
-        """Write back the final state of ``blocks`` (unique VABlocks
-        gathered by :meth:`blocks`); see :meth:`write_rows`."""
-        idx = np.fromiter((b.vablock_id for b in blocks), dtype=np.int64, count=len(blocks))
-        planes = unpack_rows(
-            [[getattr(b, name) for b in blocks] for name in FLAG_PLANES],
+    def _mask_rows(self, blocks: list["BlockLeaves"]) -> np.ndarray:
+        """The derived masks of ``blocks`` as boolean leaf rows, one
+        plane per mask."""
+        return unpack_rows(
+            [
+                [b.resident | b.remote_mapped for b in blocks],
+                [(b.resident & b.writable) | b.remote_mapped for b in blocks],
+                [b.remote_mapped for b in blocks],
+            ],
             self.pages_per_vablock,
         )
-        self.write_rows(idx, planes, blocks)
 
-    def write_rows(
-        self, idx: np.ndarray, planes: Sequence[np.ndarray], blocks: list["BlockLeaves"]
-    ) -> None:
-        """Write ``blocks`` (VABlocks ``idx``) with their flag rows
-        ``planes`` (``planes[p]`` the boolean rows of ``FLAG_PLANES[p]``):
-        one scatter per array.  The cached counts and the derived access
-        masks follow from the rows; each block's evictions are added to
-        ``evict_count``."""
-        ppv = self.pages_per_vablock
-        for name, rows in zip(FLAG_PLANES, planes):
-            getattr(self, name).reshape(-1, ppv)[idx] = rows
-        resident, writable, _, remote, _ = planes
-        self.read_ok.reshape(-1, ppv)[idx] = resident | remote
-        self.write_ok.reshape(-1, ppv)[idx] = (resident & writable) | remote
-        self.resident_count[idx] = np.count_nonzero(resident, axis=1)
-        self.backed[idx] = [b.backed for b in blocks]
-        evictions = [b.evictions for b in blocks]
-        if any(evictions):
-            self.evict_count[idx] += evictions
-
-    def _transition(self, vablock_id: int, leaves: np.ndarray, method, *flags):
-        """Run one :class:`BlockLeaves` transition on ``vablock_id`` and
-        write it back; ``leaves`` must be a boolean mask over exactly the
-        block's leaves.  Nothing is written when the transition raises."""
-        start, stop = self.space.page_span_of_vablock(vablock_id)
-        if leaves.dtype.type is not np.bool_ or leaves.shape != (stop - start,):
-            raise AddressError(
-                f"leaves must be a boolean mask of shape ({stop - start},)"
-            )
-        block = self.blocks([vablock_id])[0]
-        out = method(block, bits_of(leaves), *(_flag_bits(f, leaves) for f in flags))
-        self.write([block])
-        return out
-
+    # -- one-block transitions ---------------------------------------------------
     def make_resident(
-        self,
-        vablock_id: int,
-        leaves: np.ndarray,
-        writing: np.ndarray | bool = False,
-        writable: np.ndarray | bool = True,
-        duplicated: np.ndarray | bool = False,
+        self, vablock_id: int, leaves: int, writing: int = 0, writable: int = -1,
+        duplicated: int = 0,
     ) -> int:
-        """:meth:`BlockLeaves.make_resident` on one VABlock; each flag is
-        a bool for every leaf alike or a leaf mask of the block."""
-        return self._transition(
-            vablock_id, leaves, BlockLeaves.make_resident, writing, writable, duplicated
-        )
+        """:meth:`BlockLeaves.make_resident` on one stored VABlock, then
+        its masks."""
+        block = self.blocks[vablock_id]
+        n_new = block.make_resident(leaves, writing, writable, duplicated)
+        self.sync_masks((block,))
+        return n_new
 
-    def collapse_duplicates(self, vablock_id: int, leaves: np.ndarray) -> int:
-        """:meth:`BlockLeaves.collapse_duplicates` on one VABlock."""
-        return self._transition(vablock_id, leaves, BlockLeaves.collapse_duplicates)
-
-    def map_remote(self, vablock_id: int, leaves: np.ndarray) -> int:
-        """:meth:`BlockLeaves.map_remote` on one VABlock."""
-        return self._transition(vablock_id, leaves, BlockLeaves.map_remote)
-
-    def evict_vablock(self, vablock_id: int) -> "EvictedLeaves":
-        """:meth:`BlockLeaves.evict` on one VABlock: the counts and leaf
-        masks of the pages that were resident and of those that were
-        dirty (the ones that need a device-to-host migration)."""
-        block = self.block(vablock_id)
-        resident, dirty = block.evict()
-        self.write([block])
-        ppv = self.pages_per_vablock
-        return EvictedLeaves(
-            resident.bit_count(), dirty.bit_count(), mask_of(resident, ppv), mask_of(dirty, ppv)
-        )
-
-    def mark_dirty(self, pages: np.ndarray) -> None:
-        """Record GPU writes to already-resident writable pages."""
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            return
-        if not (self.resident[pages] & self.writable[pages]).all():
-            raise SimulationError("marking non-writable pages dirty")
-        self.dirty[pages] = True
-
-    def invalidate_duplicates(self, pages: np.ndarray) -> int:
-        """Host write to duplicated pages: drop the (clean) GPU copies.
-
-        No data moves - the host copy is authoritative for duplicated
-        pages - but the GPU mappings are torn down and the pages will
-        re-fault on the next GPU touch.  Returns the number dropped.
-        """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            return 0
-        dropping = pages[self.duplicated[pages]]
-        if dropping.size == 0:
-            return 0
-        self.resident[dropping] = False
-        self.duplicated[dropping] = False
-        self.writable[dropping] = False
-        np.add.at(self.resident_count, dropping // self.pages_per_vablock, -1)
-        self._refresh_masks(dropping)
-        return int(dropping.size)
-
-    def migrate_to_host(self, pages: np.ndarray) -> tuple[int, int]:
-        """CPU-fault path: page-granular migration back to the host.
-
-        Unlike eviction this is *page*-granular and leaves the VABlock's
-        physical backing in place (the driver keeps the allocation; only
-        the touched pages move).  Duplicated pages are skipped - the
-        host copy is already valid, so a host *read* takes no fault
-        (use :meth:`invalidate_duplicates` for host writes).  Returns
-        ``(migrated, dirty)`` where ``dirty`` pages carried GPU
-        modifications that must be copied.
-        """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            return 0, 0
-        moving = pages[self.resident[pages] & ~self.duplicated[pages]]
-        if moving.size == 0:
-            return 0, 0
-        n_dirty = int(self.dirty[moving].sum())
-        self.resident[moving] = False
-        self.writable[moving] = False
-        self.dirty[moving] = False
-        np.add.at(self.resident_count, moving // self.pages_per_vablock, -1)
-        self._refresh_masks(moving)
-        return int(moving.size), n_dirty
+    def evict_vablock(self, vablock_id: int) -> tuple[int, int]:
+        """:meth:`BlockLeaves.evict` on one stored VABlock, then its
+        masks: the leaves that were resident and those that were dirty."""
+        block = self.blocks[vablock_id]
+        evicted = block.evict()
+        self.sync_masks((block,))
+        return evicted
 
     # -- invariants ---------------------------------------------------------------
-    def expected_gpu_mapped(self) -> np.ndarray:
-        """The pages the GPU table must map: resident or remote-mapped."""
-        return self.resident | self.remote_mapped
+    def expected_gpu_mapped(self) -> list[int]:
+        """Per VABlock, the leaves the GPU table must map: resident or
+        remote-mapped."""
+        return [b.resident | b.remote_mapped for b in self.blocks]
 
-    def expected_host_mapped(self) -> np.ndarray:
-        """The pages the host table must map.
+    def expected_host_mapped(self) -> list[int]:
+        """Per VABlock, the leaves the host table must map.
 
         A page's host mapping is torn down exactly when its only valid
         copy migrates to the GPU; duplicated pages keep a valid host
         mapping alongside the read-only GPU copy.
         """
-        return ~self.resident | self.duplicated
+        every = (1 << self.pages_per_vablock) - 1
+        return [every & ~b.resident | b.duplicated for b in self.blocks]
 
     def check_invariants(self) -> None:
         """Internal-consistency assertions used by tests and debug runs."""
         ppv = self.pages_per_vablock
-        counts = self.resident.reshape(-1, ppv).sum(axis=1)
-        if not np.array_equal(counts, self.resident_count):
-            raise SimulationError("resident_count cache out of sync with bitmap")
-        if (self.dirty & ~self.resident).any():
-            raise SimulationError("dirty page that is not resident")
-        if (self.dirty & ~self.writable).any():
-            raise SimulationError("dirty page without write permission")
-        if (self.writable & ~self.resident).any():
-            raise SimulationError("writable mapping without residency")
-        if (self.duplicated & ~self.resident).any():
-            raise SimulationError("duplicated flag on non-resident page")
-        if (self.duplicated & self.writable).any():
-            raise SimulationError("duplicated page with write permission")
-        if (self.remote_mapped & self.resident).any():
-            raise SimulationError("page both remote-mapped and resident")
-        unbacked = ~self.backed
-        if self.resident_count[unbacked].any():
-            raise SimulationError("resident pages in unbacked VABlock")
-        if not np.array_equal(self.read_ok, self.resident | self.remote_mapped):
-            raise SimulationError("read_ok mask out of sync")
-        if not np.array_equal(
-            self.write_ok, (self.resident & self.writable) | self.remote_mapped
-        ):
-            raise SimulationError("write_ok mask out of sync")
+        for b in self.blocks:
+            leaves = b.resident | b.writable | b.duplicated | b.remote_mapped | b.dirty
+            if leaves < 0 or leaves >> ppv:
+                raise SimulationError(f"leaves outside VABlock {b.vablock_id}")
+            if b.dirty & ~b.resident:
+                raise SimulationError("dirty page that is not resident")
+            if b.dirty & ~b.writable:
+                raise SimulationError("dirty page without write permission")
+            if b.writable & ~b.resident:
+                raise SimulationError("writable mapping without residency")
+            if b.duplicated & ~b.resident:
+                raise SimulationError("duplicated flag on non-resident page")
+            if b.duplicated & b.writable:
+                raise SimulationError("duplicated page with write permission")
+            if b.remote_mapped & b.resident:
+                raise SimulationError("page both remote-mapped and resident")
+            if b.resident and not b.backed:
+                raise SimulationError("resident pages in unbacked VABlock")
+        derived = self._mask_rows(self.blocks).reshape(len(MASKS), -1)
+        for name, have, want in zip(MASKS, self._masks, derived):
+            if not np.array_equal(have, want):
+                raise SimulationError(f"{name} mask out of sync")
+
+    def page_arrays(self) -> dict[str, np.ndarray]:
+        """The state as arrays: each flag of :data:`FLAG_PLANES` and each
+        derived mask per page (bool), and per VABlock ``backed`` (bool),
+        ``resident_count`` (int32) and ``evict_count`` (int64)."""
+        blocks = self.blocks
+        planes = unpack_rows(
+            [[getattr(b, name) for b in blocks] for name in FLAG_PLANES],
+            self.pages_per_vablock,
+        )
+        arrays = {name: rows.reshape(-1) for name, rows in zip(FLAG_PLANES, planes)}
+        arrays["backed"] = np.array([b.backed for b in blocks], dtype=bool)
+        arrays["resident_count"] = np.array(
+            [b.resident.bit_count() for b in blocks], dtype=np.int32
+        )
+        arrays["evict_count"] = np.array([b.evictions for b in blocks], dtype=np.int64)
+        arrays["read_ok"] = self.read_ok.copy()
+        arrays["write_ok"] = self.write_ok.copy()
+        return arrays
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ResidencyState(resident={self.total_resident_pages()},"
-            f" backed={int(self.backed.sum())}/{len(self.backed)})"
+            f"ResidencyState(resident={sum(b.resident.bit_count() for b in self.blocks)},"
+            f" backed={len(self.backed_vablocks())}/{len(self.blocks)})"
         )
 
 
 class BlockLeaves:
-    """One VABlock's residency flags as leaf bitsets, and the service
-    path's transitions on them.
+    """One VABlock's residency flags as leaf bitsets, and the transitions
+    on them.
 
     Each transition checks its preconditions before it changes anything,
     so a transition that raises leaves the block as it was.
@@ -323,18 +211,12 @@ class BlockLeaves:
         "backed", "evictions",
     )
 
-    def __init__(
-        self, vablock_id: int, resident: int = 0, writable: int = 0,
-        duplicated: int = 0, remote_mapped: int = 0, dirty: int = 0, backed: bool = False,
-    ) -> None:
+    def __init__(self, vablock_id: int) -> None:
         self.vablock_id = vablock_id
-        self.resident = resident
-        self.writable = writable
-        self.duplicated = duplicated
-        self.remote_mapped = remote_mapped
-        self.dirty = dirty
-        self.backed = backed
-        #: evictions since the block was gathered.
+        self.resident = self.writable = self.duplicated = 0
+        self.remote_mapped = self.dirty = 0
+        self.backed = False
+        #: lifetime count of times the block has been evicted.
         self.evictions = 0
 
     def back(self) -> None:
@@ -422,23 +304,34 @@ class BlockLeaves:
         self.evictions += 1
         return resident, dirty
 
+    def drop_duplicates(self, leaves: int) -> int:
+        """Host write to ``leaves``: drop the (clean) GPU copies of the
+        duplicated ones and return those leaves.
 
-class EvictedLeaves(NamedTuple):
-    """What :meth:`ResidencyState.evict_vablock` tore down."""
+        No data moves - the host copy is authoritative for duplicated
+        pages - but the GPU mappings are torn down and the pages will
+        re-fault on the next GPU touch.
+        """
+        dropping = leaves & self.duplicated
+        self.resident &= ~dropping
+        self.duplicated &= ~dropping
+        self.writable &= ~dropping
+        return dropping
 
-    n_resident: int
-    n_dirty: int
-    #: leaf masks of the victim's resident and dirty pages before eviction.
-    resident: np.ndarray
-    dirty: np.ndarray
+    def migrate_to_host(self, leaves: int) -> tuple[int, int]:
+        """CPU fault on ``leaves``: page-granular migration to the host.
 
-
-def _flag_bits(value, leaves: np.ndarray) -> int:
-    """A per-leaf flag as a bitset: a bool is every leaf alike (-1 or 0),
-    a mask must have the shape of ``leaves``."""
-    if np.ndim(value) == 0:
-        return -1 if value else 0
-    mask = np.asarray(value, dtype=bool)
-    if mask.shape != leaves.shape:
-        raise AddressError("mask shape mismatch")
-    return bits_of(mask)
+        Unlike eviction this leaves the block's physical backing in
+        place (the driver keeps the allocation; only the touched pages
+        move).  Duplicated pages are skipped - the host copy is already
+        valid, so a host *read* takes no fault (a host write drops them
+        first, :meth:`drop_duplicates`).  Returns the leaves that moved
+        and those of them that were dirty (GPU modifications that must
+        be copied).
+        """
+        moving = leaves & self.resident & ~self.duplicated
+        dirty = moving & self.dirty
+        self.resident &= ~moving
+        self.writable &= ~moving
+        self.dirty &= ~moving
+        return moving, dirty

@@ -54,6 +54,7 @@ from repro.sim.rng import SimRng
 from repro.units import MiB
 from repro.workloads.base import HostAccess, KernelPhase
 from repro.workloads.registry import all_workload_names, make_workload
+from tests.pagelists import mapped
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "golden_counters.json"
 
@@ -221,16 +222,16 @@ def state_digest(driver: UvmDriver) -> str:
     """sha256 of a driver's final state: every residency array, both
     page tables' mapped bits and mapping stats, the PMA stats and the
     eviction policy's order."""
-    res = driver.residency
+    state = driver.residency.page_arrays()
     arrays = {
-        name: getattr(res, name)
+        name: state[name]
         for name in (
             "resident", "writable", "duplicated", "remote_mapped", "dirty",
             "backed", "resident_count", "evict_count", "read_ok", "write_ok",
         )
     }
-    arrays["gpu.mapped"] = driver.gpu_table.mapped
-    arrays["host.mapped"] = driver.host_table.mapped
+    arrays["gpu.mapped"] = mapped(driver.gpu_table)
+    arrays["host.mapped"] = mapped(driver.host_table)
     stats = {
         "gpu": asdict(driver.gpu_table.stats),
         "host": asdict(driver.host_table.stats),

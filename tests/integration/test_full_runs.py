@@ -14,6 +14,7 @@ from repro.experiments.runner import ExperimentSetup, simulate
 from repro.sim.rng import SimRng
 from repro.units import MiB
 from repro.workloads.registry import make_workload, workload_names
+from tests.pagelists import arrays, mapped
 
 DATA_MIB = 8  # small and fast; undersubscribed on the 64 MiB fixture GPU
 
@@ -44,10 +45,11 @@ class TestEveryWorkloadCompletes:
     def test_state_consistency_after_run(self, name, small_setup):
         driver, _, _ = self._run_driver(name, small_setup)
         driver.residency.check_invariants()
-        driver.gpu_table.check_against_residency(driver.residency.resident)
+        driver.gpu_table.check_mapped(driver.residency.expected_gpu_mapped())
         # host and gpu tables partition the space exactly
-        assert not (driver.gpu_table.mapped & driver.host_table.mapped).any()
-        assert (driver.gpu_table.mapped | driver.host_table.mapped).all()
+        gpu, host = mapped(driver.gpu_table), mapped(driver.host_table)
+        assert not (gpu & host).any()
+        assert (gpu | host).all()
 
     def test_every_touched_page_was_migrated(self, name, small_setup):
         """Undersubscribed: H2D migrations are conserved - every
@@ -55,12 +57,13 @@ class TestEveryWorkloadCompletes:
         host fault (and counted as such); no eviction churn."""
         driver, build, result = self._run_driver(name, small_setup)
         touched = np.unique(np.concatenate([k.pages for k in build.kernels]))
-        assert driver.residency.resident[touched].all()
+        state = arrays(driver.residency)
+        assert state.resident[touched].all()
         assert result.evictions == 0
         migrated = (
             result.counters["pages.demand_h2d"] + result.counters["pages.prefetch_h2d"]
         )
-        resident_total = driver.residency.total_resident_pages()
+        resident_total = state.resident_count.sum()
         host_back = result.counters["host.pages_d2h"]
         assert migrated == resident_total + host_back
 

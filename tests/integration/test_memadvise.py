@@ -11,6 +11,7 @@ from repro.mem.advise import MemAdvise
 from repro.sim.rng import SimRng
 from repro.units import MiB
 from repro.workloads.base import HostAccess, KernelPhase
+from tests.pagelists import arrays, mapped
 
 
 def run_touch(advise=None, writes_frac=0.0, data_mib=8, gpu_mib=32, phases=None):
@@ -50,7 +51,7 @@ class TestPinnedHost:
     def test_no_gpu_memory_consumed(self):
         driver, result = run_touch(MemAdvise.PINNED_HOST)
         assert driver.pma.used_bytes == 0
-        assert driver.residency.total_resident_pages() == 0
+        assert arrays(driver.residency).resident_count.sum() == 0
 
     def test_remote_access_time_charged(self):
         _, result = run_touch(MemAdvise.PINNED_HOST)
@@ -67,18 +68,18 @@ class TestPinnedHost:
 class TestReadMostly:
     def test_reads_duplicate_host_stays_mapped(self):
         driver, result = run_touch(MemAdvise.READ_MOSTLY, writes_frac=0.0)
-        assert driver.residency.duplicated.sum() == 2048
-        assert driver.host_table.mapped[:2048].all()  # host copies valid
-        assert driver.gpu_table.mapped[:2048].all()
+        assert arrays(driver.residency).duplicated.sum() == 2048
+        assert mapped(driver.host_table)[:2048].all()  # host copies valid
+        assert mapped(driver.gpu_table)[:2048].all()
         driver.residency.check_invariants()
 
     def test_writes_collapse_duplicates(self):
         driver, result = run_touch(MemAdvise.READ_MOSTLY, writes_frac=0.25)
         upgrades = result.counters["faults.write_upgrade"]
         assert upgrades > 0  # prefetched read-only copies hit by writers
-        written = int(driver.residency.writable.sum())
+        written = int(arrays(driver.residency).writable.sum())
         assert written == 512
-        assert not driver.host_table.mapped[:512].any()  # exclusives unmapped
+        assert not mapped(driver.host_table)[:512].any()  # exclusives unmapped
         driver.residency.check_invariants()
 
     def test_host_reads_of_duplicates_are_free(self):
@@ -98,7 +99,7 @@ class TestReadMostly:
         assert result.counters["host.faults"] == 0
         assert result.counters["host.pages_d2h"] == 0
         # and the second kernel re-reads without any new GPU faults
-        assert driver.residency.duplicated.sum() == 2048
+        assert arrays(driver.residency).duplicated.sum() == 2048
 
     def test_host_writes_invalidate_gpu_copies(self):
         def phases(buf):
@@ -138,6 +139,6 @@ class TestMixedAdvise:
         )
         result = driver.run()
         assert result.counters["remote.pages_mapped"] == 1024
-        assert driver.residency.resident[a.pages()].all()
+        assert arrays(driver.residency).resident[a.pages()].all()
         assert driver.residency.remote_mapped[b.pages()].all()
         driver.residency.check_invariants()

@@ -35,8 +35,10 @@ from repro.serve.service import (
 )
 from repro.units import MiB
 
-#: long enough to reliably be in flight when killed/drained.
-SLOW_SPEC = dict(workload="random", data_bytes=48 * MiB, gpu={"memory_bytes": 16 * MiB})
+#: long enough to reliably be in flight when killed/drained: about
+#: 0.7-0.9 s of simulation, well past the 0.3 s drain timeout the drain
+#: test gives it (48 MiB takes about 0.3 s, too close to it).
+SLOW_SPEC = dict(workload="random", data_bytes=64 * MiB, gpu={"memory_bytes": 16 * MiB})
 FAST_SPEC = dict(workload="stream", data_bytes=2 * MiB, gpu={"memory_bytes": 16 * MiB})
 
 #: the full per-ordinal recovery sweep is CI-only (slow tier); the

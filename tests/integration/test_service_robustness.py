@@ -22,8 +22,9 @@ from repro.serve.results import result_to_doc
 from repro.serve.service import ServiceConfig, SimulationService
 from repro.units import MiB
 
-#: heavily oversubscribed: long enough to reliably be in flight when killed.
-SLOW_SPEC = dict(workload="random", data_bytes=48 * MiB, gpu={"memory_bytes": 16 * MiB})
+#: heavily oversubscribed: long enough to reliably be in flight when
+#: killed, and past the 0.3 s job timeout (about 0.7-0.9 s of simulation).
+SLOW_SPEC = dict(workload="random", data_bytes=64 * MiB, gpu={"memory_bytes": 16 * MiB})
 FAST_SPEC = dict(workload="stream", data_bytes=2 * MiB, gpu={"memory_bytes": 16 * MiB})
 
 

@@ -1,12 +1,13 @@
-"""Oracle: writing the state once per batch equals writing it after every bin.
+"""Oracle: writing a batch once equals writing it after every bin.
 
-The fault servicer decides every bin on the batch's view of the state
-(leaf bitsets gathered when the batch opens) and writes the numpy state
-once, when the batch closes.  Nothing reads the arrays in between, so a
-batch must end in exactly the state that servicing its bins one batch
-each - gather, decide, write, per bin - ends in.  The random cases put
-more bins in a batch than the GPU has VABlocks, so a batch evicts
-blocks it serviced earlier and re-services blocks it evicted.
+The fault servicer changes the stored per-VABlock leaf bitsets and page
+tables bin by bin, and rewrites the page masks of the blocks a batch
+touched (and flushes its timer charges and counters) once, when the
+batch closes.  Nothing reads the masks in between, so a batch must end
+in exactly the state that servicing its bins one batch each - decide,
+write, per bin - ends in.  The random cases put more bins in a batch
+than the GPU has VABlocks, so a batch evicts blocks it serviced earlier
+and re-services blocks it evicted.
 """
 
 from __future__ import annotations
@@ -25,13 +26,9 @@ from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.trace.recorder import TraceRecorder
 from repro.units import MiB
+from tests.pagelists import back, mapped
 
 PPV = 512
-
-RESIDENCY_ARRAYS = (
-    "resident", "writable", "duplicated", "remote_mapped", "dirty",
-    "backed", "resident_count", "evict_count", "read_ok", "write_ok",
-)
 
 
 def _leaves(draw, max_size):
@@ -72,17 +69,14 @@ def _driver(n_device, n_data, prior, policy, prefetch) -> UvmDriver:
     # prior state: backed blocks with resident and dirty leaves, mapped
     # on the GPU and unmapped on the host, in LRU order
     for vb, resident, dirty in prior:
-        start = vb * PPV
-        leaves = np.zeros(PPV, dtype=bool)
-        leaves[resident] = True
-        writing = np.zeros(PPV, dtype=bool)
-        writing[dirty] = True
+        leaves = sum(1 << leaf for leaf in resident)
+        writing = sum(1 << leaf for leaf in dirty)
         driver.pma.reserve(space.vablock_size)
-        driver.residency.back_vablock(vb)
+        back(driver.residency, vb)
         driver.lru.insert(vb)
         driver.residency.make_resident(vb, leaves, writing=writing)
-        driver.gpu_table.map_span(start, leaves)
-        driver.host_table.unmap_span(start, leaves)
+        driver.gpu_table.map(vb, leaves)
+        driver.host_table.unmap(vb, leaves)
     return driver
 
 
@@ -126,11 +120,10 @@ def _service(driver: UvmDriver, bins, write_per_bin: bool) -> list:
 
 
 def _state(driver: UvmDriver, outcomes) -> dict:
-    state = {name: getattr(driver.residency, name).copy() for name in RESIDENCY_ARRAYS}
+    state = driver.residency.page_arrays()
     for table in (driver.gpu_table, driver.host_table):
-        state[f"{table.side}.mapped"] = table.mapped.copy()
+        state[f"{table.side}.mapped"] = mapped(table)
         state[f"{table.side}.stats"] = asdict(table.stats)
-        state[f"{table.side}.epoch"] = table.epoch
     trace = driver.recorder.finalize()
     state.update(
         pma=asdict(driver.pma.stats),

@@ -1,5 +1,6 @@
 """Property-based tests for the fault buffer: FIFO, capacity, accounting,
-and the array push against the per-entry push it batches."""
+the array push against the per-entry push it batches, and the array
+drain against the per-entry poll-and-pop loop (``tests/faultbuffer.py``)."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.gpu.fault_buffer import FaultBuffer, FaultEntry
+from tests.faultbuffer import entry_at, pop_ready, snapshot_pages, try_push
 
 
 def entry(page):
@@ -37,9 +39,9 @@ def test_accounting_identity(sequence, capacity):
     popped = 0
     for op, page in sequence:
         if op == "push":
-            buf.try_push(entry(page))
+            try_push(buf, entry(page))
         elif op == "pop":
-            e, _ = buf.pop_ready(10**9)
+            e, _ = pop_ready(buf, 10**9)
             popped += e is not None
         else:
             buf.flush()
@@ -55,10 +57,10 @@ def test_fifo_order_preserved(sequence, capacity):
     model: list[int] = []
     for op, page in sequence:
         if op == "push":
-            if buf.try_push(entry(page)):
+            if try_push(buf, entry(page)):
                 model.append(page)
         elif op == "pop":
-            e, _ = buf.pop_ready(10**9)
+            e, _ = pop_ready(buf, 10**9)
             if model:
                 assert e.page == model.pop(0)
             else:
@@ -66,7 +68,7 @@ def test_fifo_order_preserved(sequence, capacity):
         else:
             buf.flush()
             model.clear()
-    assert buf.snapshot_pages() == model
+    assert snapshot_pages(buf) == model
 
 
 # -- array push against the per-entry push -----------------------------------
@@ -152,3 +154,60 @@ def test_push_arrays_rejects_a_batch_past_free_slots(capacity, head, size, extra
     with pytest.raises(ConfigurationError, match="free slots"):
         buf.push_arrays(ids, np.zeros(n, dtype=bool), 0, ids, ids, ids, ids)
     _same_ring(buf, untouched)
+
+
+# -- array drain against the per-entry poll-and-pop loop ----------------------
+
+
+@st.composite
+def queued_batch(draw):
+    capacity = draw(st.integers(min_value=1, max_value=32))
+    head = draw(st.integers(min_value=0, max_value=capacity - 1))
+    delay = draw(st.sampled_from([0, 1, 100, 1500]))
+    stamps = draw(st.lists(st.integers(0, 5000), max_size=capacity))
+    now = draw(st.integers(0, 7000))
+    max_entries = draw(st.integers(min_value=1, max_value=40))
+    return capacity, head, delay, stamps, now, max_entries, draw(st.booleans())
+
+
+def _queued(capacity, head, delay, stamps) -> FaultBuffer:
+    buf = FaultBuffer(capacity=capacity, ready_delay_ns=delay)
+    for page in range(head):
+        buf.push_fields(page, False, 0, 0, 0, 0)
+    buf.flush()
+    for i, stamp in enumerate(stamps):
+        buf.push_fields(100 + i, i % 3 == 0, stamp, i % 4, i % 5, i, i % 7)
+    return buf
+
+
+def pop_loop(buf: FaultBuffer, now: int, max_entries: int, stop_at_not_ready: bool):
+    """The per-entry batch: pop while entries remain and the batch has
+    room; with ``stop_at_not_ready``, close before any unready entry
+    after the first."""
+    entries, polls = [], 0
+    while len(buf) and len(entries) < max_entries:
+        head = entry_at(buf, buf._head)
+        if stop_at_not_ready and entries and head.timestamp_ns + buf.ready_delay_ns > now:
+            break
+        entry, n = pop_ready(buf, now)
+        entries.append(entry)
+        polls += n
+    return entries, polls
+
+
+@given(queued_batch())
+@settings(max_examples=300, deadline=None)
+def test_drain_arrays_matches_pop_ready_loop(case):
+    capacity, head, delay, stamps, now, max_entries, stop = case
+    drained, looped = _queued(capacity, head, delay, stamps), _queued(capacity, head, delay, stamps)
+    out = drained.drain_arrays(now, max_entries, stop_at_not_ready=stop)
+    entries, polls = pop_loop(looped, now, max_entries, stop)
+    if not entries:
+        assert out is None
+        return
+    *fields, got_polls = out
+    names = ("page", "is_write", "timestamp_ns", "gpc_id", "utlb_id", "stream_id", "sm_id")
+    for name, values in zip(names, fields):
+        assert values.tolist() == [getattr(e, name) for e in entries], name
+    assert got_polls == polls
+    assert (drained._head, len(drained)) == (looped._head, len(looped))

@@ -10,7 +10,7 @@ from repro.gpu.fault_buffer import FaultEntry
 from repro.mem.address_space import AddressSpace
 from repro.mem.residency import ResidencyState
 from repro.units import MiB
-from tests.pagelists import make_resident
+from tests.pagelists import back, make_resident
 
 N_PAGES = 2048  # 4 VABlocks
 
@@ -21,8 +21,7 @@ def fresh_residency(resident_pages):
     state = ResidencyState(space)
     resident_pages = np.asarray(sorted(resident_pages), dtype=np.int64)
     if resident_pages.size:
-        for vb in np.unique(resident_pages // 512):
-            state.back_vablock(int(vb))
+        back(state, *np.unique(resident_pages // 512).tolist())
         make_resident(state, resident_pages)
     return state
 

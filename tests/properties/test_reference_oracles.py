@@ -1,12 +1,13 @@
 """Reference oracles for the per-bin and per-phase hot paths.
 
-The density prefetcher, the PTE count and the span transitions run on
-every VABlock bin, and the wavefront selection, uTLB raise and stream
+The density prefetcher, the PTE count, the page-table updates and the
+residency transitions run on every VABlock bin (the CPU-fault path runs
+the last two too), and the wavefront selection, uTLB raise and stream
 scan run on every GPU phase, so they are written for low per-call cost
-(Python-int bitsets, boolean leaf masks over one VABlock's span, a
-partition instead of a full sort, window views).  The straightforward
-forms they replaced live here as executable specifications, and every
-field of every result must match:
+(Python-int leaf bitsets stored per VABlock, a partition instead of a
+full sort, a C scan).  The straightforward forms they replaced live
+here as executable specifications, and every field of every result
+must match:
 
 * :func:`reference_compute` is the slice-sum density-tree walk over
   numpy masks (Section IV-A),
@@ -14,8 +15,11 @@ field of every result must match:
   ``np.unique``,
 * :func:`reference_map_pages` / :func:`reference_unmap_pages` are the
   page-table updates over global page-index arrays,
-* :func:`reference_make_resident` and :func:`reference_evict` are the
-  residency transitions over global page-index arrays,
+* :func:`reference_make_resident`, :func:`reference_evict`,
+  :func:`reference_invalidate_duplicates` and
+  :func:`reference_migrate_to_host` are the residency transitions over
+  page-indexed numpy arrays (:func:`reference_state`), compared with
+  the bitset state through ``ResidencyState.page_arrays``,
 * ``jitter_order(..., limit=k)`` is the full stable order cut at ``k``,
 * :func:`reference_raise` is the per-entry raise / push / forget loop,
 * :func:`reference_advance` is the per-access stream scan,
@@ -26,6 +30,7 @@ VABlock with big pages of 1-16 leaves.
 """
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,12 +44,11 @@ from repro.gpu.soa import SoaStreams, advance_batch
 from repro.gpu.tlb import UTlbArray
 from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
-from repro.mem.leafbits import bits_of
+from repro.mem.leafbits import bits_of, bits_of_pages, mask_of, unpack_rows
 from repro.mem.page_table import MappingStats, PageTable
-from repro.mem.residency import ResidencyState
+from repro.mem.residency import FLAG_PLANES, ResidencyState
 from repro.sim.rng import SimRng
 from repro.units import MiB, PAGE_SIZE
-from tests.pagelists import leaf_masks
 
 
 def reference_compute(
@@ -181,12 +185,12 @@ def test_effective_ptes_matches_unique_count(case):
     servicer = _servicer(ppb)
     # big pages never straddle VABlocks: the per-block mask counts add up
     got = 0
-    for _vb, leaves in leaf_masks(servicer.space, pages):
-        got += servicer._effective_ptes(bits_of(leaves), int(leaves.sum()))
+    for leaves in bits_of_pages(pages, servicer.space.pages_per_vablock).values():
+        got += servicer._effective_ptes(leaves, leaves.bit_count())
     assert got == reference_effective_ptes(pages, ppb)
 
 
-# -- per-bin: page-table spans -------------------------------------------------
+# -- page tables ----------------------------------------------------------------
 
 
 def reference_map_pages(mapped: np.ndarray, stats: MappingStats, pages) -> int:
@@ -229,49 +233,45 @@ def mapping_ops(draw):
             # one VABlock's span, as the service path holds it
             vb = draw(st.integers(min_value=0, max_value=n_vablocks - 1))
             offsets = draw(st.lists(st.integers(0, ppv - 1), max_size=ppv, unique=True))
-            ops.append((kind, vb * ppv, [vb * ppv + o for o in sorted(offsets)]))
+            ops.append((kind, [vb * ppv + o for o in offsets]))
         else:
             # unique pages in any order across VABlocks (the CPU-fault path)
             pages = st.integers(0, n_vablocks * ppv - 1)
-            ops.append((kind, None, draw(st.lists(pages, max_size=2 * ppv, unique=True))))
-    return ppv, n_vablocks, ops
+            ops.append((kind, draw(st.lists(pages, max_size=2 * ppv, unique=True))))
+    return ppv, n_vablocks, draw(st.sampled_from(["gpu", "host"])), ops
 
 
 @given(mapping_ops())
 @settings(max_examples=400, deadline=None)
 def test_page_table_spans_match_index_arrays(case):
-    """``map_span``/``unmap_span`` on one block's leaves and
-    ``map_pages``/``unmap_pages`` on scattered lists, interleaved."""
-    ppv, n_vablocks, ops = case
-    table = PageTable(_small_space(ppv, n_vablocks), side="host")
-    mapped = np.zeros(ppv * n_vablocks, dtype=bool)
+    """``PageTable.map``/``unmap`` on each VABlock's leaves of one block's
+    span or of a scattered list, against the index-array updates."""
+    ppv, n_vablocks, side, ops = case
+    table = PageTable(_small_space(ppv, n_vablocks), side=side)
+    mapped = np.full(ppv * n_vablocks, side == "host")
     stats = MappingStats()
-    for kind, start, pages in ops:
+    for kind, pages in ops:
         if kind == "unmap_mapped":
             # mostly-valid unmaps: restrict to what is mapped
             pages = [p for p in pages if mapped[p]]
         pages = np.array(pages, dtype=np.int64)
-        if start is None:
-            map_op, unmap_op, arg = PageTable.map_pages, PageTable.unmap_pages, (pages,)
-        else:
-            leaves = np.zeros(ppv, dtype=bool)
-            leaves[pages - start] = True
-            map_op, unmap_op, arg = PageTable.map_span, PageTable.unmap_span, (start, leaves)
-        if kind == "map":
-            assert map_op(table, *arg) == reference_map_pages(mapped, stats, pages)
-        else:
+        for vb, leaves in bits_of_pages(pages, ppv).items():
+            block_pages = pages[pages // ppv == vb]
+            if kind == "map":
+                assert table.map(vb, leaves) == reference_map_pages(mapped, stats, block_pages)
+                continue
             try:
-                want = reference_unmap_pages(mapped, stats, pages)
+                want = reference_unmap_pages(mapped, stats, block_pages)
             except SimulationError:
                 with pytest.raises(SimulationError, match="unmap of non-mapped"):
-                    unmap_op(table, *arg)
+                    table.unmap(vb, leaves)
             else:
-                assert unmap_op(table, *arg) == want
-        assert np.array_equal(table.mapped, mapped)
+                assert table.unmap(vb, leaves) == want
+        assert np.array_equal(unpack_rows([table.mapped], ppv).reshape(-1), mapped)
         assert table.stats == stats
 
 
-# -- per-bin: residency transitions --------------------------------------------
+# -- residency transitions -------------------------------------------------------
 
 RESIDENCY_ARRAYS = (
     "resident",
@@ -285,6 +285,24 @@ RESIDENCY_ARRAYS = (
     "read_ok",
     "write_ok",
 )
+
+
+def reference_state(space: AddressSpace) -> SimpleNamespace:
+    """The residency state as page- and block-indexed numpy arrays, the
+    form the index-array transitions below update."""
+    n_pages, n_vablocks = space.total_pages, space.total_vablocks
+    pages = {name: np.zeros(n_pages, dtype=bool) for name in RESIDENCY_ARRAYS}
+    pages["backed"] = np.zeros(n_vablocks, dtype=bool)
+    pages["resident_count"] = np.zeros(n_vablocks, dtype=np.int32)
+    pages["evict_count"] = np.zeros(n_vablocks, dtype=np.int64)
+    return SimpleNamespace(space=space, pages_per_vablock=space.pages_per_vablock, **pages)
+
+
+def _refresh_masks(state, pages: np.ndarray) -> None:
+    state.read_ok[pages] = state.resident[pages] | state.remote_mapped[pages]
+    state.write_ok[pages] = (
+        state.resident[pages] & state.writable[pages]
+    ) | state.remote_mapped[pages]
 
 
 def reference_make_resident(state, pages, writing=False, writable=True, duplicated=False):
@@ -311,10 +329,7 @@ def reference_make_resident(state, pages, writing=False, writable=True, duplicat
     state.duplicated[pages] = duplicated_m & ~state.writable[pages]
     state.dirty[pages[writing_m]] = True
     np.add.at(state.resident_count, pages[~was_resident] // ppv, 1)
-    state.read_ok[pages] = state.resident[pages] | state.remote_mapped[pages]
-    state.write_ok[pages] = (
-        state.resident[pages] & state.writable[pages]
-    ) | state.remote_mapped[pages]
+    _refresh_masks(state, pages)
     return int(pages.size - np.count_nonzero(was_resident))
 
 
@@ -329,17 +344,64 @@ def reference_evict(state, vablock_id):
     state.backed[vablock_id] = False
     state.resident_count[vablock_id] = 0
     state.evict_count[vablock_id] += 1
-    span = np.arange(start, stop)
-    state.read_ok[span] = state.resident[span] | state.remote_mapped[span]
-    state.write_ok[span] = (
-        state.resident[span] & state.writable[span]
-    ) | state.remote_mapped[span]
+    _refresh_masks(state, np.arange(start, stop))
     return resident_pages, dirty_pages
 
 
-def _same_residency(a: ResidencyState, b: ResidencyState) -> None:
+def reference_invalidate_duplicates(state, pages: np.ndarray) -> int:
+    """Host write: drop the (clean) GPU copies of the duplicated pages."""
+    pages = np.asarray(pages, dtype=np.int64)
+    if pages.size == 0:
+        return 0
+    dropping = pages[state.duplicated[pages]]
+    if dropping.size == 0:
+        return 0
+    state.resident[dropping] = False
+    state.duplicated[dropping] = False
+    state.writable[dropping] = False
+    np.add.at(state.resident_count, dropping // state.pages_per_vablock, -1)
+    _refresh_masks(state, dropping)
+    return int(dropping.size)
+
+
+def reference_migrate_to_host(state, pages: np.ndarray) -> tuple[int, int]:
+    """CPU fault: page-granular migration of the resident, non-duplicated
+    pages; ``(migrated, dirty)``."""
+    pages = np.asarray(pages, dtype=np.int64)
+    if pages.size == 0:
+        return 0, 0
+    moving = pages[state.resident[pages] & ~state.duplicated[pages]]
+    if moving.size == 0:
+        return 0, 0
+    n_dirty = int(state.dirty[moving].sum())
+    state.resident[moving] = False
+    state.writable[moving] = False
+    state.dirty[moving] = False
+    np.add.at(state.resident_count, moving // state.pages_per_vablock, -1)
+    _refresh_masks(state, moving)
+    return int(moving.size), n_dirty
+
+
+def _loaded(ref) -> ResidencyState:
+    """A :class:`ResidencyState` holding the reference arrays' state."""
+    state = ResidencyState(ref.space)
+    ppv = ref.pages_per_vablock
+    for block in state.blocks:
+        span = slice(block.vablock_id * ppv, (block.vablock_id + 1) * ppv)
+        for name in FLAG_PLANES:
+            setattr(block, name, bits_of(getattr(ref, name)[span]))
+        block.backed = bool(ref.backed[block.vablock_id])
+        block.evictions = int(ref.evict_count[block.vablock_id])
+    state.sync_masks(state.blocks)
+    return state
+
+
+def _same_residency(state: ResidencyState, ref) -> None:
+    arrays = state.page_arrays()
     for name in RESIDENCY_ARRAYS:
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert arrays[name].dtype == getattr(ref, name).dtype, name
+        assert np.array_equal(arrays[name], getattr(ref, name)), name
+    state.check_invariants()
 
 
 #: flag modes of a make_resident call: the stock migration, the read-
@@ -359,12 +421,9 @@ def _flags(mode, draw_bool, writes):
     return {"writable": True, "duplicated": writes if writes.any() else True}
 
 
-@st.composite
-def residency_case(draw):
-    ppv = draw(st.sampled_from([16, 64, 512]))
-    n_vablocks = 3
+def _history(draw, ppv, n_vablocks):
+    """Index-array transitions that build a starting state."""
     leaf_lists = st.lists(st.integers(0, ppv - 1), min_size=1, max_size=ppv, unique=True)
-    # a history of index-array transitions builds the starting state
     history = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         vb = draw(st.integers(min_value=0, max_value=n_vablocks - 1))
@@ -372,7 +431,16 @@ def residency_case(draw):
         writes = draw(st.lists(st.booleans(), min_size=len(offsets), max_size=len(offsets)))
         kind = draw(st.sampled_from(["migrate", "read_mostly", "remote", "evict"]))
         history.append((kind, vb, offsets, np.array(writes, dtype=bool)))
+    return history
+
+
+@st.composite
+def residency_case(draw):
+    ppv = draw(st.sampled_from([16, 64, 512]))
+    n_vablocks = 3
+    history = _history(draw, ppv, n_vablocks)
     vb = draw(st.integers(min_value=0, max_value=n_vablocks - 1))
+    leaf_lists = st.lists(st.integers(0, ppv - 1), min_size=1, max_size=ppv, unique=True)
     offsets = sorted(draw(leaf_lists))
     writes = np.array(
         draw(st.lists(st.booleans(), min_size=len(offsets), max_size=len(offsets))),
@@ -408,59 +476,91 @@ def _replay_history(state, ppv, history):
             )
 
 
-def _leaf_flag(value, ppv, offsets):
+def _leaf_flag(value, ppv, offsets) -> int:
+    """A flag as the bitset a block transition takes: a bool is every
+    leaf alike (-1 or 0), a mask aligned with ``offsets`` its leaves."""
     if np.ndim(value) == 0:
-        return bool(value)
+        return -1 if value else 0
     mask = np.zeros(ppv, dtype=bool)
     mask[offsets] = value
-    return mask
+    return bits_of(mask)
 
 
 @given(residency_case())
 @settings(max_examples=400, deadline=None)
 def test_make_resident_span_matches_index_arrays(case):
     ppv, n_vablocks, history, (vb, offsets, flags, back) = case
-    span_state = ResidencyState(_small_space(ppv, n_vablocks))
-    ref_state = ResidencyState(_small_space(ppv, n_vablocks))
-    _replay_history(span_state, ppv, history)
-    _replay_history(ref_state, ppv, history)
+    ref = reference_state(_small_space(ppv, n_vablocks))
+    _replay_history(ref, ppv, history)
     if back:
-        for state in (span_state, ref_state):
-            state.backed[vb] = True
+        ref.backed[vb] = True
+    state = _loaded(ref)
     pages = np.array(offsets, dtype=np.int64) + vb * ppv
-    leaves = np.zeros(ppv, dtype=bool)
-    leaves[offsets] = True
+    leaves = sum(1 << o for o in offsets)
     leaf_flags = {k: _leaf_flag(v, ppv, offsets) for k, v in flags.items()}
     try:
-        want = reference_make_resident(ref_state, pages, **flags)
+        want = reference_make_resident(ref, pages, **flags)
     except SimulationError as exc:
         with pytest.raises(SimulationError, match=str(exc).split(" in ")[0]):
-            span_state.make_resident(vb, leaves, **leaf_flags)
+            state.make_resident(vb, leaves, **leaf_flags)
     else:
-        assert span_state.make_resident(vb, leaves, **leaf_flags) == want
-    _same_residency(span_state, ref_state)
+        assert state.make_resident(vb, leaves, **leaf_flags) == want
+    _same_residency(state, ref)
 
 
 @given(residency_case())
 @settings(max_examples=300, deadline=None)
 def test_evict_reports_the_leaves_the_index_arrays_find(case):
     ppv, n_vablocks, history, (vb, _offsets, _flags, _back) = case
-    span_state = ResidencyState(_small_space(ppv, n_vablocks))
-    ref_state = ResidencyState(_small_space(ppv, n_vablocks))
-    _replay_history(span_state, ppv, history)
-    _replay_history(ref_state, ppv, history)
-    if not span_state.backed[vb]:
+    ref = reference_state(_small_space(ppv, n_vablocks))
+    _replay_history(ref, ppv, history)
+    state = _loaded(ref)
+    if not ref.backed[vb]:
         with pytest.raises(SimulationError, match="evicting unbacked"):
-            span_state.evict_vablock(vb)
+            state.evict_vablock(vb)
         return
-    evicted = span_state.evict_vablock(vb)
-    resident_pages, dirty_pages = reference_evict(ref_state, vb)
+    resident, dirty = state.evict_vablock(vb)
+    resident_pages, dirty_pages = reference_evict(ref, vb)
     start = vb * ppv
-    assert evicted.n_resident == resident_pages.size
-    assert evicted.n_dirty == dirty_pages.size
-    assert np.array_equal(np.flatnonzero(evicted.resident) + start, resident_pages)
-    assert np.array_equal(np.flatnonzero(evicted.dirty) + start, dirty_pages)
-    _same_residency(span_state, ref_state)
+    assert np.array_equal(np.flatnonzero(mask_of(resident, ppv)) + start, resident_pages)
+    assert np.array_equal(np.flatnonzero(mask_of(dirty, ppv)) + start, dirty_pages)
+    _same_residency(state, ref)
+
+
+@st.composite
+def host_case(draw):
+    ppv = draw(st.sampled_from([16, 64, 512]))
+    n_vablocks = 3
+    history = _history(draw, ppv, n_vablocks)
+    pages = st.integers(0, n_vablocks * ppv - 1)
+    touched = draw(st.lists(pages, max_size=2 * ppv, unique=True))
+    return ppv, n_vablocks, history, np.array(touched, dtype=np.int64), draw(st.booleans())
+
+
+@given(host_case())
+@settings(max_examples=400, deadline=None)
+def test_host_transitions_match_index_arrays(case):
+    """A CPU fault on scattered pages, as the driver runs it: per touched
+    VABlock, drop the duplicated leaves (host writes only), then migrate
+    the resident leaves to the host; then sync the touched blocks' masks."""
+    ppv, n_vablocks, history, pages, writes = case
+    ref = reference_state(_small_space(ppv, n_vablocks))
+    _replay_history(ref, ppv, history)
+    state = _loaded(ref)
+    touched = bits_of_pages(np.unique(pages), ppv)
+    blocks = [state.blocks[vb] for vb in touched]
+    if writes:
+        dropped = [b.drop_duplicates(leaves) for b, leaves in zip(blocks, touched.values())]
+        assert sum(d.bit_count() for d in dropped) == reference_invalidate_duplicates(ref, pages)
+        for b, leaves in zip(blocks, dropped):
+            assert not leaves & ~touched[b.vablock_id]
+    moved = [b.migrate_to_host(leaves) for b, leaves in zip(blocks, touched.values())]
+    state.sync_masks(blocks)
+    n_moved = sum(m.bit_count() for m, _ in moved)
+    n_dirty = sum(d.bit_count() for _, d in moved)
+    assert (n_moved, n_dirty) == reference_migrate_to_host(ref, pages)
+    assert all(not d & ~m for m, d in moved)
+    _same_residency(state, ref)
 
 
 # -- GPU phase: wavefront selection ------------------------------------------

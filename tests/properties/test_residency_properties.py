@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem.address_space import AddressSpace
+from repro.mem.leafbits import mask_of
 from repro.mem.residency import ResidencyState
 from repro.units import MiB
-from tests.pagelists import make_resident
+from tests.pagelists import arrays, back, make_resident
 
 N_VABLOCKS = 4
 N_PAGES = N_VABLOCKS * 512
@@ -43,13 +44,13 @@ def test_invariants_hold_under_any_op_sequence(sequence):
         if op[0] == "resident":
             _, pages, write = op
             pages = np.array(pages, dtype=np.int64)
-            for vb in np.unique(pages // 512):
-                if not state.backed[vb]:
-                    state.back_vablock(int(vb))
+            for vb in np.unique(pages // 512).tolist():
+                if not state.blocks[vb].backed:
+                    back(state, vb)
             make_resident(state, pages, writing=write)
         else:
             _, vb = op
-            if state.backed[vb]:
+            if state.blocks[vb].backed:
                 state.evict_vablock(vb)
     state.check_invariants()
 
@@ -62,13 +63,15 @@ def test_resident_count_equals_bitmap_popcount(sequence):
         if op[0] == "resident":
             _, pages, write = op
             pages = np.array(pages, dtype=np.int64)
-            for vb in np.unique(pages // 512):
-                if not state.backed[vb]:
-                    state.back_vablock(int(vb))
+            for vb in np.unique(pages // 512).tolist():
+                if not state.blocks[vb].backed:
+                    back(state, vb)
             make_resident(state, pages, writing=write)
-        elif state.backed[op[1]]:
+        elif state.blocks[op[1]].backed:
             state.evict_vablock(op[1])
-    assert state.total_resident_pages() == int(state.resident.sum())
+    after = arrays(state)
+    assert int(after.resident_count.sum()) == int(after.resident.sum())
+    assert np.array_equal(after.resident_count, after.resident.reshape(-1, 512).sum(axis=1))
 
 
 @given(
@@ -78,8 +81,7 @@ def test_resident_count_equals_bitmap_popcount(sequence):
 @settings(max_examples=80, deadline=None)
 def test_make_resident_is_idempotent_and_additive(first, second):
     state = fresh_state()
-    for vb in range(N_VABLOCKS):
-        state.back_vablock(vb)
+    back(state, *range(N_VABLOCKS))
     a = np.array(first, dtype=np.int64)
     b = np.array(second, dtype=np.int64)
     n1 = make_resident(state, a)
@@ -87,21 +89,21 @@ def test_make_resident_is_idempotent_and_additive(first, second):
     assert n1 == len(first)
     assert n2 == np.setdiff1d(b, a).size
     union = np.union1d(a, b)
-    assert state.total_resident_pages() == union.size
+    assert arrays(state).resident_count.sum() == union.size
 
 
 @given(st.lists(st.integers(0, N_PAGES - 1), min_size=1, max_size=128, unique=True))
 @settings(max_examples=80, deadline=None)
 def test_evict_drops_exactly_block_pages(pages):
     state = fresh_state()
-    for vb in range(N_VABLOCKS):
-        state.back_vablock(vb)
+    back(state, *range(N_VABLOCKS))
     pages = np.array(pages, dtype=np.int64)
     make_resident(state, pages, writing=True)
     in_block0 = int((pages < 512).sum())
-    evicted = state.evict_vablock(0)
-    assert evicted.n_resident == in_block0
-    assert evicted.n_dirty == in_block0  # all written
-    assert np.array_equal(np.flatnonzero(evicted.resident), np.sort(pages[pages < 512]))
-    assert np.array_equal(evicted.dirty, evicted.resident)
-    assert state.total_resident_pages() == pages.size - in_block0
+    resident, dirty = state.evict_vablock(0)
+    assert resident.bit_count() == in_block0
+    assert dirty.bit_count() == in_block0  # all written
+    assert np.array_equal(np.flatnonzero(mask_of(resident, 512)), np.sort(pages[pages < 512]))
+    assert dirty == resident
+    assert arrays(state).resident_count.sum() == pages.size - in_block0
+    assert not state.read_ok[:512].any()

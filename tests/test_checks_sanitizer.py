@@ -9,13 +9,14 @@ from repro.checks import sanitizer as uvmsan
 from repro.checks.sanitizer import SanitizerError, UvmSanitizer
 from repro.core.driver import UvmDriver
 from repro.core.eviction import LruEvictionPolicy
+from repro.core.service import BatchView
 from repro.experiments.runner import ExperimentSetup, simulate
 from repro.mem.address_space import AddressSpace
 from repro.mem.residency import ResidencyState
 from repro.sim.rng import SimRng
 from repro.units import MiB, VABLOCK_SIZE
 from repro.workloads.registry import make_workload
-from tests.pagelists import make_resident
+from tests.pagelists import back, make_resident
 
 
 @pytest.fixture
@@ -106,11 +107,10 @@ def _plant_residency_bug(driver: UvmDriver) -> None:
     """After the first batch is written, mark a non-resident page dirty.
 
     The corruption is behaviorally inert: eviction and migration always
-    mask ``dirty`` with ``resident``, so an unsanitized run completes
-    with identical results - exactly the silent-corruption class UVMSAN
-    exists to catch.  (Bins decide on the batch's view; the arrays
-    change only when the batch is written, so that is where the bug is
-    planted.)
+    mask ``dirty`` with ``resident``, so an unsanitized run completes -
+    exactly the silent-corruption class UVMSAN exists to catch.  (The
+    sanitizer checks the state at batch boundaries, after the batch is
+    written, so that is where the bug is planted.)
     """
     original = driver.servicer.write_batch
     state = {"planted": False}
@@ -118,9 +118,10 @@ def _plant_residency_bug(driver: UvmDriver) -> None:
     def corrupting():
         original()
         if not state["planted"]:
-            non_resident = np.flatnonzero(~driver.residency.resident)
-            if non_resident.size:
-                driver.residency.dirty[non_resident[0]] = True
+            block = driver.residency.blocks[0]
+            non_resident = ~block.resident & (1 << driver.space.pages_per_vablock) - 1
+            if non_resident:
+                block.dirty |= non_resident & -non_resident  # its lowest leaf
                 state["planted"] = True
 
     driver.servicer.write_batch = corrupting
@@ -147,9 +148,11 @@ def test_planted_page_table_bug_caught(san_on, tiny_setup):
     def corrupting():
         original()
         if not state["planted"]:
-            mapped = np.flatnonzero(driver.gpu_table.mapped)
-            if mapped.size:
-                driver.gpu_table.mapped[mapped[0]] = False  # leak a PTE
+            table = driver.gpu_table.mapped
+            mapped = [vb for vb, leaves in enumerate(table) if leaves]
+            if mapped:
+                leaves = table[mapped[0]]
+                table[mapped[0]] = leaves & (leaves - 1)  # leak its lowest PTE
                 state["planted"] = True
 
     driver.servicer.write_batch = corrupting
@@ -196,46 +199,49 @@ def test_check_eviction_postconditions():
     san = UvmSanitizer()
     space, res = _residency_pair()
     lru = LruEvictionPolicy()
-    res.back_vablock(0)
+    back(res, 0)
     lru.insert(0)
     make_resident(res, np.arange(4, dtype=np.int64))
+    view = BatchView(res)
     with pytest.raises(SanitizerError, match="still backed"):
-        san.check_eviction(res, 0, lru)
+        san.check_eviction(view, 0, lru)
     res.evict_vablock(0)
     with pytest.raises(SanitizerError, match="still on LRU"):
-        san.check_eviction(res, 0, lru)
+        san.check_eviction(view, 0, lru)
     lru.remove(0)
-    san.check_eviction(res, 0, lru)  # clean teardown passes
+    san.check_eviction(view, 0, lru)  # clean teardown passes
 
 
 def test_check_prefetch_rejects_resident_and_unbacked():
     san = UvmSanitizer()
     space, res = _residency_pair()
     ppv = space.pages_per_vablock
+    view = BatchView(res)
     with pytest.raises(SanitizerError, match="without physical backing"):
-        san.check_prefetch(res, 0, np.array([1], dtype=np.int64))
-    res.back_vablock(0)
+        san.check_prefetch(view, 0, np.array([1], dtype=np.int64))
+    back(res, 0)
     make_resident(res, np.array([1], dtype=np.int64))
     with pytest.raises(SanitizerError, match="already-resident"):
-        san.check_prefetch(res, 0, np.array([1], dtype=np.int64))
+        san.check_prefetch(view, 0, np.array([1], dtype=np.int64))
     with pytest.raises(SanitizerError, match="escaped"):
-        san.check_prefetch(res, 0, np.array([ppv], dtype=np.int64))
-    san.check_prefetch(res, 0, np.array([2, 3], dtype=np.int64))
+        san.check_prefetch(view, 0, np.array([ppv], dtype=np.int64))
+    san.check_prefetch(view, 0, np.array([2, 3], dtype=np.int64))
 
 
 def test_check_prefetch_rejects_unmergeable_demand_and_prefetch():
     san = UvmSanitizer()
     _, res = _residency_pair()
-    res.back_vablock(0)
+    back(res, 0)
+    view = BatchView(res)
     demand = np.array([4, 9], dtype=np.int64)
-    san.check_prefetch(res, 0, np.array([2, 5], dtype=np.int64), demand)
+    san.check_prefetch(view, 0, np.array([2, 5], dtype=np.int64), demand)
     for prefetch, bad_demand in (
         (np.array([2, 9], dtype=np.int64), demand),  # overlaps demand
         (np.array([5, 2], dtype=np.int64), demand),  # descending
         (np.array([2, 5], dtype=np.int64), np.array([9, 4], dtype=np.int64)),
     ):
         with pytest.raises(SanitizerError, match="ascending and disjoint"):
-            san.check_prefetch(res, 0, prefetch, bad_demand)
+            san.check_prefetch(view, 0, prefetch, bad_demand)
 
 
 def test_check_state_flags_lru_membership_drift(san_on):
@@ -245,9 +251,8 @@ def test_check_state_flags_lru_membership_drift(san_on):
 
     gpu = PageTable(space, side="gpu")
     host = PageTable(space, side="host")
-    host.mapped[:] = True
     lru = LruEvictionPolicy()
     san.check_state(res, gpu, host, lru)  # empty state is consistent
-    res.back_vablock(1)  # backed but never inserted into the LRU
+    back(res, 1)  # backed but never inserted into the LRU
     with pytest.raises(SanitizerError, match="lru"):
         san.check_state(res, gpu, host, lru)

@@ -9,7 +9,8 @@ from repro.gpu.fault_buffer import FaultBuffer, FaultEntry
 from repro.mem.address_space import AddressSpace
 from repro.mem.residency import ResidencyState
 from repro.units import MiB
-from tests.pagelists import make_resident
+from tests.faultbuffer import pop_ready, try_push
+from tests.pagelists import back, make_resident
 
 
 def entry(page, write=False, t=0, stream=0, sm=0):
@@ -35,35 +36,38 @@ class TestAssembleBatch:
     def test_drains_up_to_batch_size(self):
         buf = FaultBuffer(capacity=100, ready_delay_ns=0)
         for p in range(10):
-            buf.try_push(entry(p))
+            try_push(buf, entry(p))
         batch = assemble_batch(buf, now_ns=10**6, batch_size=4)
         assert len(batch) == 4
         assert len(buf) == 6
 
     def test_stops_at_empty_queue(self):
         buf = FaultBuffer(capacity=100, ready_delay_ns=0)
-        buf.try_push(entry(1))
+        try_push(buf, entry(1))
         batch = assemble_batch(buf, now_ns=10**6, batch_size=256)
         assert len(batch) == 1
 
     def test_accumulates_polls(self):
-        buf = FaultBuffer(capacity=100, ready_delay_ns=1000)
-        for p in range(3):
-            buf.try_push(entry(p, t=0))
-        batch = assemble_batch(buf, now_ns=0, batch_size=3)
+        bufs = [FaultBuffer(capacity=100, ready_delay_ns=1000) for _ in range(2)]
+        for buf in bufs:
+            for p in range(3):
+                try_push(buf, entry(p, t=p * 400))
+        batch = assemble_batch(bufs[0], now_ns=0, batch_size=3)
         assert batch.polls >= 3
+        # the per-entry poll rule, entry by entry
+        assert batch.polls == sum(pop_ready(bufs[1], 0)[1] for _ in range(3))
 
     def test_pages_accessor(self):
         buf = FaultBuffer(capacity=100, ready_delay_ns=0)
-        buf.try_push(entry(9))
+        try_push(buf, entry(9))
         batch = assemble_batch(buf, 10**6, 10)
         assert batch.pages == [9]
 
     def test_stop_at_not_ready_closes_batch_early(self):
         buf = FaultBuffer(capacity=100, ready_delay_ns=1000)
-        buf.try_push(entry(1, t=0))  # ready at 1000
-        buf.try_push(entry(2, t=0))  # ready at 1000
-        buf.try_push(entry(3, t=5000))  # ready at 6000
+        try_push(buf, entry(1, t=0))  # ready at 1000
+        try_push(buf, entry(2, t=0))  # ready at 1000
+        try_push(buf, entry(3, t=5000))  # ready at 6000
         batch = assemble_batch(buf, now_ns=2000, batch_size=10, stop_at_not_ready=True)
         assert batch.pages == [1, 2]
         assert batch.polls == 0
@@ -73,7 +77,7 @@ class TestAssembleBatch:
         """An all-unready queue must not produce an empty batch forever:
         the first entry is polled for."""
         buf = FaultBuffer(capacity=100, ready_delay_ns=1000)
-        buf.try_push(entry(1, t=5000))
+        try_push(buf, entry(1, t=5000))
         batch = assemble_batch(buf, now_ns=0, batch_size=10, stop_at_not_ready=True)
         assert batch.pages == [1]
         assert batch.polls >= 1
@@ -93,7 +97,7 @@ class TestPreprocess:
         assert pre.bins[1].pages.tolist() == [600, 700]
 
     def test_stale_duplicates_filtered(self, residency):
-        residency.back_vablock(0)
+        back(residency, 0)
         make_resident(residency, np.array([5]))
         batch = self._batch([entry(5), entry(6)])
         pre = preprocess_batch(batch, residency)
@@ -115,7 +119,7 @@ class TestPreprocess:
         assert pre.bins[0].writes.tolist() == [True]
 
     def test_entry_duplicate_mask_alignment(self, residency):
-        residency.back_vablock(0)
+        back(residency, 0)
         make_resident(residency, np.array([1]))
         batch = self._batch([entry(1), entry(2), entry(2), entry(3)])
         pre = preprocess_batch(batch, residency)
@@ -127,7 +131,7 @@ class TestPreprocess:
         assert pre.bins == []
 
     def test_all_stale_batch(self, residency):
-        residency.back_vablock(0)
+        back(residency, 0)
         make_resident(residency, np.array([1, 2]))
         pre = preprocess_batch(self._batch([entry(1), entry(2)]), residency)
         assert pre.n_duplicate == 2

@@ -10,6 +10,7 @@ from repro.mem.address_space import AddressSpace
 from repro.sim.rng import SimRng
 from repro.units import MiB
 from repro.workloads.base import HostAccess, KernelPhase
+from tests.pagelists import arrays, mapped
 
 
 def page_streams(pages, base_id=0):
@@ -43,7 +44,7 @@ class TestHostAccess:
         assert result.counters["host.faults"] >= 1
         # the second kernel re-faulted the migrated pages
         assert result.counters["gpu.accesses"] == 64
-        assert driver.residency.resident[:8].all()  # re-migrated by kernel 2
+        assert arrays(driver.residency).resident[:8].all()  # re-migrated by kernel 2
 
     def test_host_touch_of_host_resident_data_is_free(self):
         phases = [
@@ -67,8 +68,9 @@ class TestHostAccess:
         driver = build_driver(phases)
         driver.run()
         driver.residency.check_invariants()
-        driver.gpu_table.check_against_residency(driver.residency.resident)
-        assert not (driver.gpu_table.mapped & driver.host_table.mapped).any()
+        driver.gpu_table.check_mapped(driver.residency.expected_gpu_mapped())
+        driver.host_table.check_mapped(driver.residency.expected_host_mapped())
+        assert not (mapped(driver.gpu_table) & mapped(driver.host_table)).any()
 
     def test_host_fault_cost_charged(self):
         phases = [
@@ -94,7 +96,7 @@ class TestHostAccess:
         ]
         driver = build_driver(phases)
         driver.run()
-        assert driver.residency.backed[0]
+        assert driver.residency.blocks[0].backed
         assert 0 in driver.lru
 
 

@@ -17,6 +17,7 @@ from repro.sim.costmodel import CostModel
 from repro.sim.stats import CategoryTimer, CounterSet
 from repro.trace.recorder import TraceRecorder
 from repro.units import MiB
+from tests.pagelists import arrays, mapped
 
 
 def make_bin(pages, writes=None, vablock=None):
@@ -42,7 +43,6 @@ class Harness:
         self.residency = ResidencyState(self.space)
         self.gpu_table = PageTable(self.space, "gpu")
         self.host_table = PageTable(self.space, "host")
-        self.host_table.mapped[:] = True
         self.pma = PhysicalMemoryAllocator(self.cost, gpu_mib * MiB)
         self.lru = LruEvictionPolicy()
         self.dma = DmaEngine(self.cost, self.space.page_size)
@@ -65,8 +65,8 @@ class Harness:
         )
 
     def service(self, vbin):
-        """Service one bin as a batch of its own (decided on the batch's
-        view, written to the arrays when the batch closes)."""
+        """Service one bin as a batch of its own (its page masks are
+        written when the batch closes)."""
         with self.servicer.batch([vbin]):
             return self.servicer.service_bin(vbin)
 
@@ -76,15 +76,17 @@ class TestDemandService:
         h = Harness()
         outcome = h.service(make_bin([1, 2, 3]))
         assert outcome.n_demand == 3
-        assert h.residency.resident[[1, 2, 3]].all()
-        assert h.gpu_table.mapped[[1, 2, 3]].all()
-        assert not h.host_table.mapped[[1, 2, 3]].any()
+        assert arrays(h.residency).resident[[1, 2, 3]].all()
+        assert h.residency.read_ok[[1, 2, 3]].all()
+        assert mapped(h.gpu_table)[[1, 2, 3]].all()
+        assert not mapped(h.host_table)[[1, 2, 3]].any()
 
     def test_write_faults_mark_dirty(self):
         h = Harness()
         h.service(make_bin([1, 2], writes=[True, False]))
-        assert h.residency.dirty[1]
-        assert not h.residency.dirty[2]
+        dirty = arrays(h.residency).dirty
+        assert dirty[1]
+        assert not dirty[2]
 
     def test_costs_charged_to_paper_categories(self):
         h = Harness()
@@ -112,7 +114,8 @@ class TestDemandService:
         h = Harness()
         h.service(make_bin([1, 5, 200], writes=[True, True, False]))
         h.residency.check_invariants()
-        h.gpu_table.check_against_residency(h.residency.resident)
+        h.gpu_table.check_mapped(h.residency.expected_gpu_mapped())
+        h.host_table.check_mapped(h.residency.expected_host_mapped())
 
 
 class TestPrefetchIntegration:
@@ -120,9 +123,10 @@ class TestPrefetchIntegration:
         h = Harness(prefetcher=TreePrefetcher())
         outcome = h.service(make_bin([0], writes=[True]))
         assert outcome.n_prefetch == 15
-        assert h.residency.resident[:16].all()
-        assert h.residency.dirty[0]
-        assert not h.residency.dirty[1:16].any()
+        after = arrays(h.residency)
+        assert after.resident[:16].all()
+        assert after.dirty[0]
+        assert not after.dirty[1:16].any()
 
     def test_prefetch_counted_separately(self):
         h = Harness(prefetcher=TreePrefetcher(threshold=1))
@@ -139,7 +143,7 @@ class TestEvictionPath:
         outcome = h.service(make_bin([1024]))
         assert outcome.n_evictions == 1
         assert h.counters["evictions.count"] == 1
-        assert not h.residency.backed[0]  # LRU victim was block 0
+        assert not arrays(h.residency).backed[0]  # LRU victim was block 0
 
     def test_eviction_writes_back_dirty_pages(self):
         h = Harness(gpu_mib=4, data_mib=8)
@@ -155,15 +159,15 @@ class TestEvictionPath:
         h.service(make_bin([0]))
         h.service(make_bin([512]))
         h.service(make_bin([1024]))
-        assert h.host_table.mapped[0]
-        assert not h.gpu_table.mapped[0]
+        assert mapped(h.host_table)[0]
+        assert not mapped(h.gpu_table)[0]
+        assert not h.residency.read_ok[0]
 
     def test_faulting_block_never_evicts_itself(self):
         h = Harness(gpu_mib=2, data_mib=8)  # single-block GPU
         h.service(make_bin([0]))
         h.service(make_bin([512]))  # must evict block 0
-        assert h.residency.backed[1]
-        assert not h.residency.backed[0]
+        assert arrays(h.residency).backed[:2].tolist() == [False, True]
 
     def test_eviction_charged_to_service_evict(self):
         h = Harness(gpu_mib=4, data_mib=8)

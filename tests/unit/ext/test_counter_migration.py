@@ -10,45 +10,53 @@ from repro.gpu.device import GpuDeviceConfig
 from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.mem.advise import MemAdvise
+from repro.mem.residency import BlockLeaves
 from repro.sim.rng import SimRng
 from repro.units import MiB
+from tests.pagelists import arrays
+
+
+def blocks(*remote_mapped: int) -> list[BlockLeaves]:
+    """VABlocks 0.. whose remote-mapped leaves are ``remote_mapped``."""
+    out = [BlockLeaves(vb) for vb in range(len(remote_mapped))]
+    for block, leaves in zip(out, remote_mapped):
+        block.remote_mapped = leaves
+    return out
 
 
 class TestController:
     def test_no_candidates_without_remote_pages(self):
         ctrl = CounterMigrationController(promote_threshold=10)
         counters = np.array([100, 100])
-        remote = np.zeros(1024, dtype=bool)
-        assert ctrl.candidates(counters, remote, 512) == []
+        assert ctrl.candidates(counters, blocks(0, 0)) == []
 
     def test_hot_remote_block_flagged_after_threshold(self):
         ctrl = CounterMigrationController(promote_threshold=10, cooldown=0)
         counters = np.array([0, 0])
-        remote = np.zeros(1024, dtype=bool)
-        remote[512:600] = True  # block 1 has remote pages
-        assert ctrl.candidates(counters, remote, 512) == []  # baseline set
+        remote = blocks(0, (1 << 88) - 1)  # block 1 has remote pages
+        assert ctrl.candidates(counters, remote) == []  # baseline set
         counters[1] = 50
-        assert ctrl.candidates(counters, remote, 512) == [1]
+        assert ctrl.candidates(counters, remote) == [1]
 
     def test_baseline_resets_after_flagging(self):
         ctrl = CounterMigrationController(promote_threshold=10, cooldown=0)
         counters = np.array([0])
-        remote = np.ones(512, dtype=bool)
-        ctrl.candidates(counters, remote, 512)
+        remote = blocks((1 << 512) - 1)
+        ctrl.candidates(counters, remote)
         counters[0] = 50
-        assert ctrl.candidates(counters, remote, 512) == [0]
+        assert ctrl.candidates(counters, remote) == [0]
         counters[0] = 55  # only +5 since last flag: below threshold
-        assert ctrl.candidates(counters, remote, 512) == []
+        assert ctrl.candidates(counters, remote) == []
 
     def test_cooldown_suppresses_reflagging(self):
         ctrl = CounterMigrationController(promote_threshold=1, cooldown=2)
         counters = np.array([0])
-        remote = np.ones(512, dtype=bool)
-        ctrl.candidates(counters, remote, 512)
+        remote = blocks((1 << 512) - 1)
+        ctrl.candidates(counters, remote)
         counters[0] = 100
-        assert ctrl.candidates(counters, remote, 512) == [0]
+        assert ctrl.candidates(counters, remote) == [0]
         counters[0] = 200
-        assert ctrl.candidates(counters, remote, 512) == []  # cooling down
+        assert ctrl.candidates(counters, remote) == []  # cooling down
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -80,10 +88,10 @@ class TestEndToEnd:
         driver, result = self._run(counter_migration=True)
         assert result.counters["counter_migration.blocks"] > 0
         assert result.counters["counter_migration.pages"] > 0
-        assert driver.residency.total_resident_pages() > 0
+        assert arrays(driver.residency).resident_count.sum() > 0
         driver.residency.check_invariants()
-        driver.gpu_table.check_against_residency(
-            driver.residency.resident | driver.residency.remote_mapped
+        driver.gpu_table.check_mapped(
+            driver.residency.expected_gpu_mapped()
         )
 
     def test_promotion_cuts_remote_traffic_and_time(self):

@@ -10,7 +10,7 @@ from repro.mem.address_space import AddressSpace
 from repro.mem.leafbits import bits_of, mask_of
 from repro.mem.residency import ResidencyState
 from repro.units import MiB
-from tests.pagelists import make_resident
+from tests.pagelists import back, make_resident
 
 
 @pytest.fixture
@@ -34,7 +34,7 @@ def make_bin(pages, sms, vablock=0):
 def predict(pf, residency, vbin):
     """The prefetcher's leaf bitset for ``vbin`` as ascending global pages."""
     start, _ = residency.space.page_span_of_vablock(vbin.vablock_id)
-    resident = bits_of(residency.vablock_leaf_mask(vbin.vablock_id))
+    resident = residency.blocks[vbin.vablock_id].resident
     demand = bits_of(np.isin(np.arange(residency.pages_per_vablock), vbin.pages - start))
     bits = pf.prefetch_bits(resident, demand, vbin, start)
     assert 0 <= bits < 1 << residency.pages_per_vablock
@@ -80,7 +80,7 @@ class TestClamping:
         assert predicted.size == 0  # 600 escapes block 0
 
     def test_resident_pages_skipped(self, residency):
-        residency.back_vablock(0)
+        back(residency, 0)
         make_resident(residency, np.array([14]))
         pf = OriginStreamPrefetcher(depth=2)
         predict(pf, residency, make_bin([10], [0]))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gpu.fault_buffer import FaultBuffer, FaultEntry
+from tests.faultbuffer import pop_ready, snapshot_pages, try_push
 
 
 def entry(page: int, t: int = 0, stream: int = 0) -> FaultEntry:
@@ -15,17 +16,17 @@ def entry(page: int, t: int = 0, stream: int = 0) -> FaultEntry:
 class TestCapacity:
     def test_push_until_full(self):
         buf = FaultBuffer(capacity=2)
-        assert buf.try_push(entry(1))
-        assert buf.try_push(entry(2))
-        assert not buf.try_push(entry(3))
+        assert try_push(buf, entry(1))
+        assert try_push(buf, entry(2))
+        assert not try_push(buf, entry(3))
         assert buf.total_dropped == 1
         assert len(buf) == 2
 
     def test_high_watermark(self):
         buf = FaultBuffer(capacity=4)
         for p in range(3):
-            buf.try_push(entry(p))
-        buf.pop_ready(10**9)
+            try_push(buf, entry(p))
+        pop_ready(buf, 10**9)
         assert buf.high_watermark == 3
 
     def test_zero_capacity_rejected(self):
@@ -37,49 +38,49 @@ class TestReadySemantics:
     def test_fifo_order(self):
         buf = FaultBuffer(capacity=8, ready_delay_ns=0)
         for p in (5, 3, 9):
-            buf.try_push(entry(p))
-        pages = [buf.pop_ready(0)[0].page for _ in range(3)]
+            try_push(buf, entry(p))
+        pages = [pop_ready(buf, 0)[0].page for _ in range(3)]
         assert pages == [5, 3, 9]
 
     def test_entry_not_ready_requires_polls(self):
         buf = FaultBuffer(capacity=8, ready_delay_ns=1000)
-        buf.try_push(entry(1, t=100))
-        popped, polls = buf.pop_ready(now_ns=100)  # ready at 1100
+        try_push(buf, entry(1, t=100))
+        popped, polls = pop_ready(buf, now_ns=100)  # ready at 1100
         assert popped.page == 1
         assert polls >= 1
 
     def test_ready_entry_needs_no_polls(self):
         buf = FaultBuffer(capacity=8, ready_delay_ns=1000)
-        buf.try_push(entry(1, t=0))
-        _, polls = buf.pop_ready(now_ns=5000)
+        try_push(buf, entry(1, t=0))
+        _, polls = pop_ready(buf, now_ns=5000)
         assert polls == 0
 
     def test_pop_empty(self):
         buf = FaultBuffer(capacity=8)
-        assert buf.pop_ready(0) == (None, 0)
+        assert pop_ready(buf, 0) == (None, 0)
 
 
 class TestFlush:
     def test_flush_empties_and_counts(self):
         buf = FaultBuffer(capacity=8)
         for p in range(5):
-            buf.try_push(entry(p))
+            try_push(buf, entry(p))
         assert buf.flush() == 5
         assert len(buf) == 0
         assert buf.total_flushed == 5
 
     def test_push_after_flush(self):
         buf = FaultBuffer(capacity=2)
-        buf.try_push(entry(1))
-        buf.try_push(entry(2))
+        try_push(buf, entry(1))
+        try_push(buf, entry(2))
         buf.flush()
-        assert buf.try_push(entry(3))
+        assert try_push(buf, entry(3))
 
     def test_snapshot_pages(self):
         buf = FaultBuffer(capacity=8)
-        buf.try_push(entry(7))
-        buf.try_push(entry(7))  # duplicates are stored faithfully
-        assert buf.snapshot_pages() == [7, 7]
+        try_push(buf, entry(7))
+        try_push(buf, entry(7))  # duplicates are stored faithfully
+        assert snapshot_pages(buf) == [7, 7]
 
 
 class TestEntryShape:

@@ -7,7 +7,15 @@ from repro.errors import SimulationError
 from repro.mem.address_space import AddressSpace
 from repro.mem.residency import ResidencyState
 from repro.units import MiB
-from tests.pagelists import collapse_duplicates, make_resident, map_remote
+from tests.pagelists import (
+    arrays,
+    back,
+    collapse_duplicates,
+    drop_duplicates,
+    make_resident,
+    map_remote,
+    migrate_to_host,
+)
 
 
 @pytest.fixture
@@ -15,15 +23,14 @@ def state():
     space = AddressSpace()
     space.malloc_managed(4 * MiB)
     s = ResidencyState(space)
-    s.back_vablock(0)
-    s.back_vablock(1)
+    back(s, 0, 1)
     return s
 
 
 class TestPermissions:
     def test_default_migration_maps_writable(self, state):
         make_resident(state, np.array([1]))
-        assert state.writable[1]
+        assert arrays(state).writable[1]
         assert state.write_ok[1]
         state.check_invariants()
 
@@ -41,7 +48,7 @@ class TestPermissions:
 class TestDuplication:
     def test_duplicate_is_read_only(self, state):
         make_resident(state, np.array([2]), writable=False, duplicated=True)
-        assert state.duplicated[2]
+        assert arrays(state).duplicated[2]
         assert state.read_ok[2]
         assert not state.write_ok[2]
         state.check_invariants()
@@ -54,8 +61,9 @@ class TestDuplication:
         make_resident(state, np.array([2, 3]), writable=False, duplicated=True)
         n = collapse_duplicates(state, np.array([2]))
         assert n == 1
-        assert state.writable[2] and state.dirty[2] and not state.duplicated[2]
-        assert state.duplicated[3]  # untouched
+        after = arrays(state)
+        assert after.writable[2] and after.dirty[2] and not after.duplicated[2]
+        assert after.duplicated[3]  # untouched
         state.check_invariants()
 
     def test_collapse_ignores_non_duplicated(self, state):
@@ -64,24 +72,24 @@ class TestDuplication:
 
     def test_host_invalidation_drops_clean_copies(self, state):
         make_resident(state, np.array([2, 3]), writable=False, duplicated=True)
-        n = state.invalidate_duplicates(np.array([2, 3, 4]))
+        n = drop_duplicates(state, np.array([2, 3, 4]))
         assert n == 2
-        assert not state.resident[[2, 3]].any()
-        assert state.resident_count[0] == 0
+        assert not arrays(state).resident[[2, 3]].any()
+        assert arrays(state).resident_count[0] == 0
         state.check_invariants()
 
     def test_migrate_to_host_skips_duplicates(self, state):
         make_resident(state, np.array([2]), writable=False, duplicated=True)
         make_resident(state, np.array([3]))
-        moved, dirty = state.migrate_to_host(np.array([2, 3]))
+        moved, dirty = migrate_to_host(state, np.array([2, 3]))
         assert moved == 1  # only the exclusive page
-        assert state.resident[2] and state.duplicated[2]
+        assert arrays(state).resident[2] and arrays(state).duplicated[2]
         state.check_invariants()
 
     def test_eviction_clears_duplication_flags(self, state):
         make_resident(state, np.array([2]), writable=False, duplicated=True)
         state.evict_vablock(0)
-        assert not state.duplicated[2]
+        assert not arrays(state).duplicated[2]
         state.check_invariants()
 
 
@@ -90,8 +98,8 @@ class TestRemoteMapping:
         assert map_remote(state, np.array([7, 8])) == 2
         assert state.read_ok[[7, 8]].all()
         assert state.write_ok[[7, 8]].all()
-        assert not state.resident[[7, 8]].any()
-        assert state.total_resident_pages() == 0
+        assert not arrays(state).resident[[7, 8]].any()
+        assert arrays(state).resident_count.sum() == 0
         state.check_invariants()
 
     def test_remote_map_idempotent(self, state):
@@ -110,5 +118,5 @@ class TestRemoteMapping:
 
     def test_migrate_to_host_ignores_remote(self, state):
         map_remote(state, np.array([7]))
-        assert state.migrate_to_host(np.array([7])) == (0, 0)
+        assert migrate_to_host(state, np.array([7])) == (0, 0)
         assert state.remote_mapped[7]

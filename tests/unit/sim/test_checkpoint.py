@@ -135,8 +135,8 @@ class TestDriverResume:
         assert result.counters.as_dict() == baseline.counters.as_dict()
 
     def test_resumed_evicting_run_matches_uninterrupted(self, tmp_path):
-        """Evictions after the resume tear down leaf masks read from the
-        unpickled residency arrays (random, 4 MiB on a 2 MiB GPU)."""
+        """Evictions after the resume tear down leaves of the unpickled
+        residency blocks (random, 4 MiB on a 2 MiB GPU)."""
         from repro.core import counters as C
         from repro.experiments.runner import (
             ExperimentSetup,
@@ -168,7 +168,7 @@ class TestDriverResume:
 
     def test_resumed_promoting_run_matches_uninterrupted(self, tmp_path):
         """Counter-triggered promotion after the resume migrates remote
-        leaves read from the unpickled residency arrays."""
+        leaves of the unpickled residency blocks."""
         from repro.core import counters as C
         from repro.core.driver import DriverConfig
         from repro.mem.advise import MemAdvise
