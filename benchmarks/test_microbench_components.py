@@ -12,8 +12,9 @@ import pytest
 from repro.core.batch import FaultBatch
 from repro.core.prefetch import TreePrefetcher
 from repro.core.preprocess import preprocess_batch
-from repro.gpu.fault_buffer import FaultEntry
-from repro.gpu.soa import SoaStreams, advance_batch
+from repro.gpu.fault_buffer import FaultBuffer, FaultEntry
+from repro.gpu.soa import RUNNABLE, SoaStreams
+from repro.gpu.tlb import UTlbArray
 from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
 from repro.mem.residency import ResidencyState
@@ -79,8 +80,15 @@ def test_warp_stream_advance_throughput(benchmark):
     one = np.array([0])
 
     def op():
-        _, _, miss = advance_batch(SoaStreams(streams), one, resident)
-        return miss[0]
+        # one phase visiting the one stream: scan to the miss, raise it
+        soa = SoaStreams(streams)
+        soa.state[0] = RUNNABLE
+        soa.sm_id[0] = 0
+        tlb, buf = UTlbArray(1, 1), FaultBuffer(capacity=1)
+        tlb.cover(soa.max_page)
+        kernel = soa.bind(buf.ring, 1, 1, 1)
+        kernel.run(np.zeros(1), one, 1, resident, None, tlb.cells, 0, 0, 0)
+        return kernel.miss[0]
 
     missing = benchmark(op)
     assert missing == pages[-1]

@@ -1,10 +1,13 @@
 """The GPU device: execution phases that produce the fault workload.
 
 :class:`GpuDevice` ties the per-component models together: the block
-scheduler (:mod:`repro.gpu.soa`) advances a phase's warp streams against
-the current residency state; every miss goes through the per-GPC uTLB
-filter and, if not coalesced, into the hardware fault buffer.  The driver
-(in :mod:`repro.core.driver`) then consumes that buffer - the exact
+scheduler (:mod:`repro.gpu.soa`) dispatches a kernel's warp streams, and
+each phase advances them against the current residency state, sending
+every miss through the per-GPC uTLB filter (:mod:`repro.gpu.tlb`) and,
+if not coalesced, into the hardware fault buffer
+(:mod:`repro.gpu.fault_buffer`) - all of it, after the phase's jitter
+draws, in one C call (:mod:`repro.gpu.ckernel`).  The driver (in
+:mod:`repro.core.driver`) then consumes that buffer - the exact
 producer/consumer split of Fig. 2.
 
 A *GPU phase* is one pass in which every runnable stream advances to its
@@ -20,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.gpu.ckernel import PhaseKernel
 from repro.gpu.fault_buffer import FaultBuffer
-from repro.gpu.soa import SoaBlockScheduler, advance_batch, span_indices
+from repro.gpu.soa import SoaBlockScheduler, span_indices
 from repro.gpu.tlb import UTlbArray
 from repro.gpu.warp import StreamSet
 from repro.sim.clock import SimClock
@@ -132,6 +136,10 @@ class GpuDevice:
         )
         self._pages_per_vablock: int | None = None
         self._kernel_counter = 1
+        self._phase_sigma = max(4.0, config.phase_jitter * config.max_active_streams)
+        #: the phase kernel bound to the running kernel's streams (set on
+        #: the first phase of each launch, never pickled)
+        self._kernel: PhaseKernel | None = None
 
     def set_vablock_geometry(self, pages_per_vablock: int) -> None:
         """Provide geometry for access-counter aggregation."""
@@ -157,45 +165,47 @@ class GpuDevice:
         ``remote`` marks zero-copy pages so their traffic can be charged
         to the interconnect.
 
-        The selected streams advance as one batch (:func:`advance_batch`,
-        a C loop): within a phase they read only the residency masks,
-        which nothing mutates mid-phase, so each advance is independent
-        of the others.
-        Their faults are then emitted in the jittered visit order, since
-        uTLB coalescing and buffer-capacity drops are stateful and depend
-        on that order.
+        After the jitter draws (one normal per runnable stream), the
+        phase is one C call (:class:`~repro.gpu.ckernel.PhaseKernel`):
+        it picks the runnable streams and the visited ones among them,
+        advances each over the residency masks, which nothing mutates
+        mid-phase, marks it DONE or STALLED, and then raises the misses
+        through the uTLB filters into the fault buffer in visit order,
+        since coalescing and buffer-capacity drops are stateful and
+        depend on that order.
         """
-        result = GpuPhaseResult()
         sched = self.scheduler
         sched.refill()
-        run_ids = sched.runnable_ids()
-        if run_ids.size == 0:
-            return result
+        active, n = sched.runnable()
         budget = self.config.phase_width if max_streams is None else max_streams
-        if budget <= 0:
-            return result
-        order = self.rng.jitter_order(
-            int(run_ids.size),
-            window=max(4.0, self.config.phase_jitter * self.config.max_active_streams),
-            limit=budget,
-        )
-        sel = run_ids[order]
+        if n == 0 or budget <= 0:
+            return GpuPhaseResult()
         soa = sched.soa
-        pos0, pos1, miss = advance_batch(soa, sel, read_ok, write_ok)
-        retired = pos1 - pos0
-        result.accesses_retired = int(retired.sum())
-        flops = soa.flops[sel]
-        nz = np.flatnonzero(flops)
-        if nz.size:
-            # accumulate in visit order, skipping zero-FLOP streams:
-            # add.accumulate adds strictly left to right (unlike sum), so
-            # the float total is the per-stream loop's, bit for bit
-            contrib = retired[nz] * flops[nz]
-            result.flops_retired = float(np.add.accumulate(contrib)[-1])
-        if result.accesses_retired and (
-            self.access_counters is not None or remote is not None
-        ):
-            touched = soa.pages_flat[span_indices(pos0, pos1)]
+        if soa.max_page >= read_ok.size:
+            raise SimulationError(
+                f"stream page {soa.max_page} lies outside the {read_ok.size}-page access masks"
+            )
+        kernel = self._kernel or self._bind()
+        z = self.rng.jitter_noise(n, self._phase_sigma)
+        buf = self.fault_buffer
+        (k, retired, n_done, n_stalled, n_push, n_coalesced, n_dropped), flops = kernel.run(
+            z, active, min(budget, n), read_ok, write_ok, self.utlb.cells,
+            buf.head, len(buf), clock.now,
+        )
+        sched.note_marked(n_done, n_stalled)
+        if n_push:
+            self.utlb.note_raised(kernel.set_cells[:n_push].copy())
+        buf.note_pushed(n_push, n_dropped)
+        result = GpuPhaseResult(
+            faults_enqueued=n_push,
+            faults_coalesced=n_coalesced,
+            faults_dropped=n_dropped,
+            accesses_retired=retired,
+            streams_completed=n_done,
+            flops_retired=flops,
+        )
+        if retired and (self.access_counters is not None or remote is not None):
+            touched = soa.pages_flat[span_indices(kernel.pos0[:k], kernel.pos1[:k])]
             if self.access_counters is not None:
                 if self._pages_per_vablock is None:
                     raise ConfigurationError(
@@ -204,46 +214,26 @@ class GpuDevice:
                 np.add.at(self.access_counters, touched // self._pages_per_vablock, 1)
             if remote is not None:
                 result.remote_accesses = int(remote[touched].sum())
-        done_mask = miss < 0
-        n_done = int(done_mask.sum())
-        if n_done:
-            result.streams_completed = n_done
-            sched.mark_done(sel[done_mask])
-        if n_done < sel.size:
-            f_rows = np.flatnonzero(~done_mask)
-            f_ids = sel[f_rows]
-            f_pages = miss[f_rows]
-            sched.mark_stalled(f_ids)
-            utlb = self.utlb
-            f_sms = soa.sm_id[f_ids]
-            f_gpcs = (f_sms // utlb.sms_per_gpc) % utlb.n_gpcs
-            buf = self.fault_buffer
-            # One pass of the C kernel runs the per-entry
-            # should_raise_gpc / push_fields / forget_gpc loop; drops
-            # (buffer full) are resolved against the free-slot budget
-            # in visit order.
-            push_mask, n_coalesced, n_dropped = utlb.raise_batch(
-                f_gpcs, f_pages, buf.free_slots
-            )
-            result.faults_coalesced += n_coalesced
-            result.faults_dropped += n_dropped
-            if n_dropped:
-                buf.count_dropped(n_dropped)
-            p_rows = np.flatnonzero(push_mask)
-            if p_rows.size:
-                p_gpcs = f_gpcs[p_rows]
-                buf.push_arrays(
-                    f_pages[p_rows],
-                    soa.writes_flat[pos1[f_rows[p_rows]]],
-                    clock.now,
-                    p_gpcs,
-                    p_gpcs,
-                    soa.stream_ids[f_ids[p_rows]],
-                    f_sms[p_rows],
-                )
-                result.faults_enqueued += int(p_rows.size)
         sched.refill()
         return result
+
+    def _bind(self):
+        """Bind the phase kernel to the running kernel's streams."""
+        soa = self.scheduler.soa
+        self.utlb.cover(soa.max_page)
+        self._kernel = soa.bind(
+            self.fault_buffer.ring,
+            self.utlb.n_gpcs,
+            self.utlb.sms_per_gpc,
+            min(soa.n, self.config.max_active_streams),
+        )
+        return self._kernel
+
+    def __getstate__(self) -> dict:
+        # the bound kernel holds raw addresses: the copy binds afresh
+        state = self.__dict__.copy()
+        state["_kernel"] = None
+        return state
 
     def load_kernel(self, streams: StreamSet) -> None:
         """Launch a new kernel: fresh scheduler, persistent device state.
@@ -261,6 +251,7 @@ class GpuDevice:
             n_sms=self.config.n_sms,
             jitter=self.config.scheduler_jitter,
         )
+        self._kernel = None
         self._kernel_counter += 1
 
     def deliver_replay(self) -> int:

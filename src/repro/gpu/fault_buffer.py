@@ -21,9 +21,10 @@ The simulator models:
   stores duplicates because deduplication is the *driver's* job.
 
 The storage is literally the circular buffer the docs describe: parallel
-field arrays indexed by a head/size ring.  The GPU pushes a phase's
-records as field arrays (:meth:`FaultBuffer.push_arrays`, the batch form
-of :meth:`FaultBuffer.push_fields`); the driver drains whole batches as
+field arrays indexed by a head/size ring.  The GPU phase kernel
+(:mod:`repro.gpu.ckernel`) writes a phase's records straight into those
+arrays (:attr:`FaultBuffer.ring`) and the buffer takes them in
+(:meth:`FaultBuffer.note_pushed`); the driver drains whole batches as
 field arrays (:meth:`FaultBuffer.drain_arrays`) so pre-processing never
 materializes per-entry objects.  :class:`FaultEntry` is the per-entry
 view of one record (:attr:`repro.core.batch.FaultBatch.entries`).
@@ -94,88 +95,31 @@ class FaultBuffer:
         return self.capacity - self._size
 
     # -- producer side -------------------------------------------------------
-    def push_fields(
-        self,
-        page: int,
-        is_write: bool,
-        timestamp_ns: int,
-        gpc_id: int,
-        utlb_id: int,
-        stream_id: int,
-        sm_id: int = -1,
-    ) -> bool:
-        """Enqueue one fault record; returns False (drop) when full.
+    @property
+    def head(self) -> int:
+        """Ring slot of the oldest record."""
+        return self._head
+
+    @property
+    def ring(self) -> tuple[np.ndarray, ...]:
+        """The field arrays (page, write, timestamp, GPC, uTLB, stream,
+        SM), one slot per entry: the GPU phase kernel writes a phase's
+        records into them at the ring's tail, in visit order."""
+        return (self._page, self._write, self._ts, self._gpc, self._utlb, self._stream, self._sm)
+
+    def note_pushed(self, n_pushed: int, n_dropped: int) -> None:
+        """Take in the ``n_pushed`` records just written at the tail, and
+        count ``n_dropped`` pushes refused for want of room.
 
         A dropped fault is not lost work: the stalled warp re-raises it
         after the next replay, exactly as real hardware behaves under
         fault-buffer pressure.
         """
-        if self._size >= self.capacity:
-            self.total_dropped += 1
-            return False
-        i = self._head + self._size
-        if i >= self.capacity:
-            i -= self.capacity
-        self._page[i] = page
-        self._write[i] = is_write
-        self._ts[i] = timestamp_ns
-        self._gpc[i] = gpc_id
-        self._utlb[i] = utlb_id
-        self._stream[i] = stream_id
-        self._sm[i] = sm_id
-        self._size += 1
-        self.total_enqueued += 1
+        self._size += n_pushed
+        self.total_enqueued += n_pushed
+        self.total_dropped += n_dropped
         if self._size > self.high_watermark:
             self.high_watermark = self._size
-        return True
-
-    def push_arrays(
-        self,
-        pages: np.ndarray,
-        writes: np.ndarray,
-        timestamp_ns: int,
-        gpcs: np.ndarray,
-        utlbs: np.ndarray,
-        streams: np.ndarray,
-        sms: np.ndarray,
-    ) -> int:
-        """Enqueue a batch of fault records sharing one timestamp.
-
-        The caller guarantees the batch fits (``len(pages) <=``
-        :attr:`free_slots`) - capacity drops are resolved *before* the
-        write by :meth:`~repro.gpu.tlb.UTlbArray.raise_batch` and
-        reported through :meth:`count_dropped`.  Semantically identical
-        to a :meth:`push_fields` loop, minus the per-entry Python calls.
-        """
-        n = int(pages.size)
-        if n == 0:
-            return 0
-        if n > self.free_slots:
-            raise ConfigurationError(
-                f"batch of {n} fault records exceeds {self.free_slots} free slots"
-            )
-        tail = self._head + self._size
-        if tail >= self.capacity:
-            tail -= self.capacity
-        idx = tail + np.arange(n, dtype=np.int64)
-        if tail + n > self.capacity:
-            idx[idx >= self.capacity] -= self.capacity
-        self._page[idx] = pages
-        self._write[idx] = writes
-        self._ts[idx] = timestamp_ns
-        self._gpc[idx] = gpcs
-        self._utlb[idx] = utlbs
-        self._stream[idx] = streams
-        self._sm[idx] = sms
-        self._size += n
-        self.total_enqueued += n
-        if self._size > self.high_watermark:
-            self.high_watermark = self._size
-        return n
-
-    def count_dropped(self, n: int) -> None:
-        """Account capacity drops resolved outside :meth:`push_fields`."""
-        self.total_dropped += int(n)
 
     # -- consumer side -------------------------------------------------------
     def _ring_indices(self, n: int) -> np.ndarray:

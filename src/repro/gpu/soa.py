@@ -3,27 +3,29 @@
 A kernel's warp streams live in flat numpy arrays - the build's
 :class:`~repro.gpu.warp.StreamSet` page and write arrays, read in place,
 with per-stream cursors into them - and a whole phase's wavefront
-advances with batched operations instead of a Python call per stream.
+advances in one call instead of a Python call per stream.
 
 The batching is exact, not statistical:
 
 * within one phase the selected streams are independent (advancing one
   stream reads only the shared residency masks, which the phase does not
-  mutate), so batch-advancing them and then emitting faults sequentially
-  in the jittered visit order gives the fault sequence a
-  stream-at-a-time loop gives,
+  mutate), so advancing them and then emitting faults sequentially in
+  the jittered visit order gives the fault sequence a stream-at-a-time
+  loop gives,
 * the scheduler consumes one ``jitter_order`` draw at construction and
   nothing else, dispatches in that order, and assigns round-robin SM
   ids,
 * uTLB coalescing and fault-buffer capacity drops follow the per-entry
-  raise / push / forget loop exactly
-  (:meth:`~repro.gpu.tlb.UTlbArray.raise_batch`).
+  raise / push / forget loop exactly.
 
-The two per-element loops of a phase - the stream scan here and the
-uTLB raise - run as one small C kernel (:mod:`repro.gpu.ckernel`).
-``tests/properties/test_reference_oracles.py`` pins both against their
-loop forms, and the golden-counter matrix (``tests/golden.py``) pins
-whole runs bit for bit.
+The whole phase after its normal draws - the visit order, the stream
+scan, the DONE/STALLED marking, the FLOP total, the uTLB raise and the
+fault-buffer ring write - runs as one C call
+(:class:`repro.gpu.ckernel.PhaseKernel`) on this module's arrays;
+:class:`SoaBlockScheduler` keeps the dispatch and the runnable set.
+``tests/properties/test_reference_oracles.py`` pins the kernel against
+a loop form of a whole phase, and the golden-counter matrix
+(``tests/golden.py``) pins whole runs bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class SoaStreams:
     stream without stores has an all-False span, which makes the
     permission check ``where(writes, write_ok, read_ok)`` degenerate to
     ``read_ok``.  ``max_page`` (``-1`` for no accesses) is what an
-    access mask must cover: the scan checks it against the masks' size.
+    access mask and the uTLB cells must cover.
     """
 
     def __init__(self, streams: StreamSet) -> None:
@@ -62,8 +64,8 @@ class SoaStreams:
         self.total = streams.total
         self.start = streams.start
         self.end = streams.end
-        self.stream_ids = streams.ids
-        self.flops = streams.flops
+        self.stream_ids = np.ascontiguousarray(streams.ids)
+        self.flops = np.ascontiguousarray(streams.flops)
         self.pos = streams.start.copy()
         self.state = np.full(n, PENDING, dtype=np.int8)
         self.sm_id = np.full(n, -1, dtype=np.int64)
@@ -79,33 +81,25 @@ class SoaStreams:
         """Every stream's writes mask, concatenated."""
         return self.streams.writes
 
-
-def advance_batch(
-    soa: SoaStreams,
-    sel: np.ndarray,
-    read_ok: np.ndarray,
-    write_ok: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance the selected streams to their next miss or completion.
-
-    Returns ``(pos0, pos1, miss)`` aligned with ``sel``: the absolute
-    cursor before and after, and the missing page per stream (``-1`` for
-    streams that ran to completion).  ``soa.pos`` is updated in place;
-    state transitions are the caller's job (they depend on emission).
-
-    Each stream's cursor runs to the first access whose page fails
-    ``read_ok`` (``write_ok`` for a store, when given) or to its end, in
-    the C kernel (:func:`repro.gpu.ckernel.advance_streams`).  The masks
-    must be flat bool arrays of one size, covering every page of the set.
-    """
-    if soa.max_page >= read_ok.size:
-        raise SimulationError(
-            f"stream page {soa.max_page} lies outside the {read_ok.size}-page access masks"
+    def bind(
+        self, ring: tuple[np.ndarray, ...], n_gpcs: int, sms_per_gpc: int, n_work: int
+    ) -> ckernel.PhaseKernel:
+        """The phase kernel bound to these streams and a fault buffer's
+        ``ring``, for at most ``n_work`` runnable streams a phase."""
+        return ckernel.PhaseKernel(
+            pages=self.pages_flat,
+            writes=self.writes_flat,
+            end=self.end,
+            pos=self.pos,
+            state=self.state,
+            sm=self.sm_id,
+            flops=self.flops,
+            ids=self.stream_ids,
+            ring=ring,
+            n_gpcs=n_gpcs,
+            sms_per_gpc=sms_per_gpc,
+            n_work=n_work,
         )
-    out = ckernel.advance_streams(
-        soa.streams.pages, soa.streams.writes, soa.end, soa.pos, sel, read_ok, write_ok
-    )
-    return out[0], out[1], out[2]
 
 
 def span_indices(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -137,9 +131,11 @@ class SoaBlockScheduler:
     (occupancy limit), SM ids are assigned round-robin, and retired
     streams are backfilled.
 
-    The runnable set is kept incrementally: the device reports
-    completions and stalls (:meth:`mark_done` / :meth:`mark_stalled`),
-    and the active array is compacted only when something finished.
+    The runnable set is kept incrementally: the phase kernel marks
+    completions and stalls in ``soa.state`` and the device reports their
+    counts (:meth:`note_marked`), the active array is compacted only
+    when something finished, and the kernel picks the runnable streams
+    out of it (:meth:`runnable`).
     """
 
     def __init__(
@@ -195,26 +191,17 @@ class SoaBlockScheduler:
         return dispatched
 
     # -- device feedback ----------------------------------------------------
-    def mark_done(self, ids: np.ndarray) -> None:
-        self.soa.state[ids] = DONE
-        self._n_done_active += int(ids.size)
-        self._n_done_total += int(ids.size)
-
-    def mark_stalled(self, ids: np.ndarray) -> None:
-        self.soa.state[ids] = STALLED
-        self._n_stalled += int(ids.size)
+    def note_marked(self, n_done: int, n_stalled: int) -> None:
+        """Count streams a phase marked DONE and STALLED in ``soa.state``."""
+        self._n_done_active += n_done
+        self._n_done_total += n_done
+        self._n_stalled += n_stalled
 
     # -- queries ------------------------------------------------------------
-    def runnable_ids(self) -> np.ndarray:
-        """Active streams able to advance, in dispatch order.
-
-        Fast path: when nothing is stalled or finished the active array
-        *is* the runnable set - no scan at all.
-        """
-        if self._n_stalled == 0 and self._n_done_active == 0:
-            return self._active
-        act = self._active
-        return act[self.soa.state[act] == RUNNABLE]
+    def runnable(self) -> tuple[np.ndarray, int]:
+        """The active streams in dispatch order, and how many of them are
+        RUNNABLE; after :meth:`refill` the others are all STALLED."""
+        return self._active, self._active.size - self._n_stalled
 
     def has_stalled(self) -> bool:
         return self._n_stalled > 0

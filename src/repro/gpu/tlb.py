@@ -12,14 +12,17 @@ replay, an unsatisfied access walks the table and faults again, which is
 exactly how duplicate faults reach the driver across replays.
 
 The pending filters are stored as one flat boolean array with a cell
-per (page, GPC) pair, ``page * n_gpcs + gpc``, lazily sized to the
-highest page seen.  The phase engine tests and updates a whole phase's
-fault batch in one C loop over that array (:meth:`UTlbArray.raise_batch`).
-The per-entry methods (:meth:`should_raise_gpc` / :meth:`forget_gpc`)
-operate on the same array; they are the loop that ``raise_batch`` runs.
-Growing the page range appends cells, so a cell index stays valid, and
-every raise records the cells it sets: a replay clears just those
-instead of the whole array.
+per (page, GPC) pair, ``page * n_gpcs + gpc`` (``UTlbArray.cells``),
+sized to cover every page a kernel's streams touch
+(:meth:`UTlbArray.cover`).  The phase kernel (:mod:`repro.gpu.ckernel`)
+raises a whole phase's misses against those cells in one C loop: a
+pending cell coalesces the miss; otherwise the entry is pushed and its
+cell set while the fault buffer has room, and after that it is dropped
+with its cell left clear, so the warp's re-raise after the next replay
+is not coalesced onto a record that never reached the buffer.  Growing
+the page range appends cells, so a cell index stays valid, and the
+device records the cells each phase set (:meth:`UTlbArray.note_raised`):
+a replay clears just those instead of the whole array.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gpu import ckernel
 
 
 class UTlbArray:
@@ -38,78 +40,26 @@ class UTlbArray:
             raise ConfigurationError("n_gpcs and sms_per_gpc must be positive")
         self.n_gpcs = n_gpcs
         self.sms_per_gpc = sms_per_gpc
-        #: flat pending cells (``page * n_gpcs + gpc``), grown on demand;
-        #: starts empty because the page-space extent is unknown at build time.
-        self._pending = np.zeros(0, dtype=bool)
+        #: flat pending cells (``page * n_gpcs + gpc``), grown on demand (a
+        #: grown array is a new one); starts empty because the page-space
+        #: extent is unknown at build time.
+        self.cells = np.zeros(0, dtype=bool)
         #: arrays of the cells set since the last replay
         self._set_cells: list[np.ndarray] = []
 
-    def _ensure_pages(self, max_page: int) -> None:
+    def cover(self, max_page: int) -> None:
         """Grow the pending cells to cover ``max_page`` (geometric)."""
-        width = self._pending.size // self.n_gpcs
+        width = self.cells.size // self.n_gpcs
         if max_page < width:
             return
         new_width = max(max_page + 1, width * 2, 1024)
         grown = np.zeros(new_width * self.n_gpcs, dtype=bool)
-        grown[: self._pending.size] = self._pending
-        self._pending = grown
+        grown[: self.cells.size] = self.cells
+        self.cells = grown
 
-    def should_raise_gpc(self, gpc: int, page: int) -> bool:
-        """Whether a miss on ``page`` from GPC ``gpc`` emits a fault entry.
-
-        Returns False when this GPC's uTLB already has the page pending
-        (the access is coalesced onto the outstanding fault).
-        """
-        self._ensure_pages(page)
-        cell = page * self.n_gpcs + gpc
-        if self._pending[cell]:
-            return False
-        self._pending[cell] = True
-        self._set_cells.append(np.array([cell], dtype=np.int64))
-        return True
-
-    def raise_batch(
-        self, gpcs: np.ndarray, pages: np.ndarray, budget: int
-    ) -> tuple[np.ndarray, int, int]:
-        """Emission for one phase's fault batch, in the C kernel.
-
-        Runs the per-entry loop
-
-        ``should_raise_gpc`` -> push (success) / ``forget_gpc`` (buffer
-        full, counted as a drop)
-
-        over entries visited in order, with ``budget`` free fault-buffer
-        slots (:func:`repro.gpu.ckernel.raise_faults`): an entry whose
-        cell is pending (before the batch, or pushed by an earlier
-        entry) coalesces; otherwise it is pushed while the budget lasts,
-        and after that it is dropped with its cell left clear.  ``gpcs``
-        and ``pages`` are flat int64 arrays.
-
-        Returns ``(push_mask, n_coalesced, n_dropped)`` aligned with the
-        inputs; pending state is left exactly as the sequential loop
-        would leave it.
-        """
-        m = int(pages.size)
-        if m == 0:
-            return np.zeros(0, dtype=bool), 0, 0
-        self._ensure_pages(int(pages.max()))
-        push_mask, pushed, n_coalesced = ckernel.raise_faults(
-            self._pending, self.n_gpcs, gpcs, pages, budget
-        )
-        if pushed.size:
-            self._set_cells.append(pushed)
-        return push_mask, n_coalesced, m - int(pushed.size) - n_coalesced
-
-    def forget_gpc(self, gpc: int, page: int) -> None:
-        """Drop a pending entry (the fault-buffer push was dropped).
-
-        Without this the uTLB would coalesce the warp's re-raise after
-        the next replay onto a fault record that never reached the
-        buffer, losing the access forever.
-        """
-        cell = page * self.n_gpcs + gpc
-        if cell < self._pending.size:
-            self._pending[cell] = False
+    def note_raised(self, cells: np.ndarray) -> None:
+        """Record cells a phase set, for the next replay to clear."""
+        self._set_cells.append(cells)
 
     def on_replay(self) -> None:
         """A replay retries all outstanding accesses: clear pending sets.
@@ -118,5 +68,5 @@ class UTlbArray:
         duplicate faults the batch-flush policy exists to suppress.
         """
         if self._set_cells:
-            self._pending[np.concatenate(self._set_cells)] = False
+            self.cells[np.concatenate(self._set_cells)] = False
             self._set_cells.clear()

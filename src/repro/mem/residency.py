@@ -64,26 +64,31 @@ class ResidencyState:
         self.space = space
         self.blocks = [BlockLeaves(vb) for vb in range(space.total_vablocks)]
         #: the derived masks (see module docstring), one row each, so a
-        #: batch writes all three with one scatter.  The properties take
-        #: the row views on access: a stored view would come back from a
-        #: checkpoint's pickle as a copy, no longer a row of this array.
+        #: batch writes all three with one scatter.
         self._masks = np.zeros((len(MASKS), space.total_pages), dtype=bool)
+        self._take_rows()
+
+    def _take_rows(self) -> None:
+        # one view object per mask for the life of the state, so the GPU
+        # phase kernel, which keeps a mask's address bound while the same
+        # array comes back, binds it once
+        self.read_ok, self.write_ok, self.remote_mapped = self._masks
+
+    def __getstate__(self) -> dict:
+        # a pickled view would come back as a copy, no longer a row of
+        # ``_masks``: the copy takes its rows afresh
+        state = self.__dict__.copy()
+        for name in MASKS:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._take_rows()
 
     @property
     def pages_per_vablock(self) -> int:
         return self.space.pages_per_vablock
-
-    @property
-    def read_ok(self) -> np.ndarray:
-        return self._masks[0]
-
-    @property
-    def write_ok(self) -> np.ndarray:
-        return self._masks[1]
-
-    @property
-    def remote_mapped(self) -> np.ndarray:
-        return self._masks[2]
 
     def backed_vablocks(self) -> list[int]:
         """Indices of VABlocks currently holding a GPU allocation."""

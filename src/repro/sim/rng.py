@@ -7,6 +7,11 @@ simulator reproduces that *statistically* while remaining bit-for-bit
 reproducible under a fixed seed: every stochastic choice flows through a
 single :class:`SimRng`, and derived generators are forked with stable
 stream names so adding randomness in one component never perturbs another.
+
+Draws stay here even where their use moved to C: a GPU phase's visit
+order is keyed by :meth:`SimRng.jitter_noise` (numpy's normals, one per
+runnable stream) and sorted in the phase kernel (:mod:`repro.gpu.ckernel`),
+the same keys :meth:`SimRng.jitter_order` sorts with numpy.
 """
 
 from __future__ import annotations
@@ -57,12 +62,18 @@ class SimRng:
         """Uniform floats in ``[low, high)``."""
         return self._gen.uniform(low, high, size=size)
 
+    def jitter_noise(self, n: int, sigma: float) -> np.ndarray:
+        """The ``n`` normal draws (standard deviation ``sigma``) that jitter
+        an index order: index ``i`` is keyed ``i + noise[i]``.
+
+        :meth:`jitter_order` sorts those keys here; the GPU phase kernel
+        (:mod:`repro.gpu.ckernel`) keys its runnable streams the same way
+        and sorts in C, so these draws are all of a phase's randomness.
+        """
+        return self._gen.normal(0.0, max(sigma, 1e-9), size=n)
+
     def jitter_order(
-        self,
-        n: int,
-        strength: float = 0.15,
-        window: float | None = None,
-        limit: int | None = None,
+        self, n: int, strength: float = 0.15, window: float | None = None
     ) -> np.ndarray:
         """Indices ``0..n-1`` in *mostly* ascending order with local jitter.
 
@@ -71,31 +82,17 @@ class SimRng:
         pattern).  ``strength`` is the jitter amplitude as a fraction of
         ``n``; pass ``window`` to use an *absolute* jitter amplitude
         instead (physical reorder windows - e.g. SM occupancy - do not
-        grow with grid size).  0 gives the identity order.
-
-        ``limit`` keeps only the first ``limit`` entries of that order.
-        The same ``n`` normals are drawn either way, so later draws do
-        not depend on it; a partition finds the cut (ties at the cut go
-        to the lower index, as in the stable order) and only the
-        survivors are sorted.
+        grow with grid size).  0 gives the identity order.  Ties keep
+        the lower index (a stable sort of :meth:`jitter_noise`'s keys).
         """
         if n <= 0:
             return np.empty(0, dtype=np.int64)
-        k = n if limit is None else max(0, min(int(limit), n))
         sigma = float(window) if window is not None else strength * n
         if sigma <= 0:
-            return np.arange(k, dtype=np.int64)
+            return np.arange(n, dtype=np.int64)
         keys = np.arange(n, dtype=np.float64)
-        keys += self._gen.normal(0.0, max(sigma, 1e-9), size=n)
-        if k == n:
-            return np.argsort(keys, kind="stable").astype(np.int64, copy=False)
-        if k == 0:
-            return np.empty(0, dtype=np.int64)
-        cut = np.partition(keys, k - 1)[k - 1]
-        # every key below the cut plus every tie at it, ascending by index
-        cand = np.flatnonzero(keys <= cut)
-        top = np.argsort(keys[cand], kind="stable")[:k]
-        return cand[top].astype(np.int64, copy=False)
+        keys += self.jitter_noise(n, sigma)
+        return np.argsort(keys, kind="stable").astype(np.int64, copy=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimRng(seed={self.seed:#010x}, name={self.name!r})"

@@ -1,11 +1,13 @@
 """Per-entry access to a :class:`~repro.gpu.fault_buffer.FaultBuffer`.
 
 The buffer's own interface is the batch form the GPU and the driver use:
-records go in through ``push_fields``/``push_arrays`` and come out as
-field arrays through ``drain_arrays``.  Tests state set-ups and
-expectations one entry at a time; these helpers do that on the same
-ring.  :func:`pop_ready` is also the per-entry statement of the driver's
-poll rule, the oracle that ``drain_arrays`` is checked against.
+the GPU phase kernel writes a phase's records into the ring's field
+arrays, and they come out as field arrays through ``drain_arrays``.
+Tests state set-ups and expectations one entry at a time; these helpers
+do that on the same ring.  :func:`push_fields` is the per-entry push the
+kernel's ring write is checked against, and :func:`pop_ready` the
+per-entry statement of the driver's poll rule, the oracle that
+``drain_arrays`` is checked against.
 """
 
 from __future__ import annotations
@@ -15,9 +17,34 @@ from typing import Optional
 from repro.gpu.fault_buffer import FaultBuffer, FaultEntry
 
 
+def push_fields(
+    buf: FaultBuffer,
+    page: int,
+    is_write: bool,
+    timestamp_ns: int,
+    gpc_id: int,
+    utlb_id: int,
+    stream_id: int,
+    sm_id: int = -1,
+) -> bool:
+    """Enqueue one fault record at the ring's tail; returns False (a
+    counted drop) when the buffer is full."""
+    if len(buf) >= buf.capacity:
+        buf.note_pushed(0, 1)
+        return False
+    i = (buf.head + len(buf)) % buf.capacity
+    for field, value in zip(
+        buf.ring, (page, is_write, timestamp_ns, gpc_id, utlb_id, stream_id, sm_id)
+    ):
+        field[i] = value
+    buf.note_pushed(1, 0)
+    return True
+
+
 def try_push(buf: FaultBuffer, entry: FaultEntry) -> bool:
     """Enqueue ``entry``; returns False (drop) when the buffer is full."""
-    return buf.push_fields(
+    return push_fields(
+        buf,
         entry.page,
         entry.is_write,
         entry.timestamp_ns,

@@ -2,12 +2,12 @@
 
 The density prefetcher, the PTE count, the page-table updates and the
 residency transitions run on every VABlock bin (the CPU-fault path runs
-the last two too), and the wavefront selection, uTLB raise and stream
-scan run on every GPU phase, so they are written for low per-call cost
-(Python-int leaf bitsets stored per VABlock, a partition instead of a
-full sort, a C scan).  The straightforward forms they replaced live
-here as executable specifications, and every field of every result
-must match:
+the last two too), and a whole GPU phase - wavefront selection, stream
+scan, state marking, uTLB raise and fault-buffer write - runs as one C
+call, so they are written for low per-call cost (Python-int leaf
+bitsets stored per VABlock, a C kernel).  The straightforward forms
+they replaced live here as executable specifications, and every field
+of every result must match:
 
 * :func:`reference_compute` is the slice-sum density-tree walk over
   numpy masks (Section IV-A),
@@ -20,10 +20,18 @@ must match:
   :func:`reference_migrate_to_host` are the residency transitions over
   page-indexed numpy arrays (:func:`reference_state`), compared with
   the bitset state through ``ResidencyState.page_arrays``,
-* ``jitter_order(..., limit=k)`` is the full stable order cut at ``k``,
+* the kernel's first ``k`` visited streams are ``jitter_order``'s full
+  stable order cut at ``k``,
 * :func:`reference_raise` is the per-entry raise / push / forget loop,
 * :func:`reference_advance` is the per-access stream scan,
+* :func:`reference_phase` is a whole phase as one Python loop: visit
+  order, cursors, states, FLOP bits, counts, uTLB cells and the fault
+  buffer's ring; the kernel also refuses each bad input before it
+  changes anything,
 * the FLOP total is Python's left-to-right float sum.
+
+The kernel is driven through ``tests/gpuphase.py``, which also holds
+the per-entry uTLB filter the raise is checked against.
 
 Geometries span the flexible-granularity range: 16-512 leaves per
 VABlock with big pages of 1-16 leaves.
@@ -34,13 +42,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.driver import UvmDriver
 from repro.core.prefetch import PrefetchDecision, TreePrefetcher
 from repro.errors import SimulationError
-from repro.gpu.soa import SoaStreams, advance_batch
+from repro.gpu.fault_buffer import FaultBuffer
+from repro.gpu.soa import DONE, RUNNABLE, STALLED, SoaStreams
 from repro.gpu.tlb import UTlbArray
 from repro.gpu.warp import StreamSet
 from repro.mem.address_space import AddressSpace
@@ -49,6 +58,8 @@ from repro.mem.page_table import MappingStats, PageTable
 from repro.mem.residency import FLAG_PLANES, ResidencyState
 from repro.sim.rng import SimRng
 from repro.units import MiB, PAGE_SIZE
+from tests.faultbuffer import push_fields
+from tests.gpuphase import forget_gpc, raise_pairs, scan, should_raise_gpc, visit_order
 
 
 def reference_compute(
@@ -574,25 +585,17 @@ def test_host_transitions_match_index_arrays(case):
 )
 @settings(max_examples=300, deadline=None)
 def test_jitter_order_limit_is_a_prefix_of_the_full_order(n, extra, window, seed):
+    """The kernel visits the first ``limit`` streams of the full stable
+    jitter order, from the same ``n`` normals ``jitter_order`` draws."""
     limit = extra % (n + 9)  # 0 .. n + 8
     cut, full = SimRng(seed), SimRng(seed)
-    got = cut.jitter_order(n, window=window, limit=limit)
+    z = cut.jitter_noise(n, window) if window > 0 else np.zeros(n)
+    got = visit_order(z, min(limit, n))
     want = full.jitter_order(n, window=window)[:limit]
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
     # the same n normals were drawn either way
     assert cut.generator.random() == full.generator.random()
-
-
-class _FixedNormals:
-    """Generator stand-in whose normal draws are given integers."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
-
-    def normal(self, loc, scale, size):
-        assert size == self.values.size
-        return self.values.copy()
 
 
 @given(
@@ -604,11 +607,27 @@ def test_jitter_order_limit_breaks_ties_by_lower_index(noise, extra):
     """Integer-valued keys tie often; a tie at the cut keeps the lower index."""
     n = len(noise)
     limit = extra % (n + 9)
-    rng = SimRng(0)
-    rng._gen = _FixedNormals(noise)
-    got = rng.jitter_order(n, window=4.0, limit=limit)
+    got = visit_order(np.asarray(noise, dtype=np.float64), min(limit, n))
     keys = np.arange(n, dtype=np.float64) + np.asarray(noise, dtype=np.float64)
     ranked = sorted(range(n), key=lambda i: (keys[i], i))
+    assert got.tolist() == ranked[:limit]
+
+
+@given(
+    n=st.integers(min_value=65, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**16),
+    extra=st.integers(min_value=0, max_value=400),
+)
+@settings(max_examples=100, deadline=None)
+def test_crowded_keys_sort_by_key_then_index(n, seed, extra):
+    """Keys that crowd into one integer bucket (here every key is 0,
+    0.25, 0.5 or 0.75) leave the counting pass for the merge sort, with
+    the same order."""
+    limit = extra % (n + 1)
+    frac = np.random.default_rng(seed).integers(0, 4, n) / 4
+    z = frac - np.arange(n)
+    got = visit_order(z, limit)
+    ranked = sorted(range(n), key=lambda i: (frac[i], i))
     assert got.tolist() == ranked[:limit]
 
 
@@ -616,24 +635,24 @@ def test_jitter_order_limit_breaks_ties_by_lower_index(noise, extra):
 
 
 def reference_raise(tlb: UTlbArray, gpcs, pages, budget: int):
-    """The per-entry loop ``raise_batch`` replaces, in visit order."""
+    """The per-entry raise / push / forget loop, in visit order."""
     push = np.zeros(len(pages), dtype=bool)
     coalesced = dropped = 0
     for i, (gpc, page) in enumerate(zip(gpcs, pages)):
-        if not tlb.should_raise_gpc(gpc, page):
+        if not should_raise_gpc(tlb, gpc, page):
             coalesced += 1
         elif budget > 0:
             push[i] = True
             budget -= 1
         else:
-            tlb.forget_gpc(gpc, page)
+            forget_gpc(tlb, gpc, page)
             dropped += 1
     return push, coalesced, dropped
 
 
 def _same_tlb_state(a: UTlbArray, b: UTlbArray) -> None:
     # the arrays may be grown to different lengths; the pending cells match
-    assert np.array_equal(np.flatnonzero(a._pending), np.flatnonzero(b._pending))
+    assert np.array_equal(np.flatnonzero(a.cells), np.flatnonzero(b.cells))
 
 
 N_GPCS = 3
@@ -663,16 +682,16 @@ def raise_sequence(draw):
 
 @given(raise_sequence())
 @settings(max_examples=300, deadline=None)
-def test_raise_batch_matches_per_entry_loop(case):
+def test_phase_raise_matches_per_entry_loop(case):
     pre, batches = case
     batched, looped = UTlbArray(N_GPCS, 2), UTlbArray(N_GPCS, 2)
     for gpc, page in pre:
-        assert batched.should_raise_gpc(gpc, page) == looped.should_raise_gpc(gpc, page)
+        assert should_raise_gpc(batched, gpc, page) == should_raise_gpc(looped, gpc, page)
     for pairs, budget in batches:
-        gpcs = np.array([g for g, _ in pairs], dtype=np.int64)
-        pages = np.array([p for _, p in pairs], dtype=np.int64)
-        got = batched.raise_batch(gpcs, pages, budget)
-        want = reference_raise(looped, gpcs.tolist(), pages.tolist(), budget)
+        gpcs = [g for g, _ in pairs]
+        pages = [p for _, p in pairs]
+        got = raise_pairs(batched, gpcs, pages, budget)
+        want = reference_raise(looped, gpcs, pages, budget)
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
         _same_tlb_state(batched, looped)
@@ -693,21 +712,17 @@ def test_replay_clears_every_pending_cell(ops):
     tlb = UTlbArray(N_GPCS, 2)
     for kind, pairs, budget in ops:
         if kind == "batch":
-            tlb.raise_batch(
-                np.array([g for g, _ in pairs], dtype=np.int64),
-                np.array([p for _, p in pairs], dtype=np.int64),
-                budget,
-            )
+            raise_pairs(tlb, [g for g, _ in pairs], [p for _, p in pairs], budget)
         elif kind == "replay":
             tlb.on_replay()
         else:
             for gpc, page in pairs:
                 if kind == "scalar":
-                    tlb.should_raise_gpc(gpc, page)
+                    should_raise_gpc(tlb, gpc, page)
                 else:
-                    tlb.forget_gpc(gpc, page)
+                    forget_gpc(tlb, gpc, page)
     tlb.on_replay()
-    assert not tlb._pending.any()
+    assert not tlb.cells.any()
 
 
 # -- GPU phase: stream scan --------------------------------------------------
@@ -756,7 +771,7 @@ def reference_advance(pages, writes, pos: int, read_ok, write_ok):
 
 @given(scan_case(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_advance_batch_matches_per_stream_advance(case, data):
+def test_phase_scan_matches_per_stream_advance(case, data):
     streams, check_writes = case
     read_ok = np.ones(N_PAGES, dtype=bool)
     read_ok[MISSING_PAGE] = False
@@ -781,9 +796,7 @@ def test_advance_batch_matches_per_stream_advance(case, data):
         order = data.draw(st.permutations(unfinished))
         sel = np.array(order[: data.draw(st.integers(0, len(order)))], dtype=np.int64)
         before = soa.pos.copy()
-        pos0, pos1, miss = advance_batch(
-            soa, sel, read_ok, write_ok if check_writes else None
-        )
+        pos0, pos1, miss = scan(soa, sel, read_ok, write_ok if check_writes else None)
         assert pos0.shape == pos1.shape == miss.shape == sel.shape
         for row, i in enumerate(sel.tolist()):
             pages, writes = streams[i]
@@ -799,6 +812,248 @@ def test_advance_batch_matches_per_stream_advance(case, data):
         # the driver services the misses: pages become resident and writable
         read_ok[:] = True
         write_ok[:] = True
+
+
+# -- GPU phase: the whole phase ----------------------------------------------
+
+PHASE_PAGES = 12
+SMS_PER_GPC = 2
+#: per-access FLOPs: zero, and values whose sum depends on the order
+PHASE_FLOPS = [0.0, 0.0, 1.0, 0.1, 1e16, 3.3e-7, 1.0 + 2.0**-30, 7e-3]
+
+
+def reference_phase(soa, tlb, buf, active, z, k, read_ok, write_ok, now):
+    """One phase as a Python loop: the RUNNABLE streams among ``active``,
+    their stable jitter order cut at ``k``, the per-stream scan, the
+    left-to-right FLOP add, DONE/STALLED marking, then the per-entry
+    raise / push / drop in visit order onto the ring (``push_fields``
+    writes at the tail, wrapping).  Returns ``(visited, [k, retired,
+    done, stalled, pushed, coalesced, dropped], flops)``."""
+    run_ids = [s for s in active if soa.state[s] == RUNNABLE]
+    n = len(run_ids)
+    order = np.argsort(np.arange(n) + np.asarray(z, dtype=np.float64), kind="stable")[:k]
+    visited = [int(run_ids[i]) for i in order]
+    retired = done = stalled = pushed = coalesced = dropped = 0
+    flops = 0.0
+    misses = []
+    for s in visited:
+        p = start = int(soa.pos[s])
+        missed = None
+        while p < soa.end[s]:
+            page = int(soa.pages_flat[p])
+            store = write_ok is not None and soa.writes_flat[p]
+            if not (write_ok if store else read_ok)[page]:
+                missed = page
+                break
+            p += 1
+        soa.pos[s] = p
+        retired += p - start
+        if soa.flops[s]:
+            flops += (p - start) * float(soa.flops[s])
+        if missed is None:
+            soa.state[s] = DONE
+            done += 1
+        else:
+            soa.state[s] = STALLED
+            stalled += 1
+            misses.append((s, p, missed))
+    for s, p, page in misses:
+        sm = int(soa.sm_id[s])
+        gpc = sm // tlb.sms_per_gpc % tlb.n_gpcs
+        if not should_raise_gpc(tlb, gpc, page):
+            coalesced += 1
+        elif push_fields(
+            buf, page, bool(soa.writes_flat[p]), now, gpc, gpc, int(soa.stream_ids[s]), sm
+        ):
+            pushed += 1
+        else:
+            forget_gpc(tlb, gpc, page)
+            dropped += 1
+    return visited, [k, retired, done, stalled, pushed, coalesced, dropped], flops
+
+
+@st.composite
+def phase_case(draw):
+    n_streams = draw(st.integers(min_value=1, max_value=10))
+    lengths = draw(st.lists(st.integers(0, 6), min_size=n_streams, max_size=n_streams))
+    total = sum(lengths)
+    pages = draw(st.lists(st.integers(0, PHASE_PAGES - 1), min_size=total, max_size=total))
+    writes = draw(st.lists(st.booleans(), min_size=total, max_size=total))
+    flops = draw(st.lists(st.sampled_from(PHASE_FLOPS), min_size=n_streams, max_size=n_streams))
+    # cursors anywhere along the span (a stream may resume mid-way or be at its end)
+    offsets = [draw(st.integers(0, length)) for length in lengths]
+    sms = draw(st.lists(st.integers(0, 4 * SMS_PER_GPC * N_GPCS), min_size=n_streams, max_size=n_streams))
+    # the active streams in dispatch order, some of them stalled
+    active = draw(st.permutations(range(n_streams)))
+    active = active[: draw(st.integers(0, n_streams))]
+    stalled = draw(st.lists(st.booleans(), min_size=len(active), max_size=len(active)))
+    n = len(active) - sum(stalled)
+    # integer-valued jitter ties often; real-valued jitter reorders widely
+    jitter = st.one_of(
+        st.integers(-3, 3).map(float), st.floats(-40.0, 40.0, allow_nan=False)
+    )
+    z = draw(st.lists(jitter, min_size=n, max_size=n))
+    k = draw(st.one_of(st.just(n), st.integers(0, n)))
+    read_ok = draw(st.lists(st.booleans(), min_size=PHASE_PAGES, max_size=PHASE_PAGES))
+    write_ok = None
+    if draw(st.booleans()):
+        write_ok = [r and draw(st.booleans()) for r in read_ok]
+    capacity = draw(st.integers(min_value=1, max_value=8))
+    head = draw(st.integers(0, capacity - 1))
+    # a full ring leaves no room (budget 0); a late head wraps the writes
+    size = draw(st.one_of(st.just(capacity), st.integers(0, capacity)))
+    pending = draw(
+        st.lists(st.tuples(st.integers(0, N_GPCS - 1), st.integers(0, PHASE_PAGES - 1)), max_size=6)
+    )
+    return SimpleNamespace(
+        pages=pages, lengths=lengths, writes=writes, flops=flops, offsets=offsets,
+        sms=sms, active=active, stalled=stalled, z=z, k=k,
+        read_ok=np.array(read_ok, dtype=bool),
+        write_ok=None if write_ok is None else np.array(write_ok, dtype=bool),
+        capacity=capacity, head=head, size=size, pending=pending,
+        now=draw(st.integers(0, 10**12)),
+    )
+
+
+def _phase_state(case):
+    """The streams, uTLB and ring a case starts from."""
+    soa = SoaStreams(
+        StreamSet(
+            np.array(case.pages, dtype=np.int64), case.lengths,
+            np.array(case.writes, dtype=bool), flops=case.flops,
+        )
+    )
+    soa.pos[:] = soa.start + np.array(case.offsets, dtype=np.int64)
+    soa.state[:] = RUNNABLE
+    soa.state[[s for s, stalled in zip(case.active, case.stalled) if stalled]] = STALLED
+    soa.sm_id[:] = case.sms
+    tlb = UTlbArray(N_GPCS, SMS_PER_GPC)
+    for gpc, page in case.pending:  # cells already pending
+        should_raise_gpc(tlb, gpc, page)
+    tlb.cover(PHASE_PAGES - 1)
+    buf = FaultBuffer(capacity=case.capacity, ready_delay_ns=0)
+    for _ in range(case.head):
+        push_fields(buf, 0, False, 0, 0, 0, 0)
+    buf.flush()
+    for i in range(case.size):
+        push_fields(buf, 100 + i, i % 2 == 0, 5, 1, 1, i, i)
+    return soa, tlb, buf
+
+
+def _kernel_phase(soa, tlb, buf, case, **override):
+    """The case's phase through the kernel, taken in as the device does."""
+    args = dict(
+        z=np.array(case.z, dtype=np.float64), active=np.array(case.active, dtype=np.int64),
+        k=case.k, read_ok=case.read_ok, write_ok=case.write_ok, cells=tlb.cells,
+        head=buf.head, size=len(buf), now=case.now,
+    )
+    args.update(override)
+    kernel = soa.bind(buf.ring, tlb.n_gpcs, tlb.sms_per_gpc, len(case.z))
+    stats, flops = kernel.run(**args)
+    n_push = stats[4]
+    if n_push:
+        tlb.note_raised(kernel.set_cells[:n_push].copy())
+    buf.note_pushed(n_push, stats[6])
+    return kernel.visited[: stats[0]].tolist(), stats, flops
+
+
+RING_COUNTERS = ("total_enqueued", "total_dropped", "total_flushed", "high_watermark")
+
+
+def _phase_bytes(soa, tlb, buf):
+    """Everything a phase may change, as bytes."""
+    return (
+        soa.pos.tobytes(), soa.state.tobytes(), tlb.cells.tobytes(),
+        *(field.tobytes() for field in buf.ring), buf.head, len(buf),
+        *(getattr(buf, name) for name in RING_COUNTERS),
+    )
+
+
+@given(phase_case())
+@settings(max_examples=400, deadline=None)
+def test_phase_matches_loop_oracle(case):
+    soa, tlb, buf = _phase_state(case)
+    ref_soa, ref_tlb, ref_buf = _phase_state(case)
+    got = _kernel_phase(soa, tlb, buf, case)
+    want = reference_phase(
+        ref_soa, ref_tlb, ref_buf, case.active, case.z, case.k,
+        case.read_ok, case.write_ok, case.now,
+    )
+    assert got[0] == want[0]  # visit order
+    assert got[1] == want[1]  # counts
+    assert got[2].hex() == want[2].hex()  # the FLOP bits
+    assert _phase_bytes(soa, tlb, buf) == _phase_bytes(ref_soa, ref_tlb, ref_buf)
+    # the cells the phase set are the ones a replay clears
+    tlb.on_replay()
+    ref_tlb.on_replay()
+    assert not tlb.cells.any() and not ref_tlb.cells.any()
+
+
+def _visited(case, soa) -> list[int]:
+    run_ids = [s for s in case.active if soa.state[s] == RUNNABLE]
+    order = np.argsort(np.arange(len(run_ids)) + np.array(case.z), kind="stable")
+    return [run_ids[i] for i in order[: case.k]]
+
+
+def _refuse(case, kind, soa, tlb, buf):
+    """Corrupt one input of the case's phase; returns run overrides."""
+    if kind == "stream id":
+        active = np.array(case.active, dtype=np.int64)
+        active[case.now % active.size] = soa.n if case.now % 2 else -1
+        return {"active": active}
+    if kind == "runnable count":
+        return {"z": np.zeros(len(case.z) + (1 if case.now % 2 else -1))}
+    if kind == "span":
+        last = _visited(case, soa)[-1]
+        soa.pos[last] = soa.end[last] + 1
+        return {}
+    if kind == "mask page":
+        return {"read_ok": np.ones(0, dtype=bool), "write_ok": None}
+    if kind == "sm":
+        soa.sm_id[:] = -1
+        return {}
+    if kind == "cell page":
+        return {"cells": np.zeros(N_GPCS, dtype=bool)}  # one page of cells
+    if kind == "ring head":
+        return {"head": buf.capacity if case.now % 2 else -1}
+    return {"size": buf.capacity + 1 if case.now % 2 else -1}
+
+
+REFUSALS = [
+    "stream id", "runnable count", "span", "mask page", "sm", "cell page",
+    "ring head", "ring size",
+]
+
+
+@given(phase_case(), st.sampled_from(REFUSALS))
+@settings(max_examples=400, deadline=None)
+def test_phase_refuses_bad_input_and_changes_nothing(case, kind):
+    soa, tlb, buf = _phase_state(case)
+    visited = _visited(case, soa)
+    if kind == "stream id":
+        assume(case.active)
+    if kind == "runnable count":
+        assume(case.now % 2 or case.z)
+    if kind in ("span", "mask page"):
+        assume(any(soa.pos[s] < soa.end[s] for s in visited))
+    if kind in ("sm", "cell page"):
+        # at least one visited stream misses (on a page past the first)
+        ref_soa, ref_tlb, ref_buf = _phase_state(case)
+        reference_phase(
+            ref_soa, ref_tlb, ref_buf, case.active, case.z, case.k,
+            case.read_ok, case.write_ok, case.now,
+        )
+        missed = [
+            int(ref_soa.pages_flat[ref_soa.pos[s]])
+            for s in visited
+            if ref_soa.state[s] == STALLED
+        ]
+        assume(missed and (kind == "sm" or max(missed) > 0))
+    override = _refuse(case, kind, soa, tlb, buf)
+    before = _phase_bytes(soa, tlb, buf)
+    with pytest.raises(SimulationError, match="GPU phase: "):
+        _kernel_phase(soa, tlb, buf, case, **override)
+    assert _phase_bytes(soa, tlb, buf) == before
 
 
 # -- GPU phase: FLOP total ---------------------------------------------------

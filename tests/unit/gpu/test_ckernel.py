@@ -1,5 +1,7 @@
-"""The phase engine's C kernel: how it is built and loaded, and what its
-binding refuses before the C code could read past an array."""
+"""The phase engine's C kernel: how it is built and loaded, what its
+binding refuses before the C code could read past an array, and that
+the source builds clean under strict warnings and under the address
+and undefined-behaviour sanitizers."""
 
 from __future__ import annotations
 
@@ -16,27 +18,40 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.gpu import ckernel
-from repro.gpu.soa import SoaStreams, advance_batch
+from repro.gpu.device import GpuDevice, GpuDeviceConfig
+from repro.gpu.fault_buffer import FaultBuffer
+from repro.gpu.soa import RUNNABLE, SoaStreams
 from repro.gpu.tlb import UTlbArray
 from repro.gpu.warp import StreamSet
+from repro.sim.clock import SimClock
+from repro.sim.rng import SimRng
+from repro.units import MiB
 
 #: src/ directory that `import repro` resolved to, for subprocesses.
 _SRC = str(Path(__file__).resolve().parents[3] / "src")
 
 
 def probe(lib) -> str:
-    """One raise through a loaded library: cells 6, 6, 7 of 2 pages x 6 GPCs."""
-    pending = np.zeros(12, dtype=bool)
-    gpcs = np.array([0, 0, 1], dtype=np.int64)
-    pages = np.array([1, 1, 1], dtype=np.int64)
-    push = np.zeros(3, dtype=bool)
-    out = np.zeros(5, dtype=np.int64)
-    ref = ckernel._ref
-    err = lib.raise_faults(ref(pending), 2, 6, ref(gpcs), ref(pages), 3, 8, ref(push), ref(out))
-    return f"{err} {out[:4].tolist()} {push.tolist()}"
+    """One phase through a loaded library: three one-access streams on
+    SMs 0, 0 and 2 (GPCs 0, 0 and 1 at 2 SMs a GPC) miss page 1 of 2
+    pages x 6 GPCs; the second coalesces, cells 6 and 7 are set."""
+    i64 = lambda values: np.array(values, dtype=np.int64)  # noqa: E731
+    ring = tuple(np.zeros(4, dtype=dtype) for _, dtype in ckernel.RING_FIELDS)
+    kernel = ckernel.PhaseKernel(
+        pages=np.ones(3, dtype=np.int32), writes=np.zeros(3, dtype=bool),
+        end=i64([1, 2, 3]), pos=i64([0, 1, 2]), state=np.ones(3, dtype=np.int8),
+        sm=i64([0, 0, 2]), flops=np.zeros(3), ids=i64([0, 1, 2]), ring=ring,
+        n_gpcs=6, sms_per_gpc=2, n_work=3,
+    )
+    kernel._run = lib.run_phase
+    cells = np.zeros(12, dtype=bool)
+    stats, _ = kernel.run(
+        np.zeros(3), i64([0, 1, 2]), 3, np.zeros(2, dtype=bool), None, cells, 0, 0, 0
+    )
+    return f"{stats} {np.flatnonzero(cells).tolist()} {ring[5][: stats[4]].tolist()}"
 
 
-PROBE_OUTPUT = "0 [2, 1, 6, 7] [True, False, True]"
+PROBE_OUTPUT = "[3, 0, 0, 3, 2, 1, 0] [6, 7] [0, 2]"
 
 #: signals readiness (argv[3]), waits for the start file (argv[2]), then
 #: builds into argv[1], loads the library and probes it
@@ -151,7 +166,7 @@ class TestBuild:
         assert proc.stderr.count("Traceback (most recent call last)") == 1
         last = proc.stderr.strip().splitlines()[-1]
         assert last.startswith("repro.errors.ConfigurationError: ")
-        assert "`cc -O2 -shared -fPIC" in last
+        assert f"`{' '.join(ckernel.CC)} -o " in last
         assert list(directory.iterdir()) == []  # the temporary output is removed
 
     def test_failing_compiler_shows_its_stderr(self, tmp_path, monkeypatch):
@@ -167,34 +182,58 @@ class TestBuild:
 # -- what the binding refuses --------------------------------------------------
 
 
-def _soa(pages, lengths) -> SoaStreams:
-    return SoaStreams(StreamSet(np.asarray(pages), lengths))
+def _soa(pages, lengths, sms=0) -> SoaStreams:
+    soa = SoaStreams(StreamSet(np.asarray(pages), lengths))
+    soa.state[:] = RUNNABLE
+    soa.sm_id[:] = sms
+    return soa
+
+
+def _bound(soa: SoaStreams, n_gpcs: int = 1, sms_per_gpc: int = 1, cover=None):
+    """The soa's phase kernel with a fresh uTLB covering its pages (or
+    pages up to ``cover``) and a fresh 4-slot fault buffer."""
+    tlb, buf = UTlbArray(n_gpcs, sms_per_gpc), FaultBuffer(capacity=4)
+    tlb.cover(soa.max_page if cover is None else cover)
+    return soa.bind(buf.ring, n_gpcs, sms_per_gpc, soa.n), tlb, buf
+
+
+def _visit(bound, sel, read_ok, write_ok=None):
+    """One phase visiting ``sel`` in that order (zero jitter)."""
+    kernel, tlb, buf = bound
+    sel = np.asarray(sel)
+    return kernel.run(
+        np.zeros(sel.size), sel, sel.size, read_ok, write_ok, tlb.cells,
+        buf.head, len(buf), 0,
+    )
+
+
+def _device(pages, lengths) -> GpuDevice:
+    config = GpuDeviceConfig(memory_bytes=16 * MiB)
+    return GpuDevice(config, StreamSet(np.asarray(pages), lengths), rng=SimRng(5))
 
 
 class TestScanRefuses:
     def test_page_beyond_the_masks_raises(self):
-        soa = _soa([1, 2, 3, 40], [2, 2])
+        device = _device([1, 2, 3, 40], [2, 2])
         with pytest.raises(SimulationError, match="page 40 lies outside the 40-page"):
-            advance_batch(soa, np.array([0]), np.ones(40, dtype=bool))
-        assert soa.pos.tolist() == [0, 2]
+            device.run_phase(np.ones(40, dtype=bool), SimClock())
+        assert device.scheduler.soa.pos.tolist() == [0, 2]
 
     def test_kernel_checks_every_page_it_reads(self):
-        """Below the once-per-set check, the C loop refuses a page past the
-        masks too, and moves no cursor: not even one resolved before it."""
+        """Below the device's once-per-set check, the C loop refuses a page
+        past the masks too, and moves no cursor: not even one resolved
+        before it."""
         soa = _soa([1, 2, 3, 40], [2, 2])
-        streams = soa.streams
         with pytest.raises(SimulationError, match="outside the 40-page"):
-            ckernel.advance_streams(
-                streams.pages, streams.writes, soa.end, soa.pos,
-                np.array([0, 1]), np.ones(40, dtype=bool), None,
-            )
+            _visit(_bound(soa), [0, 1], np.ones(40, dtype=bool))
         assert soa.pos.tolist() == [0, 2]
+        assert soa.state.tolist() == [RUNNABLE, RUNNABLE]
 
     @pytest.mark.parametrize("sel", [[2], [-1]])
     def test_stream_id_out_of_range_raises(self, sel):
         soa = _soa([1, 2, 3, 4], [2, 2])
         with pytest.raises(SimulationError, match="stream id or span"):
-            advance_batch(soa, np.array(sel), np.ones(8, dtype=bool))
+            _visit(_bound(soa), sel, np.ones(8, dtype=bool))
 
     @pytest.mark.parametrize(
         "mask",
@@ -209,40 +248,158 @@ class TestScanRefuses:
     )
     @pytest.mark.parametrize("which", ["read_ok", "write_ok"])
     def test_bad_mask_refused_before_any_c_call(self, monkeypatch, mask, which):
-        monkeypatch.setattr(ckernel, "library", _no_c_call)
         soa = _soa([1, 2, 3, 4], [2, 2])
+        bound = _bound(soa)
+        monkeypatch.setattr(bound[0], "_run", _no_c_call)
         good = np.ones(8, dtype=bool)
         masks = {"read_ok": good, "write_ok": good, which: mask}
         with pytest.raises(SimulationError, match=f"{which} mask must be"):
-            advance_batch(soa, np.array([0, 1]), masks["read_ok"], masks["write_ok"])
+            _visit(bound, [0, 1], masks["read_ok"], masks["write_ok"])
         assert soa.pos.tolist() == [0, 2]
 
     def test_masks_of_different_sizes_refused(self, monkeypatch):
-        monkeypatch.setattr(ckernel, "library", _no_c_call)
-        soa = _soa([1, 2], [2])
+        bound = _bound(_soa([1, 2], [2]))
+        monkeypatch.setattr(bound[0], "_run", _no_c_call)
         with pytest.raises(SimulationError, match="write_ok mask must be .* of 8 entries"):
-            advance_batch(soa, np.array([0]), np.ones(8, dtype=bool), np.ones(9, dtype=bool))
+            _visit(bound, [0], np.ones(8, dtype=bool), np.ones(9, dtype=bool))
 
     def test_selection_dtype_refused(self, monkeypatch):
-        monkeypatch.setattr(ckernel, "library", _no_c_call)
-        soa = _soa([1, 2], [2])
-        with pytest.raises(SimulationError, match="stream selection must be"):
-            advance_batch(soa, np.array([0], dtype=np.int32), np.ones(8, dtype=bool))
+        bound = _bound(_soa([1, 2], [2]))
+        monkeypatch.setattr(bound[0], "_run", _no_c_call)
+        with pytest.raises(SimulationError, match="active streams must be"):
+            _visit(bound, np.array([0], dtype=np.int32), np.ones(8, dtype=bool))
 
 
 class TestRaiseRefuses:
-    @pytest.mark.parametrize("pair", [(3, 5), (-1, 5), (0, -1)])
+    @pytest.mark.parametrize("pair", [(-1, 5), (0, 5000), (-2, 5000)])
     def test_pair_outside_the_cells_raises_and_sets_nothing(self, pair):
-        tlb = UTlbArray(3, 2)
-        gpcs = np.array([0, pair[0]], dtype=np.int64)
-        pages = np.array([7, pair[1]], dtype=np.int64)
+        """A miss whose SM (no GPC) or page lies outside the cells is
+        refused before any cell, cursor, state or ring slot changes, even
+        a valid miss visited before it."""
+        sm, page = pair
+        soa = _soa([7, page], [1, 1], sms=np.array([0, sm]))
+        kernel, tlb, buf = bound = _bound(soa, n_gpcs=3, sms_per_gpc=2, cover=7)
+        assert tlb.cells.size == 3 * 1024
         with pytest.raises(SimulationError, match="outside 3 GPCs"):
-            tlb.raise_batch(gpcs, pages, 8)
-        assert not tlb._pending.any()
+            _visit(bound, [0, 1], np.zeros(soa.max_page + 1, dtype=bool))
+        assert not tlb.cells.any()
+        assert soa.pos.tolist() == [0, 1]
+        assert soa.state.tolist() == [RUNNABLE, RUNNABLE]
+        assert not any(field.any() for field in buf.ring)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64])
     def test_input_dtype_refused_before_any_c_call(self, monkeypatch, dtype):
+        """SM ids, which map misses to GPCs, are refused when bound."""
         monkeypatch.setattr(ckernel, "library", _no_c_call)
-        tlb = UTlbArray(3, 2)
-        with pytest.raises(SimulationError, match="fault gpcs must be"):
-            tlb.raise_batch(np.array([0], dtype=dtype), np.array([5]), 8)
+        soa = _soa([5], [1])
+        soa.sm_id = soa.sm_id.astype(dtype)
+        with pytest.raises(SimulationError, match="stream SM ids must be"):
+            soa.bind(FaultBuffer(capacity=4).ring, 3, 2, 1)
+
+
+# -- strict and sanitized builds -------------------------------------------------
+
+
+def test_source_builds_with_warnings_as_errors(tmp_path):
+    proc = subprocess.run(
+        [*ckernel.CC, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"), "-"],
+        input=ckernel.SOURCE, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+#: loads the library built at argv[1] as the kernel, runs three small
+#: simulations and every input the kernel refuses, and prints the results
+_EXERCISE = """
+import sys
+from pathlib import Path
+import numpy as np
+from repro.errors import SimulationError
+from repro.gpu import ckernel
+from repro.gpu.fault_buffer import FaultBuffer
+from repro.gpu.soa import SoaStreams
+from repro.gpu.tlb import UTlbArray
+from repro.gpu.warp import StreamSet
+lib = ckernel.load(Path(sys.argv[1]))
+ckernel.library = lambda: lib
+from repro.experiments.runner import ExperimentSetup, simulate
+from repro.workloads.registry import make_workload
+from repro.units import MiB
+for name, data, gpu in (("sgemm", 4, 2), ("random", 4, 2), ("hpgmg", 2, 4)):
+    r = simulate(make_workload(name, data * MiB), ExperimentSetup().with_gpu(memory_bytes=gpu * MiB))
+    print(name, r.total_time_ns, r.faults_read, r.evictions, r.counters.as_dict()["gpu.accesses"])
+
+def attempt(kind):
+    soa = SoaStreams(StreamSet(np.array([1, 2, 3, 9]), [2, 2]))
+    soa.state[:] = 1
+    soa.sm_id[:] = [0, 3]
+    tlb, buf = UTlbArray(3, 2), FaultBuffer(capacity=4)
+    tlb.cover(soa.max_page)
+    kernel = soa.bind(buf.ring, 3, 2, 2)
+    args = dict(z=np.zeros(2), active=np.arange(2), k=2, read_ok=np.zeros(10, dtype=bool),
+                write_ok=None, cells=tlb.cells, head=0, size=0, now=0)
+    if kind == "stream id":
+        args["active"] = np.array([0, 2])
+    elif kind == "runnable count":
+        args["z"] = np.zeros(3)
+    elif kind == "span":
+        soa.pos[1] = 5
+    elif kind == "mask page":
+        args["read_ok"] = np.ones(5, dtype=bool)
+    elif kind == "sm":
+        soa.sm_id[1] = -1
+    elif kind == "cell page":
+        args["cells"] = np.zeros(6, dtype=bool)
+    elif kind == "ring head":
+        args["head"] = 4
+    elif kind == "ring size":
+        args["size"] = 5
+    try:
+        kernel.run(**args)
+    except SimulationError:
+        return "refused"
+    return "ran"
+
+print([attempt(k) for k in ("none", "stream id", "runnable count", "span", "mask page",
+                            "sm", "cell page", "ring head", "ring size")])
+"""
+
+
+def _sanitizer_runtimes() -> list[str]:
+    paths = []
+    for name in ("libasan.so", "libubsan.so"):
+        proc = subprocess.run(["cc", f"-print-file-name={name}"], capture_output=True, text=True)
+        path = proc.stdout.strip()
+        if proc.returncode or not os.path.isabs(path) or not os.path.exists(path):
+            pytest.skip(f"cc has no {name}")
+        paths.append(path)
+    return paths
+
+
+def test_sanitized_build_runs_clean_and_matches(tmp_path):
+    """Built with ``-fsanitize=address,undefined``, the kernel runs three
+    simulations and every refused input without a report, and gives the
+    normal build's results."""
+    runtimes = _sanitizer_runtimes()
+    sanitized = tmp_path / "sanitized.so"
+    proc = subprocess.run(
+        [*ckernel.CC, "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+         "-o", str(sanitized), "-"],
+        input=ckernel.SOURCE, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    normal = ckernel.build(tmp_path / "normal")
+    runs = {}
+    for name, path, extra in (
+        ("normal", normal, {}),
+        ("sanitized", sanitized,
+         {"LD_PRELOAD": ":".join(runtimes), "ASAN_OPTIONS": "detect_leaks=0"}),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", _EXERCISE, str(path)],
+            capture_output=True, text=True, timeout=300, env=_env(**extra),
+        )
+        assert proc.returncode == 0, f"{name}: {proc.stderr[-4000:]}"
+        runs[name] = proc.stdout
+    assert runs["sanitized"] == runs["normal"]
+    assert runs["normal"].splitlines()[-1] == str(["ran"] + ["refused"] * 8)

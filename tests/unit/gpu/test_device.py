@@ -108,7 +108,7 @@ class TestReplayDelivery:
         woken = device.deliver_replay()
         assert woken == 4
         assert not device.has_stalled_streams()
-        assert not device.utlb._pending.any()
+        assert not device.utlb.cells.any()
 
 
 class TestAccessCounters:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.gpu.soa import RUNNABLE, STALLED, SoaBlockScheduler, advance_batch
+from repro.gpu.soa import RUNNABLE, STALLED, SoaBlockScheduler
 from repro.gpu.warp import StreamSet
 from repro.sim.rng import SimRng
+from tests.gpuphase import mark_done, mark_stalled, runnable_ids, scan
 
 
 def make_streams(n, pages_each=1):
@@ -25,29 +26,29 @@ class TestDispatch:
     def test_occupancy_limit(self, rng):
         sched = SoaBlockScheduler(make_streams(100), rng, max_active=10)
         assert sched.refill() == 10
-        assert sched.runnable_ids().size == 10
+        assert runnable_ids(sched).size == 10
 
     def test_backfill_after_completion(self, rng):
         streams = make_streams(20)
         sched = SoaBlockScheduler(streams, rng, max_active=10)
         sched.refill()
-        sched.mark_done(sched.runnable_ids()[:3])
+        mark_done(sched, runnable_ids(sched)[:3])
         dispatched = sched.refill()
         assert dispatched == 3
-        assert sched.runnable_ids().size == 10
+        assert runnable_ids(sched).size == 10
 
     def test_dispatch_prefers_low_indices(self, rng):
         """Low-numbered blocks dispatch (mostly) first (Section IV-B)."""
         streams = make_streams(1000)
         sched = SoaBlockScheduler(streams, rng, max_active=100, jitter=0.05)
         sched.refill()
-        ids = sched.soa.stream_ids[sched.runnable_ids()]
+        ids = sched.soa.stream_ids[runnable_ids(sched)]
         assert np.mean(ids) < 200  # far below the 500 a shuffle would give
 
     def test_sm_assignment_round_robin(self, rng):
         sched = SoaBlockScheduler(make_streams(8), rng, max_active=8, n_sms=4)
         sched.refill()
-        sms = sorted(sched.soa.sm_id[sched.runnable_ids()].tolist())
+        sms = sorted(sched.soa.sm_id[runnable_ids(sched)].tolist())
         assert sms == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_invalid_params(self, rng):
@@ -65,10 +66,10 @@ class TestLifecycle:
         sched = SoaBlockScheduler(make_streams(3), rng, max_active=2)
         sched.refill()
         assert not sched.all_done()
-        sched.mark_done(sched.runnable_ids())
+        mark_done(sched, runnable_ids(sched))
         assert not sched.all_done()  # the third stream was never dispatched
         sched.refill()
-        sched.mark_done(sched.runnable_ids())
+        mark_done(sched, runnable_ids(sched))
         sched.refill()
         assert sched.all_done()
 
@@ -76,16 +77,16 @@ class TestLifecycle:
         sched = SoaBlockScheduler(make_streams(4), rng, max_active=4)
         sched.refill()
         resident = np.zeros(10, dtype=bool)
-        ids = sched.runnable_ids()
-        _, _, miss = advance_batch(sched.soa, ids, resident)
+        ids = runnable_ids(sched)
+        _, _, miss = scan(sched.soa, ids, resident)
         assert miss.tolist() == sched.soa.stream_ids[ids].tolist()
-        sched.mark_stalled(ids)
+        mark_stalled(sched, ids)
         assert sched.has_stalled()
-        assert sched.runnable_ids().size == 0
+        assert runnable_ids(sched).size == 0
         assert (sched.soa.state[ids] == STALLED).all()
         assert sched.wake_all_stalled() == 4
         assert not sched.has_stalled()
-        assert sched.runnable_ids().tolist() == ids.tolist()
+        assert runnable_ids(sched).tolist() == ids.tolist()
         assert (sched.soa.state[ids] == RUNNABLE).all()
 
 
@@ -115,12 +116,12 @@ class TestSoaStorage:
         resident = np.ones(50, dtype=bool)
         resident[49] = False
         sel = np.arange(4)
-        advance_batch(soa, sel, resident)
+        scan(soa, sel, resident)
         blob = pickle.dumps(soa)
         assert len(blob) < 4 * soa.pages_flat.nbytes
         copy = pickle.loads(blob)
         resident[49] = True
         assert all(
             np.array_equal(a, b)
-            for a, b in zip(advance_batch(soa, sel, resident), advance_batch(copy, sel, resident))
+            for a, b in zip(scan(soa, sel, resident), scan(copy, sel, resident))
         )

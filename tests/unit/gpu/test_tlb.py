@@ -10,6 +10,7 @@ from repro.gpu.warp import StreamSet
 from repro.sim.clock import SimClock
 from repro.sim.rng import SimRng
 from repro.units import MiB
+from tests.gpuphase import forget_gpc, raise_pairs, should_raise_gpc
 
 
 @pytest.fixture
@@ -19,43 +20,43 @@ def tlbs():
 
 def pending_cells(tlbs: UTlbArray) -> int:
     """Fault entries raised and not yet cleared by a replay or a forget."""
-    return int(np.count_nonzero(tlbs._pending))
+    return int(np.count_nonzero(tlbs.cells))
 
 
-def raise_batch(tlbs: UTlbArray, pairs, budget=64):
-    """``raise_batch`` on ``(gpc, page)`` pairs: (pushed, coalesced, dropped)."""
-    gpcs = np.array([g for g, _ in pairs], dtype=np.int64)
-    pages = np.array([p for _, p in pairs], dtype=np.int64)
-    push_mask, n_coalesced, n_dropped = tlbs.raise_batch(gpcs, pages, budget)
+def raise_misses(tlbs: UTlbArray, pairs, budget=64):
+    """A phase's raise of ``(gpc, page)`` misses: (pushed, coalesced, dropped)."""
+    push_mask, n_coalesced, n_dropped = raise_pairs(
+        tlbs, [g for g, _ in pairs], [p for _, p in pairs], budget
+    )
     return int(push_mask.sum()), n_coalesced, n_dropped
 
 
 class TestCoalescing:
     def test_first_miss_raises(self, tlbs):
-        assert tlbs.should_raise_gpc(gpc=0, page=10)
+        assert should_raise_gpc(tlbs, gpc=0, page=10)
         assert pending_cells(tlbs) == 1
-        assert raise_batch(UTlbArray(2, 4), [(0, 10)]) == (1, 0, 0)
+        assert raise_misses(UTlbArray(2, 4), [(0, 10)]) == (1, 0, 0)
 
     def test_same_gpc_same_page_coalesced(self, tlbs):
-        tlbs.should_raise_gpc(0, 10)
-        assert not tlbs.should_raise_gpc(0, 10)  # another SM of GPC 0
+        should_raise_gpc(tlbs, 0, 10)
+        assert not should_raise_gpc(tlbs, 0, 10)  # another SM of GPC 0
         assert pending_cells(tlbs) == 1
         # in one batch, and onto a fault raised by an earlier batch
         fresh = UTlbArray(2, 4)
-        assert raise_batch(fresh, [(0, 10), (0, 10)]) == (1, 1, 0)
-        assert raise_batch(fresh, [(0, 10)]) == (0, 1, 0)
+        assert raise_misses(fresh, [(0, 10), (0, 10)]) == (1, 1, 0)
+        assert raise_misses(fresh, [(0, 10)]) == (0, 1, 0)
 
     def test_different_gpc_duplicates(self, tlbs):
         """Cross-GPC misses produce duplicate fault entries - the driver
         cannot tell (fault source erasure)."""
-        assert tlbs.should_raise_gpc(0, 10)
-        assert tlbs.should_raise_gpc(1, 10)
+        assert should_raise_gpc(tlbs, 0, 10)
+        assert should_raise_gpc(tlbs, 1, 10)
         assert pending_cells(tlbs) == 2
-        assert raise_batch(UTlbArray(2, 4), [(0, 10), (1, 10)]) == (2, 0, 0)
+        assert raise_misses(UTlbArray(2, 4), [(0, 10), (1, 10)]) == (2, 0, 0)
 
     def test_different_pages_not_coalesced(self, tlbs):
-        assert tlbs.should_raise_gpc(0, 10)
-        assert tlbs.should_raise_gpc(0, 11)
+        assert should_raise_gpc(tlbs, 0, 10)
+        assert should_raise_gpc(tlbs, 0, 11)
 
     def test_gpc_of_sm(self):
         """A fault record carries the GPC owning its SM: SMs are placed
@@ -72,27 +73,27 @@ class TestCoalescing:
 
 class TestReplayInteraction:
     def test_replay_clears_pending(self, tlbs):
-        tlbs.should_raise_gpc(0, 10)
+        should_raise_gpc(tlbs, 0, 10)
         tlbs.on_replay()
         assert pending_cells(tlbs) == 0
         # unsatisfied access re-walks and re-raises: the duplicate path
-        assert tlbs.should_raise_gpc(0, 10)
+        assert should_raise_gpc(tlbs, 0, 10)
 
     def test_forget_allows_re_raise_without_replay(self, tlbs):
         """Dropped buffer pushes must not leave a poisoned pending set."""
-        tlbs.should_raise_gpc(0, 10)
-        tlbs.forget_gpc(0, 10)
-        assert tlbs.should_raise_gpc(0, 10)
+        should_raise_gpc(tlbs, 0, 10)
+        forget_gpc(tlbs, 0, 10)
+        assert should_raise_gpc(tlbs, 0, 10)
 
     def test_forget_adjusts_raised_count(self, tlbs):
-        tlbs.should_raise_gpc(0, 10)
-        tlbs.forget_gpc(0, 10)
+        should_raise_gpc(tlbs, 0, 10)
+        forget_gpc(tlbs, 0, 10)
         assert pending_cells(tlbs) == 0
-        tlbs.should_raise_gpc(0, 10)
+        should_raise_gpc(tlbs, 0, 10)
         assert pending_cells(tlbs) == 1
         # a batch past its budget drops the entry and leaves it unraised
         fresh = UTlbArray(2, 4)
-        assert raise_batch(fresh, [(0, 10), (0, 11)], budget=1) == (1, 0, 1)
+        assert raise_misses(fresh, [(0, 10), (0, 11)], budget=1) == (1, 0, 1)
         assert pending_cells(fresh) == 1
 
     def test_invalid_config(self):

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from repro.gpu.device import GpuDevice, GpuDeviceConfig
-from repro.gpu.soa import STALLED, SoaStreams, advance_batch
+from repro.gpu.soa import STALLED, SoaStreams
 from repro.gpu.warp import StreamSet
 from repro.sim.clock import SimClock
 from repro.sim.rng import SimRng
 from repro.units import MiB
+from tests.gpuphase import scan
 
 ONE = np.array([0])
 
@@ -52,7 +53,7 @@ class TestAdvance:
     def test_completes_when_all_resident(self, resident):
         resident[:] = True
         soa = SoaStreams(one_stream(np.arange(10)))
-        pos0, pos1, miss = advance_batch(soa, ONE, resident)
+        pos0, pos1, miss = scan(soa, ONE, resident)
         assert (pos0.tolist(), pos1.tolist(), miss.tolist()) == ([0], [10], [-1])
         assert soa.pos.tolist() == [10]
 
@@ -92,7 +93,7 @@ class TestAdvance:
             resident[:] = True
             resident[miss_page] = False
             soa = SoaStreams(one_stream(pages))
-            _, pos1, miss = advance_batch(soa, ONE, resident)
+            _, pos1, miss = scan(soa, ONE, resident)
             assert pos1[0] == int(np.argmin(resident[pages]))
             assert miss[0] == miss_page
 
@@ -100,7 +101,7 @@ class TestAdvance:
         """Reuse-heavy streams (GEMM-like) advance over resident pages."""
         resident[:4] = True
         soa = SoaStreams(one_stream([0, 1, 2, 3, 0, 1, 2, 3, 4]))
-        pos0, pos1, miss = advance_batch(soa, ONE, resident)
+        pos0, pos1, miss = scan(soa, ONE, resident)
         assert miss.tolist() == [4]
         assert (pos1 - pos0).tolist() == [8]
 
@@ -124,11 +125,11 @@ class TestWrites:
         write_ok[1] = False
         writes = np.array([False, True, False])
         soa = SoaStreams(one_stream([1, 1, 2], writes))
-        _, pos1, miss = advance_batch(soa, ONE, resident, write_ok)
+        _, pos1, miss = scan(soa, ONE, resident, write_ok)
         assert (pos1.tolist(), miss.tolist()) == ([1], [1])
         # without write permissions every resident access retires
         soa = SoaStreams(one_stream([1, 1, 2], writes))
-        assert advance_batch(soa, ONE, resident)[2].tolist() == [-1]
+        assert scan(soa, ONE, resident)[2].tolist() == [-1]
         device = device_for([1, 1, 2], writes)
         result = device.run_phase(resident, SimClock(), write_ok=write_ok)
         assert result.accesses_retired == 1
